@@ -206,7 +206,7 @@ class WaveletModel(Model):
         if atom is None:
             flat = np.zeros(N_GRID)
             flat[k] = 1.0
-            atom = transform.synthesize(transform.unflatten(flat, N_GRID), self.h)
+            atom = transform.synthesize_flat(flat, self.h)
             atom *= float(np.sqrt(N_GRID))
             atom.setflags(write=False)
             _ATOM_CACHE[key] = atom
@@ -231,12 +231,9 @@ class WaveletModel(Model):
         p = int(n).bit_length() - 1
         if (1 << p) != n or n < self.dim:
             raise ValueError("need a dyadic design size >= model dimension")
-        cols = []
-        for k in range(self.dim):
-            flat = np.zeros(n)
-            flat[k] = 1.0
-            cols.append(transform.synthesize(transform.unflatten(flat, n), self.h))
-        return np.sqrt(n) * np.column_stack(cols)
+        atoms = transform.synthesize_flat(np.eye(self.dim, n), self.h)
+        # C order: BLAS may round the Gram products differently by layout
+        return np.sqrt(n) * np.ascontiguousarray(atoms.T)
 
     def auto_scales(self):
         return _wavelet_scales(self.j_max)

@@ -171,9 +171,8 @@ def _replicate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int,
     sample = generate(signal, noise, n, seed)
     fits = fit_collection(sample, collection)
     filt = collection.models[0].h
-    s_at_x = signal(sample.x)
-    c_signal = transform.flatten(transform.analyze(s_at_x, filt))
-    c_noise = transform.flatten(transform.analyze(sample.y, filt)) - c_signal
+    c_signal, c_y = transform.analyze_flat(np.stack([signal(sample.x), sample.y]), filt)
+    c_noise = c_y - c_signal
     cum_noise = np.cumsum(c_noise ** 2)
     cum_signal = np.cumsum(c_signal ** 2)
     total_signal = cum_signal[-1]

@@ -79,13 +79,12 @@ def _pyramid_applicable(sample: RegressionSample, model) -> bool:
 
 def _fit_pyramid(sample: RegressionSample, model) -> FitResult:
     n = sample.n
-    coeffs = transform.flatten(transform.analyze(sample.y, model.h))
+    coeffs = transform.analyze_flat(sample.y, model.h)
     kept = coeffs[: model.dim]
     beta = kept / np.sqrt(n)
     # Parseval on the discrete atoms: residual energy is the dropped tail
     risk = float((np.dot(sample.y, sample.y) - np.dot(kept, kept)) / n)
-    values = transform.synthesize(
-        transform.unflatten(transform.truncate_flat(coeffs, model.dim), n), model.h)
+    values = transform.synthesize_flat(transform.truncate_flat(coeffs, model.dim), model.h)
     return FitResult(model, beta, max(risk, 0.0), "pyramid_fast", values)
 
 
@@ -153,7 +152,7 @@ def project_truth(signal: TestSignal, model) -> np.ndarray:
     """
     s = signal_grid_values(signal)
     if isinstance(model, bases.WaveletModel):
-        coeffs = transform.flatten(transform.analyze(s, model.h))
+        coeffs = transform.analyze_flat(s, model.h)
         return coeffs[: model.dim] / np.sqrt(N_GRID)
     atoms = model.grid_atoms()
     w = model.density_on_grid()
@@ -165,7 +164,7 @@ def _grid_function(model, beta: np.ndarray) -> np.ndarray:
     if isinstance(model, bases.WaveletModel):
         flat = np.zeros(N_GRID)
         flat[: model.dim] = beta * np.sqrt(N_GRID)
-        return transform.synthesize(transform.unflatten(flat, N_GRID), model.h)
+        return transform.synthesize_flat(flat, model.h)
     return model.grid_atoms().T @ beta
 
 
@@ -176,7 +175,7 @@ def _model_design_values(sample: RegressionSample, model, beta: np.ndarray,
     if fit_method == "pyramid_fast":
         flat = np.zeros(sample.n)
         flat[: model.dim] = beta * np.sqrt(sample.n)
-        return transform.synthesize(transform.unflatten(flat, sample.n), model.h)
+        return transform.synthesize_flat(flat, model.h)
     return design_matrix(sample, model) @ beta
 
 

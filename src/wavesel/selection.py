@@ -97,7 +97,7 @@ def fit_collection(sample: RegressionSample, collection: ModelCollection) -> Fit
             and sample.n >= 2 and (sample.n & (sample.n - 1)) == 0
             and len({m.h.tobytes() for m in models}) == 1
             and max(m.dim for m in models) <= sample.n):
-        coeffs = transform.flatten(transform.analyze(sample.y, models[0].h))
+        coeffs = transform.analyze_flat(sample.y, models[0].h)
         energy = float(np.dot(sample.y, sample.y))
         csum = np.cumsum(coeffs ** 2)
         fits = []
@@ -138,7 +138,7 @@ def truth_profile(signal: TestSignal, collection: ModelCollection) -> TruthProfi
     norm2 = float(np.mean(s ** 2))
     if all(isinstance(m, bases.WaveletModel) for m in models) \
             and len({m.h.tobytes() for m in models}) == 1:
-        full = transform.flatten(transform.analyze(s, models[0].h)) / np.sqrt(N_GRID)
+        full = transform.analyze_flat(s, models[0].h) / np.sqrt(N_GRID)
         csum = np.cumsum(full ** 2)
         betas = tuple(full[: m.dim] for m in models)
         biases = np.array([max(norm2 - csum[m.dim - 1], 0.0) for m in models])
@@ -240,14 +240,14 @@ def fold_fitted(sample: RegressionSample, collection: ModelCollection,
         fitted = []
         risks = []
         if wavelet_fast:
-            coeffs = transform.flatten(transform.analyze(y_t, models[0].h))
+            coeffs = transform.analyze_flat(y_t, models[0].h)
             energy = float(np.dot(y_t, y_t))
             csum = np.cumsum(coeffs ** 2)
-            for m in models:
-                values = transform.synthesize(
-                    transform.unflatten(transform.truncate_flat(coeffs, m.dim), n_t), m.h)
-                fitted.append(values)
-                risks.append(max((energy - csum[m.dim - 1]) / n_t, 0.0))
+            dims = collection.dims
+            # every nested truncation at once: row i keeps the first dims[i]
+            kept = np.where(np.arange(n_t) < dims[:, None], coeffs, 0.0)
+            fitted = list(transform.synthesize_flat(kept, models[0].h))
+            risks = [max((energy - csum[d - 1]) / n_t, 0.0) for d in dims]
         else:
             sub = RegressionSample(x_t, y_t, sample.meta)
             for m in models:

@@ -9,6 +9,7 @@ l1, l2, h1, h2. Samples are drawn with a counter-based generator
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable
@@ -200,6 +201,7 @@ class RegressionSample:
                    SampleMeta.from_dict(doc["meta"]))
 
 
+@functools.lru_cache(maxsize=None)
 def benchmark_scale(name: str) -> float:
     """Multiplier bringing a built-in signal to Wave's range.
 

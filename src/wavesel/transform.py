@@ -1,14 +1,21 @@
 """Periodized pyramid filter bank for dyadic sample vectors.
 
-``analyze`` runs the decimating two-channel filter bank down to a single
-approximation coefficient, with all boundary handling done by index
-arithmetic modulo the current level length, so the transform matrix is
-exactly orthogonal for any orthonormal scaling filter, including levels
-shorter than the filter. ``synthesize`` is the exact transpose.
+``analyze_flat`` runs the decimating two-channel filter bank down to a
+single approximation coefficient, with all boundary handling done by
+index arithmetic modulo the current level length, so the transform
+matrix is exactly orthogonal for any orthonormal scaling filter,
+including levels shorter than the filter. ``synthesize_flat`` is the
+exact transpose. Both work along the last axis, so any leading batch
+axes are transformed in one call, and each output element accumulates
+its filter taps in the same order whatever the batch shape: a batched
+call returns the same floats, bit for bit, as one call per row.
+``analyze`` and ``synthesize`` wrap them for a single
+:class:`CoefficientTree`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +31,8 @@ __all__ = [
     "CoefficientTree",
     "analyze",
     "synthesize",
+    "analyze_flat",
+    "synthesize_flat",
     "flatten",
     "unflatten",
     "ordered_design_fit",
@@ -97,30 +106,49 @@ def qmf(h: np.ndarray) -> np.ndarray:
     return signs * h[::-1]
 
 
-def _analyze_step(a: np.ndarray, h: np.ndarray, g: np.ndarray):
-    n = len(a)
+@functools.lru_cache(maxsize=16)
+def _validated_bank(key: bytes, shape: tuple) -> np.ndarray:
+    # lru_cache stores no result when validate_filter raises, so an
+    # invalid filter is checked (and rejected) again on every call
+    h = validate_filter(np.frombuffer(key).reshape(shape))
+    hg = np.stack([h, qmf(h)])
+    hg.setflags(write=False)
+    return hg
+
+
+def _filter_bank(filt) -> np.ndarray:
+    """Rows h (scaling) and g (detail) of a filter validated once per value."""
+    h = np.asarray(filt, dtype=float)
+    return _validated_bank(h.tobytes(), h.shape)
+
+
+def _analyze_step(a: np.ndarray, hg: np.ndarray):
+    # wrap-pad once, split by parity: ext[..., r, m] = a[..., (2m + r) % n],
+    # so tap k reads the contiguous run ext[..., k % 2, k // 2:k // 2 + half]
+    n = a.shape[-1]
     half = n // 2
-    pos = 2 * np.arange(half)
-    approx = np.zeros(half)
-    detail = np.zeros(half)
-    for k in range(len(h)):
-        vals = a[(pos + k) % n]
-        approx += h[k] * vals
-        detail += g[k] * vals
-    return approx, detail
+    taps = hg.shape[1]
+    ext = a[..., (2 * np.arange(half + taps // 2) + np.arange(2)[:, None]) % n]
+    out = np.zeros(a.shape[:-1] + (2, half))
+    for k in range(taps):
+        out += hg[:, k:k + 1] * ext[..., None, k % 2, k // 2:k // 2 + half]
+    return out[..., 0, :], out[..., 1, :]
 
 
-def _synthesize_step(approx: np.ndarray, detail: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    half = len(approx)
-    n = 2 * half
-    pos = 2 * np.arange(half)
-    out = np.zeros(n)
-    for k in range(len(h)):
-        idx = (pos + k) % n
-        # a fixed shift k maps the half-grid to distinct residues, so no
-        # scatter collisions occur and fancy-indexed += is safe
-        out[idx] += h[k] * approx + g[k] * detail
-    return out
+def _synthesize_step(approx: np.ndarray, detail: np.ndarray, hg: np.ndarray) -> np.ndarray:
+    # input j feeds output (2j + k) % n = 2 * ((j + k // 2) % half) + k % 2,
+    # so taps 2m and 2m + 1 add to position (j + m) % half of the two
+    # parity planes; each output still receives its taps in increasing k
+    half = approx.shape[-1]
+    out = np.zeros((2,) + approx.shape)
+    for m in range(hg.shape[1] // 2):
+        terms = np.multiply.outer(hg[0, 2 * m:2 * m + 2], approx)
+        terms += np.multiply.outer(hg[1, 2 * m:2 * m + 2], detail)
+        s = m % half
+        out[..., s:] += terms[..., :half - s]
+        if s:
+            out[..., :s] += terms[..., half - s:]
+    return np.moveaxis(out, 0, -1).reshape(approx.shape[:-1] + (2 * half,))
 
 
 @dataclass(frozen=True)
@@ -170,30 +198,49 @@ def _check_dyadic(n: int) -> int:
     return p
 
 
+def analyze_flat(values, filt) -> np.ndarray:
+    """Pyramid coefficients along the last axis, in :func:`flatten` order.
+
+    ``values`` has shape ``(..., n)`` with n a power of two; every leading
+    index is transformed independently.
+    """
+    v = np.asarray(values, dtype=float)
+    n = v.shape[-1] if v.ndim else 0
+    _check_dyadic(n)
+    hg = _filter_bank(filt)
+    out = np.empty_like(v)
+    a = v
+    while a.shape[-1] > 1:
+        a, d = _analyze_step(a, hg)
+        m = d.shape[-1]
+        out[..., m:2 * m] = d
+    out[..., :1] = a
+    return out
+
+
+def synthesize_flat(coeffs, filt) -> np.ndarray:
+    """Exact inverse of :func:`analyze_flat` along the last axis."""
+    c = np.asarray(coeffs, dtype=float)
+    n = c.shape[-1] if c.ndim else 0
+    p = _check_dyadic(n)
+    hg = _filter_bank(filt)
+    a = c[..., :1]
+    for j in range(p):
+        a = _synthesize_step(a, c[..., 1 << j: 2 << j], hg)
+    return a
+
+
 def analyze(values, filt) -> CoefficientTree:
     """Full periodized pyramid decomposition of a 2^p vector."""
     v = np.asarray(values, dtype=float)
-    _check_dyadic(len(v))
-    h = validate_filter(filt)
-    g = qmf(h)
-    details = []
-    a = v
-    while len(a) > 1:
-        a, d = _analyze_step(a, h, g)
-        details.append(d)
-    return CoefficientTree(a, tuple(reversed(details)), len(v))
+    if v.ndim != 1:
+        raise ValueError("analyze takes a 1-d vector; use analyze_flat for batches")
+    return unflatten(analyze_flat(v, filt), len(v))
 
 
 def synthesize(tree: CoefficientTree, filt) -> np.ndarray:
     """Exact inverse of :func:`analyze`."""
-    h = validate_filter(filt)
-    g = qmf(h)
-    a = tree.approx
-    for d in tree.details:
-        if len(d) != len(a):
-            raise MalformedTreeError("detail/approx length mismatch")
-        a = _synthesize_step(a, d, h, g)
-    return a
+    return synthesize_flat(flatten(tree), filt)
 
 
 def flatten(tree: CoefficientTree) -> np.ndarray:
@@ -236,5 +283,4 @@ def ordered_design_fit(sample, model, filt=None) -> np.ndarray:
     if dim > n:
         raise ValueError(f"model dimension {dim} exceeds sample size {n}")
     h = model.filter_coefficients if filt is None else filt
-    c = flatten(analyze(y, h))
-    return c[:dim] / np.sqrt(n)
+    return analyze_flat(y, h)[:dim] / np.sqrt(n)

@@ -226,6 +226,20 @@ class TestVfold:
         shifted = crit + 123.456
         assert dims[np.lexsort((dims, shifted))[0]] == out.chosen_dim
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_fold_fitted_matches_per_model_synthesis(self, n):
+        # one batched synthesis per fold gives each model's own floats
+        sample = generate(get_signal("doppler"), get_noise("h1"), n, 17)
+        coll = wavelet_collection(n, transform.DB8)
+        folds = FoldScheme.interleaved(n, 2)
+        for fold in fold_fitted(sample, coll, folds):
+            n_t = len(fold.train_idx)
+            coeffs = transform.flatten(transform.analyze(fold.y_train, transform.DB8))
+            assert len(fold.fitted) == len(coll)
+            for values, dim in zip(fold.fitted, coll.dims):
+                tree = transform.unflatten(transform.truncate_flat(coeffs, dim), n_t)
+                assert np.array_equal(values, transform.synthesize(tree, transform.DB8))
+
     def test_vfold_v4_gram_path(self):
         # V = 4 training sizes are not dyadic, exercising the exact solve
         sample = generate(get_signal("wave"), get_noise("h1"), 64, 3)

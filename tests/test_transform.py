@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavesel import bases, transform
 from wavesel.transform import (DB8, HAAR, CoefficientTree, InvalidFilterError,
-                               MalformedTreeError, analyze, flatten, get_filter,
-                               ordered_design_fit, qmf, synthesize, unflatten,
-                               validate_filter)
+                               MalformedTreeError, analyze, analyze_flat, flatten,
+                               get_filter, ordered_design_fit, qmf, synthesize,
+                               synthesize_flat, unflatten, validate_filter)
 
 
 def rng(seed=0):
@@ -27,6 +29,21 @@ def test_filter_validation():
         validate_filter([1.0, 0.5, -0.2, 0.1141])  # fails double-shift orthogonality
     with pytest.raises(InvalidFilterError):
         validate_filter([1.0, 0.2, 0.2])  # odd length
+
+
+def test_invalid_filter_rejected_on_every_call():
+    # validated filters are memoized; a failure must never be
+    bad = [0.5, 0.5]
+    calls = (lambda: analyze(np.ones(8), bad),
+             lambda: analyze_flat(np.ones(8), bad),
+             lambda: synthesize(unflatten(np.ones(8), 8), bad),
+             lambda: synthesize_flat(np.ones(8), bad))
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(InvalidFilterError):
+                call()
+    with pytest.raises(InvalidFilterError):
+        synthesize_flat(np.ones(8), np.array([[1.0, 1.0]]) / np.sqrt(2.0))  # not 1-d
 
 
 def test_qmf_haar():
@@ -61,6 +78,85 @@ def test_length_must_be_power_of_two():
         analyze(np.ones(48), HAAR)
     with pytest.raises(ValueError):
         analyze(np.ones(1), HAAR)
+
+
+# Reference kernels: the per-tap gather/scatter pyramid steps the batched
+# kernels replaced. The batched kernels add each output element's taps in
+# the same order, so they must agree bit for bit, not within a tolerance.
+def _reference_analyze_step(a, h, g):
+    n = len(a)
+    half = n // 2
+    pos = 2 * np.arange(half)
+    approx = np.zeros(half)
+    detail = np.zeros(half)
+    for k in range(len(h)):
+        vals = a[(pos + k) % n]
+        approx += h[k] * vals
+        detail += g[k] * vals
+    return approx, detail
+
+
+def _reference_synthesize_step(approx, detail, h, g):
+    half = len(approx)
+    n = 2 * half
+    pos = 2 * np.arange(half)
+    out = np.zeros(n)
+    for k in range(len(h)):
+        out[(pos + k) % n] += h[k] * approx + g[k] * detail
+    return out
+
+
+def _reference_analyze(v, h):
+    g = qmf(h)
+    details = []
+    a = v
+    while len(a) > 1:
+        a, d = _reference_analyze_step(a, h, g)
+        details.append(d)
+    return np.concatenate([a] + details[::-1])
+
+
+def _reference_synthesize(c, h):
+    g = qmf(h)
+    a = c[:1]
+    for j in range(len(c).bit_length() - 1):
+        a = _reference_synthesize_step(a, c[1 << j: 2 << j], h, g)
+    return a
+
+
+def _rowwise(fn, x, h):
+    rows = x.reshape(-1, x.shape[-1])
+    return np.array([fn(r, h) for r in rows]).reshape(x.shape)
+
+
+@pytest.mark.parametrize("filt", [HAAR, DB8], ids=["haar", "db8"])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=str)
+@pytest.mark.parametrize("p", range(1, 13))
+def test_batched_kernels_match_reference_exactly(filt, batch, p):
+    # p = 1..3 with DB8 covers levels shorter than the 16-tap filter
+    x = rng(100 + p).standard_normal(batch + (1 << p,))
+    coeffs = analyze_flat(x, filt)
+    assert coeffs.shape == x.shape
+    assert np.array_equal(coeffs, _rowwise(_reference_analyze, x, filt))
+    values = synthesize_flat(coeffs, filt)
+    assert values.shape == x.shape
+    assert np.array_equal(values, _rowwise(_reference_synthesize, coeffs, filt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 9), rows=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       db8=st.booleans())
+def test_batch_size_invariance(p, rows, seed, db8):
+    # any batch gives each row the floats of its own unbatched transform
+    filt = DB8 if db8 else HAAR
+    x = np.random.default_rng(seed).standard_normal((rows, 1 << p))
+    coeffs = analyze_flat(x, filt)
+    values = synthesize_flat(coeffs, filt)
+    for i in range(rows):
+        assert np.array_equal(coeffs[i], flatten(analyze(x[i], filt)))
+        assert np.array_equal(coeffs[i], _reference_analyze(x[i], filt))
+        assert np.array_equal(values[i], synthesize_flat(coeffs[i], filt))
+    assert np.max(np.abs(values - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
 def test_tree_well_formedness():
