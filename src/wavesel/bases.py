@@ -123,15 +123,6 @@ class Model:
         """Atom values on the reference grid: shape (dim, N_GRID)."""
         raise NotImplementedError
 
-    def eval_atom(self, k: int, x) -> np.ndarray:
-        """Value of the k-th atom (0-based) at the points ``x``."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.basis_matrix(arr)[:, k]
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def eval_combination(self, beta: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.basis_matrix(np.asarray(x, dtype=float)) @ np.asarray(beta, dtype=float)
-
     def density_on_grid(self) -> Optional[np.ndarray]:
         """Reference density values on the grid, or None for Lebesgue."""
         return None
@@ -261,7 +252,7 @@ class HaarWeightedModel(Model):
         self.c_min = float(c_min)
         self.family = BasisFamily("haar_weighted", "lebesgue" if density is None else "density",
                                   c_min=self.c_min)
-        lo, mid, hi, cl, cr = [0.0], [1.0], [1.0], [1.0], [0.0]  # father atom
+        cl, cr = [1.0], [0.0]  # father atom
         p_plus, p_minus = [np.nan], [np.nan]
         for j in range(self.j_max + 1):
             width = 0.5 ** (j + 1)
@@ -279,27 +270,35 @@ class HaarWeightedModel(Model):
                         f"half-cell mass {min(pm, pp):.3e} at level {j}, position {k + 1}; "
                         "density too concentrated for the requested depth")
                 norm = 1.0 / np.sqrt(pp * pp * pm + pm * pm * pp)
-                lo.append(a)
-                mid.append(m)
-                hi.append(b)
                 cl.append(norm * pp)
                 cr.append(-norm * pm)
                 p_minus.append(pm)
                 p_plus.append(pp)
-        self._lo = np.array(lo)
-        self._mid = np.array(mid)
-        self._hi = np.array(hi)
         self._cl = np.array(cl)
         self._cr = np.array(cr)
+        # entry 2k + 1 holds atom k's value on the right half of its cell, so
+        # half-cell h of level j (h < 2^(j+1)) reads entry 2^(j+1) + h
+        self._halves = np.stack([self._cl, self._cr], axis=1).ravel()
         self.p_plus = np.array(p_plus)
         self.p_minus = np.array(p_minus)
         self._atoms: Optional[np.ndarray] = None
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)[:, None]
-        in_left = (x >= self._lo) & ((x < self._mid) | ((self._mid == 1.0) & (x == 1.0)))
-        in_right = (x >= self._mid) & (x < self._hi) | ((self._mid < 1.0) & (self._hi == 1.0) & (x == 1.0))
-        return in_left * self._cl + in_right * self._cr
+        x = np.asarray(x, dtype=float)
+        out = np.zeros((len(x), self.dim))
+        # points outside [0, 1], and NaN, meet no atom: their rows stay zero
+        rows = np.flatnonzero((x >= 0.0) & (x <= 1.0))
+        xs = x[rows]
+        flat = out.reshape(-1)
+        start = rows * self.dim
+        flat[start] = self._cl[0]
+        for j in range(self.j_max + 1):
+            # one atom per level meets each point. Scaling by 2^(j+1) is
+            # exact, so the floor is the exact dyadic half-cell; x = 1
+            # belongs to the last right half
+            half = np.minimum((xs * (2 << j)).astype(np.intp), (2 << j) - 1)
+            flat[start + (1 << j) + (half >> 1)] = self._halves[(2 << j) + half]
+        return out
 
     def grid_atoms(self) -> np.ndarray:
         if self._atoms is None:

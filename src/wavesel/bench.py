@@ -160,7 +160,8 @@ class BenchReport:
 
 
 def _replicate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int,
-               collection: ModelCollection, methods, folds: int) -> dict:
+               collection: ModelCollection, methods,
+               scheme: Optional[FoldScheme]) -> dict:
     """One replication: shared fits, one oracle, one ratio per method.
 
     Losses are squared empirical-norm distances between the fitted and
@@ -181,10 +182,7 @@ def _replicate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int,
                        for d in dims])
     oracle_loss = float(losses[np.lexsort((dims, losses))[0]])
 
-    fold_fits = None
-    if "vfcv" in methods or "penvf" in methods:
-        scheme = FoldScheme.interleaved(n, folds)
-        fold_fits = fold_fitted(sample, collection, scheme)
+    fold_fits = None if scheme is None else fold_fitted(sample, collection, scheme)
 
     out = {}
     for method in methods:
@@ -210,18 +208,22 @@ def run_bench(config: BenchConfig) -> BenchReport:
     """Run every cell of the config; deterministic for any jobs count."""
     filt = transform.get_filter(config.basis)
     collections = {n: wavelet_collection(n, filt, config.basis) for n in config.sizes}
+    # fold schemes depend only on n and V, and only the fold methods use them
+    uses_folds = "vfcv" in config.methods or "penvf" in config.methods
+    schemes = {n: FoldScheme.interleaved(n, config.folds) if uses_folds else None
+               for n in config.sizes}
     cells = {}
     for cell_index, (sig_name, noi_name, n) in enumerate(config.cells):
         signal = benchmark_signal(sig_name) if config.normalize else get_signal(sig_name)
         noise = get_noise(noi_name)
-        collection = collections[n]
+        collection, scheme = collections[n], schemes[n]
         cell_seed = derive_seed(config.base_seed, cell_index)
         seeds = [derive_seed(cell_seed, r) for r in range(config.replications)]
 
         def task(seed):
             try:
                 return _replicate(signal, noise, n, seed, collection,
-                                  config.methods, config.folds)
+                                  config.methods, scheme)
             except selection.SingularDesignError:
                 return None
 

@@ -23,7 +23,7 @@ import scipy.optimize
 
 from . import bases, estimator
 from .bases import N_GRID
-from .estimator import epsilon_n, excess_risks, fit_ls, project_truth, signal_grid_values
+from .estimator import epsilon_n, fit_ls, project_truth, signal_grid_values
 from .signals import NoiseScenario, RegressionSample, TestSignal, derive_seed, generate
 
 __all__ = [
@@ -111,6 +111,7 @@ def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
     cm = estimator.compute_Cm(signal, noise, model, n_mc=n_mc,
                               seed=derive_seed(seed, 1 << 40)).value
     eps = epsilon_n(n, dim, L0)
+    truth = estimator.truth_terms(signal, model)
     r_true, r_emp = [], []
     failures = 0
     for i in range(N):
@@ -120,7 +121,7 @@ def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
         except estimator.SingularDesignError:
             failures += 1
             continue
-        rep = excess_risks(sample, model, signal, fit=fit)
+        rep = estimator.fit_risks(sample, fit, truth)
         r_true.append(n * rep.excess / cm)
         r_emp.append(n * rep.empirical_excess / cm)
     r_true = np.array(r_true)

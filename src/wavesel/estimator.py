@@ -31,6 +31,9 @@ __all__ = [
     "fit_ls",
     "project_truth",
     "signal_grid_values",
+    "TruthTerms",
+    "truth_terms",
+    "fit_risks",
     "excess_risks",
     "compute_Cm",
     "epsilon_n",
@@ -179,31 +182,55 @@ def _model_design_values(sample: RegressionSample, model, beta: np.ndarray,
     return design_matrix(sample, model) @ beta
 
 
+@dataclass(frozen=True)
+class TruthTerms:
+    """The terms of the risk decomposition that depend only on the signal
+    and the model: the projection coefficients, the signal, the density
+    weights and the projection on the reference grid, and the bias."""
+    model: object
+    beta_m: np.ndarray
+    s: np.ndarray
+    weights: np.ndarray
+    s_m: np.ndarray
+    bias: float
+
+
+def truth_terms(signal: TestSignal, model) -> TruthTerms:
+    """Compute the sample-free terms once, for any number of fits."""
+    beta_m = project_truth(signal, model)
+    s = signal_grid_values(signal)
+    w = model.density_on_grid()
+    weights = np.ones(N_GRID) if w is None else w
+    s_m = _grid_function(model, beta_m)
+    bias = float(np.mean((s - s_m) ** 2 * weights))
+    return TruthTerms(model, beta_m, s, weights, s_m, bias)
+
+
+def fit_risks(sample: RegressionSample, fit: FitResult, truth: TruthTerms,
+              c_m: Optional[float] = None, L0: float = 1.0) -> RiskReport:
+    """Risk decomposition of a fit of ``truth.model`` to ``sample``."""
+    model = truth.model
+    excess = float(np.sum((fit.beta - truth.beta_m) ** 2))
+    s_hat = _grid_function(model, fit.beta)
+    total = float(np.mean((truth.s - s_hat) ** 2 * truth.weights))
+    sup_dev = float(np.max(np.abs(s_hat - truth.s_m)))
+
+    proj_values = _model_design_values(sample, model, truth.beta_m, fit.method)
+    resid = sample.y - proj_values
+    empirical_excess = float(np.dot(resid, resid) / sample.n - fit.empirical_risk)
+
+    eps = epsilon_n(sample.n, model.dim, L0) if c_m is not None else None
+    return RiskReport(truth.bias, excess, total, max(empirical_excess, 0.0), sup_dev,
+                      c_m=c_m, epsilon_n=eps)
+
+
 def excess_risks(sample: RegressionSample, model, signal: TestSignal,
                  fit: Optional[FitResult] = None, c_m: Optional[float] = None,
                  L0: float = 1.0) -> RiskReport:
     """Full risk decomposition of a fitted model against the known truth."""
     if fit is None:
         fit = fit_ls(sample, model)
-    beta_m = project_truth(signal, model)
-    excess = float(np.sum((fit.beta - beta_m) ** 2))
-
-    s = signal_grid_values(signal)
-    w = model.density_on_grid()
-    weights = np.ones(N_GRID) if w is None else w
-    s_m = _grid_function(model, beta_m)
-    bias = float(np.mean((s - s_m) ** 2 * weights))
-    s_hat = _grid_function(model, fit.beta)
-    total = float(np.mean((s - s_hat) ** 2 * weights))
-    sup_dev = float(np.max(np.abs(s_hat - s_m)))
-
-    proj_values = _model_design_values(sample, model, beta_m, fit.method)
-    resid = sample.y - proj_values
-    empirical_excess = float(np.dot(resid, resid) / sample.n - fit.empirical_risk)
-
-    eps = epsilon_n(sample.n, model.dim, L0) if c_m is not None else None
-    return RiskReport(bias, excess, total, max(empirical_excess, 0.0), sup_dev,
-                      c_m=c_m, epsilon_n=eps)
+    return fit_risks(sample, fit, truth_terms(signal, model), c_m, L0)
 
 
 @dataclass(frozen=True)
@@ -226,11 +253,8 @@ def compute_Cm(signal: TestSignal, noise: NoiseScenario, model,
     eps = rng.standard_normal(n_mc)
     idx = np.clip((x * N_GRID).astype(int), 0, N_GRID - 1)
     resid = eval_signal(signal, x) - s_m_grid[idx] + np.asarray(noise.sigma(x), dtype=float) * eps
-    if isinstance(model, bases.WaveletModel):
-        phi = model.grid_atoms()[:, idx].T
-    else:
-        phi = model.basis_matrix(x)
-    z = resid[:, None] * phi
+    z = model.basis_matrix(x)  # a new array, so the product can go in place
+    z *= resid[:, None]
 
     total = float(np.sum(np.var(z, axis=0, ddof=1)))
     batch = n_mc // n_batches

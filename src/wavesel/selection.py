@@ -289,11 +289,6 @@ class PenaltyPath:
     def breakpoints(self) -> np.ndarray:
         return np.array([seg.alpha_lo for seg in self.segments[:-1]])
 
-    def select_at(self, alpha: float) -> int:
-        """Direct argmin of risk + alpha * shape (ties -> smaller dim)."""
-        crit = self.risks + alpha * self.shapes
-        return int(np.lexsort((self.dims, crit))[0])
-
     def segment_at(self, alpha: float) -> PathSegment:
         """Path segment covering alpha; at a breakpoint the smaller dim wins."""
         for seg in self.segments:
@@ -546,7 +541,6 @@ def select_penvf(sample: RegressionSample, collection: ModelCollection,
     fits = fits or fit_collection(sample, collection)
     fold_fits = fold_fits or fold_fitted(sample, collection, folds)
     dims = np.array([f.model.dim for f in fits.fits], dtype=int)
-    pen = np.zeros(len(dims))
     terms = np.zeros((folds.V, len(dims)))
     for j, fold in enumerate(fold_fits):
         for i in range(len(dims)):

@@ -19,7 +19,41 @@ def test_adaptive_simpson_oscillatory():
     assert got == pytest.approx((1 - np.cos(20.0)) / 20.0, abs=1e-9)
 
 
+def broadcast_haar_basis_matrix(model, x):
+    """Reference: the earlier design matrix, every point against every atom."""
+    lo, mid, hi = [0.0], [1.0], [1.0]  # father atom
+    for j in range(model.j_max + 1):
+        width = 0.5 ** (j + 1)
+        for k in range(1 << j):
+            a = k * 2.0 * width
+            lo.append(a)
+            mid.append(a + width)
+            hi.append(a + 2.0 * width)
+    lo, mid, hi = np.array(lo), np.array(mid), np.array(hi)
+    x = np.asarray(x, dtype=float)[:, None]
+    in_left = (x >= lo) & ((x < mid) | ((mid == 1.0) & (x == 1.0)))
+    in_right = (x >= mid) & (x < hi) | ((mid < 1.0) & (hi == 1.0) & (x == 1.0))
+    return in_left * model._cl + in_right * model._cr
+
+
 class TestHaarWeighted:
+    @pytest.mark.parametrize("j_max", range(8))
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_basis_matrix_matches_broadcast_reference(self, j_max, weighted):
+        m = (build_haar_weighted(j_max, density=lambda x: 0.5 + x, c_min=0.5)
+             if weighted else build_haar_weighted(j_max))
+        dyadic = np.arange(257) / 256.0
+        x = np.concatenate([
+            np.random.default_rng(j_max).random(300),
+            dyadic, np.nextafter(dyadic, -1.0), np.nextafter(dyadic, 2.0),
+            [-0.0, 5e-324, -1e-300, -0.5, 1.5, 1e300, -np.inf, np.inf, np.nan],
+        ])
+        got = m.basis_matrix(x)
+        want = broadcast_haar_basis_matrix(m, x)
+        assert got.shape == want.shape == (len(x), m.dim)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
     def test_uniform_atom_is_standard_haar(self):
         m = build_haar_weighted(3)
         assert m.dim == 16

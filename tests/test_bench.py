@@ -38,8 +38,8 @@ class TestRunBench:
         coll = selection.wavelet_collection(64, transform.DB8)
         member = signals.TestSignal("Custom", lambda x: np.full_like(np.asarray(x, float), 0.4))
         zero = signals.NoiseScenario("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
-        out = bench._replicate(member, zero, 64, 5, coll,
-                               ("sh", "cp", "vfcv", "penvf"), 2)
+        out = bench._replicate(member, zero, 64, 5, coll, ("sh", "cp", "vfcv", "penvf"),
+                               selection.FoldScheme.interleaved(64, 2))
         assert all(v == 1.0 for v in out.values())
 
     def test_report_structure_and_determinism(self):

@@ -6,7 +6,8 @@ import pytest
 from wavesel import bases, concentration, estimator
 from wavesel.concentration import (ConcentrationRangeWarning, functional_rep_check,
                                    rep_formula_oracle, run_concentration)
-from wavesel.signals import NoiseScenario, TestSignal, generate, get_noise, get_signal
+from wavesel.signals import (NoiseScenario, TestSignal, derive_seed, generate, get_noise,
+                             get_signal)
 
 ZERO_NOISE = NoiseScenario("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
 
@@ -117,6 +118,25 @@ class TestRunConcentration:
         assert 0.7 <= np.mean(rep.ratios_true) <= 1.3
         assert rep.std_emp < rep.std_true
         assert rep.failures == 0
+
+    def test_ratios_match_excess_risks_per_replication(self):
+        # the truth terms computed once per run give the same floats as the
+        # public excess_risks called on each replication
+        sig, noi = get_signal("doppler"), get_noise("h1")
+        model = bases.build_haar_weighted(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConcentrationRangeWarning)
+            rep = run_concentration(sig, noi, model, 256, 100, seed=5, n_mc=20_000)
+        r_true, r_emp = [], []
+        for i in range(100):
+            sample = generate(sig, noi, 256, derive_seed(5, i))
+            fit = estimator.fit_ls(sample, model, method="gram_exact")
+            risks = estimator.excess_risks(sample, model, sig, fit=fit)
+            r_true.append(256 * risks.excess / rep.c_m)
+            r_emp.append(256 * risks.empirical_excess / rep.c_m)
+        assert rep.failures == 0
+        assert np.array_equal(rep.ratios_true, r_true)
+        assert np.array_equal(rep.ratios_emp, r_emp)
 
     def test_constant_noise_member_mean_near_one(self):
         # sigma constant and truth inside the model: C_m = sigma^2 D exactly

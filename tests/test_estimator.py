@@ -140,7 +140,38 @@ class TestExcessRisks:
             assert rep.empirical_excess >= 0.0
 
 
+def reference_cm(signal, noise, model, n_mc, seed, n_batches=50):
+    """The earlier compute_Cm body, with its separate product z = resid * phi."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    beta_m = project_truth(signal, model)
+    s_m_grid = estimator._grid_function(model, beta_m)
+    x = rng.random(n_mc)
+    eps = rng.standard_normal(n_mc)
+    idx = np.clip((x * N_GRID).astype(int), 0, N_GRID - 1)
+    resid = signal(x) - s_m_grid[idx] + np.asarray(noise.sigma(x), dtype=float) * eps
+    if isinstance(model, bases.WaveletModel):
+        phi = model.grid_atoms()[:, idx].T
+    else:
+        phi = model.basis_matrix(x)
+    z = resid[:, None] * phi
+    total = float(np.sum(np.var(z, axis=0, ddof=1)))
+    batch = n_mc // n_batches
+    vals = [float(np.sum(np.var(z[i * batch:(i + 1) * batch], axis=0, ddof=1)))
+            for i in range(n_batches)]
+    return total, float(np.std(vals, ddof=1) / np.sqrt(n_batches))
+
+
 class TestComputeCm:
+    @pytest.mark.parametrize("model", [
+        bases.build_haar_weighted(3),
+        bases.build_haar_weighted(3, density=lambda x: 0.5 + x, c_min=0.5),
+        bases.build_periodized_wavelet(transform.get_filter("db8"), 3),
+    ], ids=["haar", "weighted-haar", "db8"])
+    def test_matches_reference_formula(self, model):
+        sig, noise = get_signal("heavisine"), get_noise("h1")
+        est = compute_Cm(sig, noise, model, n_mc=20_000, seed=11)
+        assert (est.value, est.stderr) == reference_cm(sig, noise, model, 20_000, 11)
+
     def test_constant_noise_member_signal(self):
         # sigma constant and truth inside the model: C_m = sigma^2 * D
         model = bases.build_haar_weighted(3)
