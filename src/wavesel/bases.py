@@ -165,9 +165,6 @@ def _wavelet_scales(j_max: int):
     return labels, np.array(a_values)
 
 
-_ATOM_CACHE: dict = {}
-
-
 class WaveletModel(Model):
     """Periodized compactly supported wavelet model of dimension 2^(j_max+1).
 
@@ -191,21 +188,11 @@ class WaveletModel(Model):
     def filter_coefficients(self) -> np.ndarray:
         return self.h
 
-    def _atom_on_grid(self, k: int) -> np.ndarray:
-        key = (self.h.tobytes(), k)
-        atom = _ATOM_CACHE.get(key)
-        if atom is None:
-            flat = np.zeros(N_GRID)
-            flat[k] = 1.0
-            atom = transform.synthesize_flat(flat, self.h)
-            atom *= float(np.sqrt(N_GRID))
-            atom.setflags(write=False)
-            _ATOM_CACHE[key] = atom
-        return atom
-
     def grid_atoms(self) -> np.ndarray:
         if self._atoms is None:
-            self._atoms = np.vstack([self._atom_on_grid(k) for k in range(self.dim)])
+            # sqrt(N_GRID) = 128 is a power of two, so the scaling is exact
+            self._atoms = transform.synthesize_flat(np.eye(self.dim, N_GRID), self.h)
+            self._atoms *= float(np.sqrt(N_GRID))
         return self._atoms
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:

@@ -4,14 +4,13 @@ Each cell (signal, noise, n) draws N independent samples; all methods
 share the per-replication fits and the oracle is computed once, so the
 ratio ||s_hat_selected - s*||^2 / ||s_hat_oracle - s*||^2 is at least 1
 by construction. Replication seeds are derived from (base seed, cell
-index, replication index), which makes the report bit-identical for any
-parallelism degree.
+index, replication index), so no result depends on the order of the
+runs. Replications run serially: a thread pool measured slower.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -46,7 +45,7 @@ class BenchConfig:
     methods: tuple
     replications: int
     base_seed: int
-    jobs: int = 1
+    jobs: int = 1  # validated and recorded; replications run serially
     basis: str = "db8"
     folds: int = 2
     keep_ratios: bool = False
@@ -171,9 +170,8 @@ def _replicate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int,
     """
     sample = generate(signal, noise, n, seed)
     fits = fit_collection(sample, collection)
-    filt = collection.models[0].h
-    c_signal, c_y = transform.analyze_flat(np.stack([signal(sample.x), sample.y]), filt)
-    c_noise = c_y - c_signal
+    c_signal = transform.analyze_flat(signal(sample.x), fits.pyramid.h)
+    c_noise = fits.pyramid.coeffs - c_signal
     cum_noise = np.cumsum(c_noise ** 2)
     cum_signal = np.cumsum(c_signal ** 2)
     total_signal = cum_signal[-1]
@@ -205,7 +203,10 @@ def _replicate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int,
 
 
 def run_bench(config: BenchConfig) -> BenchReport:
-    """Run every cell of the config; deterministic for any jobs count."""
+    """Run every cell of the config, one replication at a time.
+
+    ``config.jobs`` is validated and recorded but has no effect.
+    """
     filt = transform.get_filter(config.basis)
     collections = {n: wavelet_collection(n, filt, config.basis) for n in config.sizes}
     # fold schemes depend only on n and V, and only the fold methods use them
@@ -220,18 +221,13 @@ def run_bench(config: BenchConfig) -> BenchReport:
         cell_seed = derive_seed(config.base_seed, cell_index)
         seeds = [derive_seed(cell_seed, r) for r in range(config.replications)]
 
-        def task(seed):
+        results = []
+        for seed in seeds:
             try:
-                return _replicate(signal, noise, n, seed, collection,
-                                  config.methods, scheme)
+                results.append(_replicate(signal, noise, n, seed, collection,
+                                          config.methods, scheme))
             except selection.SingularDesignError:
-                return None
-
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                results = list(pool.map(task, seeds))
-        else:
-            results = [task(s) for s in seeds]
+                results.append(None)
 
         for method in config.methods:
             ratios = np.array([r[method] for r in results

@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="oracle-ratio replication bench")
     ben.add_argument("--config", required=True)
-    ben.add_argument("--jobs", type=int)
+    ben.add_argument("--jobs", type=int, help="accepted for compatibility; no effect")
     ben.add_argument("--format", choices=("csv", "json", "markdown"))
     ben.add_argument("--raw", help="also write the full JSON report here")
     ben.add_argument("--out", required=True)

@@ -1,10 +1,13 @@
 """Least-squares projection estimators and risk accounting.
 
 Fitting dispatches between two routes: an exact Gram solve of the
-empirical normal equations (any model, any design) and the fast pyramid
-on rank-ordered responses (wavelet models, dyadic sample sizes). On an
-equispaced dyadic design the two routes coincide exactly because the
-discrete pyramid atoms are the orthonormal basis of that design.
+empirical normal equations (any model, any design) and the pyramid on
+rank-ordered responses. Where :func:`pyramid_filter` finds that one
+pyramid serves a collection of wavelet models, each model is a dyadic
+prefix of the same orthonormal coefficients, and every fit reads one
+:class:`NestedPyramid` of the response. On an equispaced dyadic design
+the two routes coincide exactly because the discrete pyramid atoms are
+the orthonormal basis of that design.
 
 True-measure quantities (bias, excess risk, sup-norm deviation) are
 integrated on the fixed 2^14-point reference grid; the quadrature error
@@ -28,6 +31,8 @@ __all__ = [
     "FitResult",
     "RiskReport",
     "CmEstimate",
+    "pyramid_filter",
+    "NestedPyramid",
     "fit_ls",
     "project_truth",
     "signal_grid_values",
@@ -70,25 +75,52 @@ class RiskReport:
     epsilon_n: Optional[float] = None
 
 
-def _is_dyadic(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
+def pyramid_filter(models, n: int) -> Optional[np.ndarray]:
+    """The filter of one pyramid that fits every model at length n, or None.
+
+    One pyramid serves when all models are wavelet models on one filter,
+    n is a power of two and no model has more than n atoms.
+    """
+    if (not all(isinstance(m, bases.WaveletModel) for m in models)
+            or n < 2 or n & (n - 1)
+            or len({m.h.tobytes() for m in models}) != 1
+            or max(m.dim for m in models) > n):
+        return None
+    return models[0].h
 
 
-def _pyramid_applicable(sample: RegressionSample, model) -> bool:
-    return (isinstance(model, bases.WaveletModel)
-            and _is_dyadic(sample.n)
-            and model.dim <= sample.n)
+@dataclass(frozen=True)
+class NestedPyramid:
+    """The pyramid of one dyadic vector y, shared by its nested models.
 
+    A model of dimension D is spanned by the first D discrete atoms, so
+    its coefficients are the first D pyramid coefficients and, by
+    Parseval, its residual energy is the energy of the rest.
+    """
+    h: np.ndarray
+    coeffs: np.ndarray
+    csum: np.ndarray
+    energy: float
 
-def _fit_pyramid(sample: RegressionSample, model) -> FitResult:
-    n = sample.n
-    coeffs = transform.analyze_flat(sample.y, model.h)
-    kept = coeffs[: model.dim]
-    beta = kept / np.sqrt(n)
-    # Parseval on the discrete atoms: residual energy is the dropped tail
-    risk = float((np.dot(sample.y, sample.y) - np.dot(kept, kept)) / n)
-    values = transform.synthesize_flat(transform.truncate_flat(coeffs, model.dim), model.h)
-    return FitResult(model, beta, max(risk, 0.0), "pyramid_fast", values)
+    @classmethod
+    def of(cls, y: np.ndarray, h: np.ndarray) -> "NestedPyramid":
+        coeffs = transform.analyze_flat(y, h)
+        return cls(h, coeffs, np.cumsum(coeffs ** 2), float(np.dot(y, y)))
+
+    def beta(self, dim: int) -> np.ndarray:
+        """Coefficients of the dimension-dim fit, in function units."""
+        return self.coeffs[:dim] / np.sqrt(len(self.coeffs))
+
+    def risk(self, dim: int) -> float:
+        """Empirical risk of the dimension-dim fit."""
+        n = len(self.coeffs)
+        return max((self.energy - self.csum[dim - 1]) / n, 0.0)
+
+    def fitted(self, dims) -> np.ndarray:
+        """Fitted values for each of dims, one row each, from one synthesis."""
+        kept = np.where(np.arange(len(self.coeffs)) < np.asarray(dims)[:, None],
+                        self.coeffs, 0.0)
+        return transform.synthesize_flat(kept, self.h)
 
 
 def design_matrix(sample: RegressionSample, model) -> np.ndarray:
@@ -99,7 +131,7 @@ def design_matrix(sample: RegressionSample, model) -> np.ndarray:
     atoms are evaluated pointwise.
     """
     n = sample.n
-    if isinstance(model, bases.WaveletModel) and _is_dyadic(n) and model.dim <= n:
+    if pyramid_filter((model,), n) is not None:
         mid = (np.arange(n) + 0.5) / n
         if np.array_equal(sample.x, mid) or np.array_equal(sample.x, np.arange(n) / n):
             return model.discrete_design_matrix(n)
@@ -130,15 +162,18 @@ def fit_ls(sample: RegressionSample, model, method: str = "auto") -> FitResult:
     if sample.n < model.dim:
         raise SingularDesignError(
             f"sample size {sample.n} below model dimension {model.dim}")
-    if method == "auto":
-        method = "pyramid_fast" if _pyramid_applicable(sample, model) else "gram_exact"
-    if method == "pyramid_fast":
-        if not _pyramid_applicable(sample, model):
-            raise ValueError("pyramid path needs a wavelet model and dyadic n >= dim")
-        return _fit_pyramid(sample, model)
     if method == "gram_exact":
         return _fit_gram(sample, model)
-    raise ValueError(f"unknown fit method {method!r}")
+    if method not in ("auto", "pyramid_fast"):
+        raise ValueError(f"unknown fit method {method!r}")
+    h = pyramid_filter((model,), sample.n)
+    if h is None:
+        if method == "auto":
+            return _fit_gram(sample, model)
+        raise ValueError("pyramid path needs a wavelet model and dyadic n >= dim")
+    pyramid = NestedPyramid.of(sample.y, h)
+    return FitResult(model, pyramid.beta(model.dim), pyramid.risk(model.dim),
+                     "pyramid_fast", pyramid.fitted([model.dim])[0])
 
 
 def signal_grid_values(signal: TestSignal) -> np.ndarray:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import bases, transform
 from .bases import N_GRID
-from .estimator import FitResult, SingularDesignError, fit_ls, project_truth, signal_grid_values
+from .estimator import (FitResult, NestedPyramid, SingularDesignError, fit_ls,
+                        project_truth, pyramid_filter, signal_grid_values)
 from .signals import RegressionSample, TestSignal
 
 __all__ = [
@@ -85,6 +86,7 @@ class FittedCollection:
     fits: tuple
     emp_risks: np.ndarray
     failed: tuple = ()
+    pyramid: Optional[NestedPyramid] = None  # the sample's, when one serves all fits
 
     def __len__(self) -> int:
         return len(self.fits)
@@ -93,21 +95,13 @@ class FittedCollection:
 def fit_collection(sample: RegressionSample, collection: ModelCollection) -> FittedCollection:
     """Fit every model once; a nested wavelet collection shares one pyramid."""
     models = collection.models
-    if (all(isinstance(m, bases.WaveletModel) for m in models)
-            and sample.n >= 2 and (sample.n & (sample.n - 1)) == 0
-            and len({m.h.tobytes() for m in models}) == 1
-            and max(m.dim for m in models) <= sample.n):
-        coeffs = transform.analyze_flat(sample.y, models[0].h)
-        energy = float(np.dot(sample.y, sample.y))
-        csum = np.cumsum(coeffs ** 2)
-        fits = []
-        risks = []
-        for m in models:
-            kept = coeffs[: m.dim]
-            risk = max((energy - csum[m.dim - 1]) / sample.n, 0.0)
-            fits.append(FitResult(m, kept / np.sqrt(sample.n), risk, "pyramid_fast", None))
-            risks.append(risk)
-        return FittedCollection(tuple(fits), np.array(risks))
+    h = pyramid_filter(models, sample.n)
+    if h is not None:
+        pyramid = NestedPyramid.of(sample.y, h)
+        fits = tuple(FitResult(m, pyramid.beta(m.dim), pyramid.risk(m.dim), "pyramid_fast", None)
+                     for m in models)
+        return FittedCollection(fits, np.array([f.empirical_risk for f in fits]),
+                                pyramid=pyramid)
     fits = []
     risks = []
     failed = []
@@ -136,9 +130,9 @@ def truth_profile(signal: TestSignal, collection: ModelCollection) -> TruthProfi
     models = collection.models
     s = signal_grid_values(signal)
     norm2 = float(np.mean(s ** 2))
-    if all(isinstance(m, bases.WaveletModel) for m in models) \
-            and len({m.h.tobytes() for m in models}) == 1:
-        full = transform.analyze_flat(s, models[0].h) / np.sqrt(N_GRID)
+    h = pyramid_filter(models, N_GRID)
+    if h is not None:
+        full = transform.analyze_flat(s, h) / np.sqrt(N_GRID)
         csum = np.cumsum(full ** 2)
         betas = tuple(full[: m.dim] for m in models)
         biases = np.array([max(norm2 - csum[m.dim - 1], 0.0) for m in models])
@@ -231,30 +225,17 @@ def fold_fitted(sample: RegressionSample, collection: ModelCollection,
             raise FoldDegeneracyError(f"training set of fold {j + 1} is empty")
         x_t = sample.x[tr]
         y_t = sample.y[tr]
-        n_t = len(tr)
-        models = collection.models
-        wavelet_fast = (all(isinstance(m, bases.WaveletModel) for m in models)
-                        and n_t >= 2 and (n_t & (n_t - 1)) == 0
-                        and len({m.h.tobytes() for m in models}) == 1
-                        and max(m.dim for m in models) <= n_t)
-        fitted = []
-        risks = []
-        if wavelet_fast:
-            coeffs = transform.analyze_flat(y_t, models[0].h)
-            energy = float(np.dot(y_t, y_t))
-            csum = np.cumsum(coeffs ** 2)
-            dims = collection.dims
-            # every nested truncation at once: row i keeps the first dims[i]
-            kept = np.where(np.arange(n_t) < dims[:, None], coeffs, 0.0)
-            fitted = list(transform.synthesize_flat(kept, models[0].h))
-            risks = [max((energy - csum[d - 1]) / n_t, 0.0) for d in dims]
+        h = pyramid_filter(collection.models, len(tr))
+        if h is not None:
+            pyramid = NestedPyramid.of(y_t, h)
+            fitted = tuple(pyramid.fitted(collection.dims))
+            risks = [pyramid.risk(d) for d in collection.dims]
         else:
             sub = RegressionSample(x_t, y_t, sample.meta)
-            for m in models:
-                f = fit_ls(sub, m, method="gram_exact")
-                fitted.append(f.design_values)
-                risks.append(f.empirical_risk)
-        out.append(FoldFit(tr, x_t, y_t, tuple(fitted), np.array(risks)))
+            fits = [fit_ls(sub, m, method="gram_exact") for m in collection]
+            fitted = tuple(f.design_values for f in fits)
+            risks = [f.empirical_risk for f in fits]
+        out.append(FoldFit(tr, x_t, y_t, fitted, np.array(risks)))
     return tuple(out)
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "synthesize_flat",
     "flatten",
     "unflatten",
-    "ordered_design_fit",
 ]
 
 
@@ -266,21 +265,3 @@ def truncate_flat(coeffs: np.ndarray, dim: int) -> np.ndarray:
     out = np.zeros_like(coeffs)
     out[:dim] = coeffs[:dim]
     return out
-
-
-def ordered_design_fit(sample, model, filt=None) -> np.ndarray:
-    """Least-squares coefficients for a wavelet model from rank-ordered data.
-
-    Runs the pyramid on the y values ordered by x (the nonequispaced data
-    are treated as if observed on the regular grid), keeps the levels the
-    model spans and rescales by 1/sqrt(n) so the result is in function
-    units: sum_k beta_k phi_k estimates the regression function.
-    """
-    y = np.asarray(sample.y, dtype=float)
-    n = len(y)
-    _check_dyadic(n)
-    dim = int(model.dim)
-    if dim > n:
-        raise ValueError(f"model dimension {dim} exceeds sample size {n}")
-    h = model.filter_coefficients if filt is None else filt
-    return analyze_flat(y, h)[:dim] / np.sqrt(n)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavesel import bases, transform
-from wavesel.bases import (DegenerateCellError, LowerRegularityError, SlbProposal,
+from wavesel.bases import (N_GRID, DegenerateCellError, LowerRegularityError, SlbProposal,
                            adaptive_simpson, build_haar_weighted, build_histogram,
                            build_periodized_wavelet, build_piecewise_poly,
                            certify_slb, localized_bound_check, reference_grid)
@@ -34,6 +34,18 @@ def broadcast_haar_basis_matrix(model, x):
     in_left = (x >= lo) & ((x < mid) | ((mid == 1.0) & (x == 1.0)))
     in_right = (x >= mid) & (x < hi) | ((mid < 1.0) & (hi == 1.0) & (x == 1.0))
     return in_left * model._cl + in_right * model._cr
+
+
+def per_atom_grid_atoms(model):
+    """Reference: the earlier grid atoms, one full synthesis per atom."""
+    rows = []
+    for k in range(model.dim):
+        flat = np.zeros(N_GRID)
+        flat[k] = 1.0
+        atom = transform.synthesize_flat(flat, model.h)
+        atom *= float(np.sqrt(N_GRID))
+        rows.append(atom)
+    return np.vstack(rows)
 
 
 class TestHaarWeighted:
@@ -128,6 +140,16 @@ class TestPeriodizedWavelet:
 
     def test_dimension_rule(self):
         assert build_periodized_wavelet(transform.DB8, 4).dim == 32
+
+    @pytest.mark.parametrize("j_max", range(7))
+    @pytest.mark.parametrize("name", ["haar", "db8"])
+    def test_grid_atoms_match_per_atom_reference(self, name, j_max):
+        m = build_periodized_wavelet(transform.get_filter(name), j_max)
+        got = m.grid_atoms()
+        want = per_atom_grid_atoms(m)
+        assert got.shape == want.shape == (m.dim, N_GRID)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
 
     def test_invalid_filter_rejected(self):
         with pytest.raises(transform.InvalidFilterError):

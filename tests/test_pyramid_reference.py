@@ -1,0 +1,175 @@
+"""The shared nested pyramid against copies of the earlier per-caller code.
+
+Each reference below is the pyramid branch that ``fit_collection``,
+``fold_fitted``, ``truth_profile``, ``bench._replicate`` and ``fit_ls``
+carried before they all read one ``estimator.NestedPyramid``; the
+results must be the same floats, bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from wavesel import bench, selection, transform
+from wavesel.bases import N_GRID
+from wavesel.estimator import FitResult, fit_ls, signal_grid_values
+from wavesel.selection import (FittedCollection, FoldScheme, fit_collection, fold_fitted,
+                               select_cp, select_penvf, select_sh, select_vfcv,
+                               truth_profile, wavelet_collection)
+from wavesel.signals import benchmark_signal, derive_seed, generate, get_noise
+
+CASES = [(name, n) for name in ("haar", "db8") for n in (256, 1024)]
+
+
+def ref_fit_collection(sample, collection):
+    models = collection.models
+    coeffs = transform.analyze_flat(sample.y, models[0].h)
+    energy = float(np.dot(sample.y, sample.y))
+    csum = np.cumsum(coeffs ** 2)
+    fits = []
+    risks = []
+    for m in models:
+        kept = coeffs[: m.dim]
+        risk = max((energy - csum[m.dim - 1]) / sample.n, 0.0)
+        fits.append(FitResult(m, kept / np.sqrt(sample.n), risk, "pyramid_fast", None))
+        risks.append(risk)
+    return FittedCollection(tuple(fits), np.array(risks))
+
+
+def ref_fold_fitted(sample, collection, folds):
+    out = []
+    for j in range(folds.V):
+        tr = folds.train(j, sample.n)
+        x_t = sample.x[tr]
+        y_t = sample.y[tr]
+        n_t = len(tr)
+        h = collection.models[0].h
+        coeffs = transform.analyze_flat(y_t, h)
+        energy = float(np.dot(y_t, y_t))
+        csum = np.cumsum(coeffs ** 2)
+        dims = collection.dims
+        kept = np.where(np.arange(n_t) < dims[:, None], coeffs, 0.0)
+        fitted = list(transform.synthesize_flat(kept, h))
+        risks = [max((energy - csum[d - 1]) / n_t, 0.0) for d in dims]
+        out.append(selection.FoldFit(tr, x_t, y_t, tuple(fitted), np.array(risks)))
+    return tuple(out)
+
+
+def ref_truth_profile(signal, collection):
+    models = collection.models
+    s = signal_grid_values(signal)
+    norm2 = float(np.mean(s ** 2))
+    full = transform.analyze_flat(s, models[0].h) / np.sqrt(N_GRID)
+    csum = np.cumsum(full ** 2)
+    betas = tuple(full[: m.dim] for m in models)
+    biases = np.array([max(norm2 - csum[m.dim - 1], 0.0) for m in models])
+    return betas, biases, norm2
+
+
+def ref_replicate(signal, noise, n, seed, collection, methods, scheme):
+    sample = generate(signal, noise, n, seed)
+    fits = ref_fit_collection(sample, collection)
+    filt = collection.models[0].h
+    c_signal, c_y = transform.analyze_flat(np.stack([signal(sample.x), sample.y]), filt)
+    c_noise = c_y - c_signal
+    cum_noise = np.cumsum(c_noise ** 2)
+    cum_signal = np.cumsum(c_signal ** 2)
+    total_signal = cum_signal[-1]
+    dims = np.array([f.model.dim for f in fits.fits])
+    losses = np.array([(cum_noise[d - 1] + (total_signal - cum_signal[d - 1])) / n
+                       for d in dims])
+    oracle_loss = float(losses[np.lexsort((dims, losses))[0]])
+    fold_fits = ref_fold_fitted(sample, collection, scheme)
+    out = {}
+    for method in methods:
+        if method == "sh":
+            sel = select_sh(sample, collection, fits=fits)
+        elif method == "cp":
+            sel = select_cp(sample, collection, fits=fits)
+        elif method == "vfcv":
+            sel = select_vfcv(sample, collection, scheme, fits=fits, fold_fits=fold_fits)
+        else:
+            sel = select_penvf(sample, collection, scheme, fits=fits, fold_fits=fold_fits)
+        loss = float(losses[sel.chosen_index])
+        if oracle_loss > 0.0:
+            out[method] = loss / oracle_loss
+        else:
+            out[method] = 1.0 if loss <= 1e-300 else np.inf
+    return out
+
+
+def ref_fit_pyramid(sample, model):
+    coeffs = transform.analyze_flat(sample.y, model.h)
+    beta = coeffs[: model.dim] / np.sqrt(sample.n)
+    values = transform.synthesize_flat(transform.truncate_flat(coeffs, model.dim), model.h)
+    return beta, values
+
+
+def _setup(name, n, seed=7):
+    signal = benchmark_signal("doppler")
+    sample = generate(signal, get_noise("h1"), n, seed)
+    return signal, sample, wavelet_collection(n, transform.get_filter(name), name)
+
+
+@pytest.mark.parametrize("name, n", CASES)
+def test_fit_collection_matches_reference(name, n):
+    _, sample, coll = _setup(name, n)
+    got = fit_collection(sample, coll)
+    want = ref_fit_collection(sample, coll)
+    assert np.array_equal(got.emp_risks, want.emp_risks)
+    for g, w in zip(got.fits, want.fits, strict=True):
+        assert np.array_equal(g.beta, w.beta)
+        assert g.empirical_risk == w.empirical_risk
+    assert np.array_equal(got.pyramid.coeffs, transform.analyze_flat(sample.y, coll.models[0].h))
+
+
+@pytest.mark.parametrize("name, n", CASES)
+def test_fold_fitted_matches_reference(name, n):
+    _, sample, coll = _setup(name, n)
+    folds = FoldScheme.interleaved(n, 2)
+    for g, w in zip(fold_fitted(sample, coll, folds), ref_fold_fitted(sample, coll, folds),
+                    strict=True):
+        assert np.array_equal(g.train_idx, w.train_idx)
+        assert np.array_equal(g.train_risks, w.train_risks)
+        assert len(g.fitted) == len(w.fitted)
+        for gv, wv in zip(g.fitted, w.fitted):
+            assert np.array_equal(gv, wv)
+
+
+@pytest.mark.parametrize("name, n", CASES)
+def test_truth_profile_matches_reference(name, n):
+    signal, _, coll = _setup(name, n)
+    got = truth_profile(signal, coll)
+    betas, biases, norm2 = ref_truth_profile(signal, coll)
+    assert np.array_equal(got.biases, biases)
+    assert got.signal_norm2 == norm2
+    for g, w in zip(got.betas, betas, strict=True):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name, n", CASES)
+def test_replicate_matches_reference(name, n):
+    signal, _, coll = _setup(name, n)
+    methods = ("sh", "cp", "vfcv", "penvf")
+    scheme = FoldScheme.interleaved(n, 2)
+    for r in range(3):
+        seed = derive_seed(11, r)
+        got = bench._replicate(signal, get_noise("h1"), n, seed, coll, methods, scheme)
+        want = ref_replicate(signal, get_noise("h1"), n, seed, coll, methods, scheme)
+        assert got == want
+
+
+@pytest.mark.parametrize("name, n", CASES)
+def test_fit_ls_pyramid_matches_reference(name, n):
+    _, sample, coll = _setup(name, n)
+    energy = float(np.dot(sample.y, sample.y))
+    for model in coll:
+        fit = fit_ls(sample, model, method="pyramid_fast")
+        beta, values = ref_fit_pyramid(sample, model)
+        assert fit.method == "pyramid_fast"
+        assert np.array_equal(fit.beta, beta)
+        assert np.array_equal(fit.design_values, values)
+        # the risk moved from the kept energy to the cumulative energy,
+        # which may differ in the last bits of the cancellation
+        kept = beta * np.sqrt(n)
+        ref_risk = max((energy - float(np.dot(kept, kept))) / n, 0.0)
+        assert abs(fit.empirical_risk - ref_risk) <= 8 * np.finfo(float).eps * energy / n

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavesel import bases, transform
+from wavesel.estimator import NestedPyramid, fit_ls, pyramid_filter
 from wavesel.transform import (DB8, HAAR, CoefficientTree, InvalidFilterError,
                                MalformedTreeError, analyze, analyze_flat, flatten,
-                               get_filter, ordered_design_fit, qmf, synthesize,
-                               synthesize_flat, unflatten, validate_filter)
+                               get_filter, qmf, synthesize, synthesize_flat, unflatten,
+                               validate_filter)
 
 
 def rng(seed=0):
@@ -198,6 +199,9 @@ def test_tree_serialization():
 
 
 class TestOrderedDesignFit:
+    """The pyramid fit on rank-ordered responses: estimator.NestedPyramid,
+    and estimator.pyramid_filter deciding where it applies."""
+
     def setup_method(self):
         self.n = 1024
         self.model = bases.build_periodized_wavelet(DB8, 4)  # D = 32
@@ -213,35 +217,51 @@ class TestOrderedDesignFit:
         flat = np.zeros(self.n)
         flat[: self.model.dim] = rng(1).standard_normal(self.model.dim)
         y = synthesize(unflatten(flat, self.n), DB8)
-        sample = self._sample(y)
-        beta = ordered_design_fit(sample, self.model)
+        pyramid = NestedPyramid.of(y, pyramid_filter((self.model,), self.n))
+        beta = pyramid.beta(self.model.dim)
         refit = np.zeros(self.n)
         refit[: self.model.dim] = beta * np.sqrt(self.n)
         values = synthesize(unflatten(refit, self.n), DB8)
         assert np.max(np.abs(values - y)) < 1e-10
+        assert np.max(np.abs(pyramid.fitted([self.model.dim])[0] - y)) < 1e-10
+        assert pyramid.risk(self.model.dim) < 1e-12 * np.mean(y ** 2)
 
     def test_nested_risk_monotone(self):
         from wavesel.signals import generate, get_noise, get_signal
         sample = generate(get_signal("wave"), get_noise("l1"), self.n, 21)
+        pyramid = NestedPyramid.of(sample.y, DB8)
         coeffs = flatten(analyze(sample.y, DB8))
         energy = np.dot(sample.y, sample.y)
-        risk16 = energy - np.sum(coeffs[:16] ** 2)
-        risk32 = energy - np.sum(coeffs[:32] ** 2)
-        assert risk32 <= risk16
+        for dim in (16, 32):
+            assert pyramid.risk(dim) == pytest.approx(
+                (energy - np.sum(coeffs[:dim] ** 2)) / self.n, rel=1e-12)
+        risks = [pyramid.risk(2 ** j) for j in range(11)]
+        assert np.all(np.diff(risks) <= 0)
 
     def test_constant_y_gives_constant_fit(self):
         y = np.full(self.n, 2.5)
-        beta = ordered_design_fit(self._sample(y), self.model)
+        beta = NestedPyramid.of(y, DB8).beta(self.model.dim)
         assert beta[0] == pytest.approx(2.5)
         assert np.allclose(beta[1:], 0.0, atol=1e-12)
 
     def test_dimension_exceeds_n(self):
         big = bases.build_periodized_wavelet(DB8, 6)  # D = 128
-        y = np.zeros(64)
+        assert pyramid_filter((big,), 64) is None
+        assert pyramid_filter((self.model, big), 64) is None
+        assert np.array_equal(pyramid_filter((self.model, big), 128), DB8)
         with pytest.raises(ValueError):
-            ordered_design_fit(self._sample(y), big)
+            fit_ls(self._sample(np.zeros(64)), big, method="pyramid_fast")
 
     def test_requires_dyadic_length(self):
         y = np.zeros(100)
+        assert pyramid_filter((self.model,), 100) is None
         with pytest.raises(ValueError):
-            ordered_design_fit(self._sample(y, x=np.linspace(0, 1, 100)), self.model)
+            fit_ls(self._sample(y, x=np.linspace(0, 1, 100)), self.model, method="pyramid_fast")
+        with pytest.raises(ValueError):
+            NestedPyramid.of(y, DB8)
+
+    def test_requires_one_wavelet_filter(self):
+        haar = bases.build_periodized_wavelet(HAAR, 4)
+        assert pyramid_filter((self.model, haar), self.n) is None
+        assert pyramid_filter((bases.build_haar_weighted(4),), self.n) is None
+        assert np.array_equal(pyramid_filter((haar,), self.n), HAAR)
