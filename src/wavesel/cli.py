@@ -94,13 +94,14 @@ def _cmd_select(args) -> int:
     fits = selection.fit_collection(sample, collection)
     methods = ["sh", "cp", "vfcv", "penvf"] if args.method == "all" else [args.method]
     outcomes = {}
-    fold_fits = None
+    scheme = fold_fits = None
     for method in methods:
         if method == "oracle":
             continue
         if method in ("vfcv", "penvf"):
-            scheme = selection.FoldScheme.interleaved(sample.n, args.folds)
-            fold_fits = fold_fits or selection.fold_fitted(sample, collection, scheme)
+            if scheme is None:
+                scheme = selection.FoldScheme.interleaved(sample.n, args.folds)
+                fold_fits = selection.fold_fitted(sample, collection, scheme)
             fn = selection.select_vfcv if method == "vfcv" else selection.select_penvf
             outcomes[method] = fn(sample, collection, scheme, fits=fits, fold_fits=fold_fits)
         elif method == "sh":

@@ -114,7 +114,7 @@ class NestedPyramid:
     def risk(self, dim: int) -> float:
         """Empirical risk of the dimension-dim fit."""
         n = len(self.coeffs)
-        return max((self.energy - self.csum[dim - 1]) / n, 0.0)
+        return max(float(self.energy - self.csum[dim - 1]) / n, 0.0)
 
     def fitted(self, dims) -> np.ndarray:
         """Fitted values for each of dims, one row each, from one synthesis."""

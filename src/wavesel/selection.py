@@ -206,15 +206,20 @@ class FoldScheme:
 @dataclass(frozen=True)
 class FoldFit:
     train_idx: np.ndarray
-    x_train: np.ndarray
-    y_train: np.ndarray
-    fitted: tuple          # per-model fitted values at the training points
-    train_risks: np.ndarray
+    fitted: tuple              # per-model fitted values at the training points
+    train_risks: np.ndarray    # R_j: per-model risk on the training block
+    heldout_risks: np.ndarray  # CV_j: per-model risk on the held-out block
 
 
 def fold_fitted(sample: RegressionSample, collection: ModelCollection,
                 folds: FoldScheme) -> tuple:
-    """Per-fold training fits for every model (shared by 2FCV and pen2F)."""
+    """Per-fold training fits and their training and held-out risks for
+    every model (shared by 2FCV and pen2F).
+
+    A fold fit predicts off its training points by linear interpolation
+    in x between its fitted values, with constant extrapolation at the
+    boundary.
+    """
     out = []
     for j in range(folds.V):
         held = folds.heldout(j)
@@ -235,7 +240,10 @@ def fold_fitted(sample: RegressionSample, collection: ModelCollection,
             fits = [fit_ls(sub, m, method="gram_exact") for m in collection]
             fitted = tuple(f.design_values for f in fits)
             risks = [f.empirical_risk for f in fits]
-        out.append(FoldFit(tr, x_t, y_t, fitted, np.array(risks)))
+        x_h = sample.x[held]
+        y_h = sample.y[held]
+        cv = [float(np.mean((y_h - np.interp(x_h, x_t, values)) ** 2)) for values in fitted]
+        out.append(FoldFit(tr, fitted, np.array(risks), np.array(cv)))
     return tuple(out)
 
 
@@ -306,54 +314,25 @@ def _lower_hull(shapes: np.ndarray, risks: np.ndarray, dims: np.ndarray) -> list
     return hull
 
 
-def penalty_path(shapes, risks, dims, alphas="exact") -> PenaltyPath:
-    """Breakpoint path of the penalized argmin.
-
-    With ``alphas="exact"`` the breakpoints come from the lower convex
-    hull of the (shape, risk) points; an explicit alpha grid instead
-    scans the direct argmin (the cross-check used by the invariants).
-    """
+def penalty_path(shapes, risks, dims) -> PenaltyPath:
+    """Breakpoint path of the penalized argmin, from the lower convex hull
+    of the (shape, risk) points."""
     shapes = np.asarray(shapes, dtype=float)
     risks = np.asarray(risks, dtype=float)
     dims = np.asarray(dims, dtype=int)
     if len(shapes) < 2:
         raise ValueError("need at least two models for a path")
-
-    if isinstance(alphas, str):
-        if alphas != "exact":
-            raise ValueError(f"unknown path mode {alphas!r}")
-        hull = _lower_hull(shapes, risks, dims)
-        segments = []
-        hi = np.inf
-        for pos, i in enumerate(hull):
-            if pos + 1 < len(hull):
-                nxt = hull[pos + 1]
-                lo = (risks[i] - risks[nxt]) / (shapes[nxt] - shapes[i])
-            else:
-                lo = 0.0
-            segments.append(PathSegment(float(lo), float(hi), i, int(dims[i]), float(risks[i])))
-            hi = lo
-        return PenaltyPath(tuple(segments), shapes, risks, dims)
-
-    grid = np.sort(np.asarray(alphas, dtype=float))[::-1]
+    hull = _lower_hull(shapes, risks, dims)
     segments = []
-    prev_idx: Optional[int] = None
-    prev_alpha = np.inf
     hi = np.inf
-    for a in grid:
-        crit = risks + a * shapes
-        idx = int(np.lexsort((dims, crit))[0])
-        if prev_idx is None:
-            prev_idx = idx
-        elif idx != prev_idx:
-            # close the old segment at the last grid point where it held
-            segments.append(PathSegment(float(prev_alpha), float(hi), prev_idx,
-                                        int(dims[prev_idx]), float(risks[prev_idx])))
-            hi = prev_alpha
-            prev_idx = idx
-        prev_alpha = a
-    segments.append(PathSegment(0.0, float(hi), prev_idx,
-                                int(dims[prev_idx]), float(risks[prev_idx])))
+    for pos, i in enumerate(hull):
+        if pos + 1 < len(hull):
+            nxt = hull[pos + 1]
+            lo = (risks[i] - risks[nxt]) / (shapes[nxt] - shapes[i])
+        else:
+            lo = 0.0
+        segments.append(PathSegment(float(lo), float(hi), i, int(dims[i]), float(risks[i])))
+        hi = lo
     return PenaltyPath(tuple(segments), shapes, risks, dims)
 
 
@@ -487,27 +466,14 @@ def select_cp(sample: RegressionSample, collection: ModelCollection,
     return _outcome("cp", dims, fits.emp_risks, penalties, {"sigma2": float(sigma2)})
 
 
-def _heldout_prediction(x_eval: np.ndarray, fold: FoldFit, model_idx: int) -> np.ndarray:
-    # linear interpolation in x between training fitted values, constant
-    # extrapolation at the boundary
-    return np.interp(x_eval, fold.x_train, fold.fitted[model_idx])
-
-
 def select_vfcv(sample: RegressionSample, collection: ModelCollection,
                 folds: FoldScheme, fits: Optional[FittedCollection] = None,
                 fold_fits: Optional[tuple] = None) -> SelectionOutcome:
-    """V-fold cross-validation of the interpolated held-out risk."""
+    """V-fold cross-validation: the mean over folds of the held-out risks."""
     fits = fits or fit_collection(sample, collection)
     fold_fits = fold_fits or fold_fitted(sample, collection, folds)
     dims = np.array([f.model.dim for f in fits.fits], dtype=int)
-    per_fold = np.zeros((folds.V, len(dims)))
-    for j, fold in enumerate(fold_fits):
-        held = folds.heldout(j)
-        x_h = sample.x[held]
-        y_h = sample.y[held]
-        for i in range(len(dims)):
-            pred = _heldout_prediction(x_h, fold, i)
-            per_fold[j, i] = float(np.mean((y_h - pred) ** 2))
+    per_fold = np.array([fold.heldout_risks for fold in fold_fits])
     crit = per_fold.mean(axis=0)
     penalties = crit - fits.emp_risks  # implied penalty, for the trace
     return _outcome("vfcv", dims, fits.emp_risks, penalties,
@@ -518,16 +484,26 @@ def select_penvf(sample: RegressionSample, collection: ModelCollection,
                  folds: FoldScheme, fits: Optional[FittedCollection] = None,
                  fold_fits: Optional[tuple] = None) -> SelectionOutcome:
     """V-fold penalization: empirical risk plus the resampled ideal penalty
-    pen_VF(m) = (V-1)/V sum_j [P_n gamma(s_m^(-j)) - P_n^(-j) gamma(s_m^(-j))]."""
+    pen_VF(m) = (V-1)/V sum_j [P_n gamma(s_m^(-j)) - P_n^(-j) gamma(s_m^(-j))].
+
+    The terms come from the fold risks of :func:`fold_fitted`: the
+    held-out risk CV_j on the n_h,j held-out points and the training risk
+    R_j on the n_t,j training points. The identity below assumes that the
+    two blocks partition the sample (n_h,j + n_t,j = n), as the blocks of
+    :meth:`FoldScheme.interleaved` do. The fold fit reproduces its
+    training values exactly at the knots, so its full-sample risk is
+    P_n gamma(s_m^(-j)) = (n_h,j CV_j + n_t,j R_j) / n, and
+
+        pen_VF(m) = (V-1)/V sum_j (n_h,j / n) (CV_j(m) - R_j(m)).
+
+    2FCV minimizes mean_j CV_j over the same quantities.
+    """
     fits = fits or fit_collection(sample, collection)
     fold_fits = fold_fits or fold_fitted(sample, collection, folds)
     dims = np.array([f.model.dim for f in fits.fits], dtype=int)
-    terms = np.zeros((folds.V, len(dims)))
-    for j, fold in enumerate(fold_fits):
-        for i in range(len(dims)):
-            pred_all = _heldout_prediction(sample.x, fold, i)
-            full_risk = float(np.mean((sample.y - pred_all) ** 2))
-            terms[j, i] = full_risk - fold.train_risks[i]
+    share = np.array([len(folds.heldout(j)) / sample.n for j in range(folds.V)])
+    terms = share[:, None] * np.array([fold.heldout_risks - fold.train_risks
+                                       for fold in fold_fits])
     pen = (folds.V - 1) / folds.V * terms.sum(axis=0)
     return _outcome("penvf", dims, fits.emp_risks, pen,
                     {"per_fold_terms": terms})

@@ -154,6 +154,11 @@ class TestFitCommand:
         lines = read(out).splitlines()
         assert lines[1] == "dim,empirical_risk,bias,excess,total"
         assert len(lines) == 2 + 7  # models at dims 2..128 for n = 256
+        for line in lines[2:]:
+            fields = line.split(",")
+            assert len(fields) == 5
+            for value in fields:
+                float(value)  # plain numbers, not numpy reprs
 
 
 class TestCertifyCommand:

@@ -3,18 +3,21 @@
 Each reference below is the pyramid branch that ``fit_collection``,
 ``fold_fitted``, ``truth_profile``, ``bench._replicate`` and ``fit_ls``
 carried before they all read one ``estimator.NestedPyramid``; the
-results must be the same floats, bit for bit.
+results must be the same floats, bit for bit. The 2FCV and pen2F
+references are the per-model interpolation loops the two selectors ran
+before both read the fold risks of ``fold_fitted``: 2FCV must match bit
+for bit, and pen2F, now computed from an identity, to rounding.
 """
 
 import numpy as np
 import pytest
 
-from wavesel import bench, selection, transform
+from wavesel import bases, bench, selection, transform
 from wavesel.bases import N_GRID
 from wavesel.estimator import FitResult, fit_ls, signal_grid_values
-from wavesel.selection import (FittedCollection, FoldScheme, fit_collection, fold_fitted,
-                               select_cp, select_penvf, select_sh, select_vfcv,
-                               truth_profile, wavelet_collection)
+from wavesel.selection import (FittedCollection, FoldScheme, ModelCollection,
+                               fit_collection, fold_fitted, select_cp, select_penvf,
+                               select_sh, select_vfcv, truth_profile, wavelet_collection)
 from wavesel.signals import benchmark_signal, derive_seed, generate, get_noise
 
 CASES = [(name, n) for name in ("haar", "db8") for n in (256, 1024)]
@@ -50,8 +53,45 @@ def ref_fold_fitted(sample, collection, folds):
         kept = np.where(np.arange(n_t) < dims[:, None], coeffs, 0.0)
         fitted = list(transform.synthesize_flat(kept, h))
         risks = [max((energy - csum[d - 1]) / n_t, 0.0) for d in dims]
-        out.append(selection.FoldFit(tr, x_t, y_t, tuple(fitted), np.array(risks)))
+        held = folds.heldout(j)
+        x_h = sample.x[held]
+        y_h = sample.y[held]
+        cv = [float(np.mean((y_h - np.interp(x_h, x_t, f)) ** 2)) for f in fitted]
+        out.append(selection.FoldFit(tr, tuple(fitted), np.array(risks), np.array(cv)))
     return tuple(out)
+
+
+def ref_select_vfcv(sample, folds, fits, fold_fits):
+    """The per-model held-out interpolation loop of 2FCV before the fold
+    risks moved into ``fold_fitted``; returns (criterion, chosen index)."""
+    dims = np.array([f.model.dim for f in fits.fits], dtype=int)
+    per_fold = np.zeros((folds.V, len(dims)))
+    for j, fold in enumerate(fold_fits):
+        held = folds.heldout(j)
+        x_h = sample.x[held]
+        y_h = sample.y[held]
+        x_t = sample.x[fold.train_idx]
+        for i in range(len(dims)):
+            pred = np.interp(x_h, x_t, fold.fitted[i])
+            per_fold[j, i] = float(np.mean((y_h - pred) ** 2))
+    crit = per_fold.mean(axis=0)
+    return crit, int(np.lexsort((dims, crit))[0])
+
+
+def ref_select_penvf(sample, folds, fits, fold_fits):
+    """The full-sample interpolation loop of pen2F before it read the fold
+    risks; returns (penalties, chosen index)."""
+    dims = np.array([f.model.dim for f in fits.fits], dtype=int)
+    terms = np.zeros((folds.V, len(dims)))
+    for j, fold in enumerate(fold_fits):
+        x_t = sample.x[fold.train_idx]
+        for i in range(len(dims)):
+            pred_all = np.interp(sample.x, x_t, fold.fitted[i])
+            full_risk = float(np.mean((sample.y - pred_all) ** 2))
+            terms[j, i] = full_risk - fold.train_risks[i]
+    pen = (folds.V - 1) / folds.V * terms.sum(axis=0)
+    crit = fits.emp_risks + pen
+    return pen, int(np.lexsort((dims, crit))[0])
 
 
 def ref_truth_profile(signal, collection):
@@ -130,9 +170,36 @@ def test_fold_fitted_matches_reference(name, n):
                     strict=True):
         assert np.array_equal(g.train_idx, w.train_idx)
         assert np.array_equal(g.train_risks, w.train_risks)
+        assert np.array_equal(g.heldout_risks, w.heldout_risks)
         assert len(g.fitted) == len(w.fitted)
         for gv, wv in zip(g.fitted, w.fitted):
             assert np.array_equal(gv, wv)
+
+
+def _assert_fold_selectors_match(sample, coll, folds):
+    fits = fit_collection(sample, coll)
+    fold_fits = fold_fitted(sample, coll, folds)
+    crit, idx = ref_select_vfcv(sample, folds, fits, fold_fits)
+    got = select_vfcv(sample, coll, folds, fits=fits, fold_fits=fold_fits)
+    assert np.array_equal([t.criterion for t in got.trace], crit)
+    assert got.chosen_index == idx
+    pen, idx = ref_select_penvf(sample, folds, fits, fold_fits)
+    got = select_penvf(sample, coll, folds, fits=fits, fold_fits=fold_fits)
+    assert np.max(np.abs(np.array([t.penalty for t in got.trace]) - pen)) <= 1e-10 * np.max(np.abs(pen))
+    assert got.chosen_index == idx
+
+
+@pytest.mark.parametrize("name, n", CASES)
+def test_fold_selectors_match_reference(name, n):
+    _, sample, coll = _setup(name, n)
+    _assert_fold_selectors_match(sample, coll, FoldScheme.interleaved(n, 2))
+
+
+def test_fold_selectors_match_reference_gram_route():
+    # V = 4 gives training blocks of 48 points, off the pyramid route
+    sample = generate(benchmark_signal("wave"), get_noise("h1"), 64, 3)
+    coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in (0, 1, 2)))
+    _assert_fold_selectors_match(sample, coll, FoldScheme.interleaved(64, 4))
 
 
 @pytest.mark.parametrize("name, n", CASES)

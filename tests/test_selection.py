@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavesel import bases, selection, transform
 from wavesel.selection import (FoldDegeneracyError, FoldScheme, ModelCollection,
-                               dimension_jump, fit_collection, fold_fitted,
-                               oracle_select, penalty_path, select_cp, select_penvf,
+                               PathSegment, PenaltyPath, dimension_jump, fit_collection,
+                               fold_fitted, oracle_select, penalty_path, select_cp, select_penvf,
                                select_sh, select_vfcv, true_losses, truth_profile,
                                wavelet_collection)
 from wavesel.signals import (NoiseScenario, TestSignal, derive_seed, generate,
@@ -13,6 +15,35 @@ from wavesel.signals import (NoiseScenario, TestSignal, derive_seed, generate,
 ZERO_NOISE = NoiseScenario("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
 CONST_NOISE = NoiseScenario("Custom", lambda x: np.full_like(np.asarray(x, float), 0.05))
 ZERO_SIGNAL = TestSignal("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
+
+
+def grid_penalty_path(shapes, risks, dims, alphas):
+    """The path read off a direct argmin scan of an alpha grid: a copy of
+    the grid mode that ``penalty_path`` carried before it kept only the
+    exact hull route."""
+    shapes = np.asarray(shapes, dtype=float)
+    risks = np.asarray(risks, dtype=float)
+    dims = np.asarray(dims, dtype=int)
+    grid = np.sort(np.asarray(alphas, dtype=float))[::-1]
+    segments = []
+    prev_idx = None
+    prev_alpha = np.inf
+    hi = np.inf
+    for a in grid:
+        crit = risks + a * shapes
+        idx = int(np.lexsort((dims, crit))[0])
+        if prev_idx is None:
+            prev_idx = idx
+        elif idx != prev_idx:
+            # close the old segment at the last grid point where it held
+            segments.append(PathSegment(float(prev_alpha), float(hi), prev_idx,
+                                        int(dims[prev_idx]), float(risks[prev_idx])))
+            hi = prev_alpha
+            prev_idx = idx
+        prev_alpha = a
+    segments.append(PathSegment(0.0, float(hi), prev_idx,
+                                int(dims[prev_idx]), float(risks[prev_idx])))
+    return PenaltyPath(tuple(segments), shapes, risks, dims)
 
 
 def dense_path_dims(shapes, risks, dims, alphas):
@@ -60,10 +91,30 @@ class TestPenaltyPath:
         shapes = dims / 32.0
         exact = penalty_path(shapes, risks, dims)
         alphas = np.linspace(0, 10, 10_000)
-        grid = penalty_path(shapes, risks, dims, alphas=alphas)
+        grid = grid_penalty_path(shapes, risks, dims, alphas)
         seq_exact = [exact.segment_at(a).dim for a in alphas]
         seq_grid = [grid.segment_at(a).dim for a in alphas]
         assert seq_exact == seq_grid
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 8)),
+                          min_size=2, max_size=9))
+    def test_exact_matches_direct_argmin_with_ties(self, steps):
+        # shape steps of 0 repeat a shape and the risks repeat often; the
+        # values are small dyadic fractions, so every criterion on the
+        # grid is exact and ties stay ties, exercising both tie-breaks
+        # (same shape: smaller risk, then smaller dim; equal criterion:
+        # smaller dim)
+        dims = 2 * np.arange(1, len(steps) + 1)
+        shapes = (1 + np.cumsum([s for s, _ in steps])) / 8.0
+        risks = np.array([r for _, r in steps]) / 8.0
+        path = penalty_path(shapes, risks, dims)
+        alphas = np.arange(9 * 64 + 1) / 64.0  # past the largest breakpoint, 8
+        want = dense_path_dims(shapes, risks, dims, alphas)
+        got = np.array([path.segment_at(a).dim for a in alphas])
+        assert np.array_equal(got, want)
+        # no empty segment: tied and collinear models leave the hull
+        assert all(seg.alpha_lo < seg.alpha_hi for seg in path.segments)
 
     def test_needs_two_models(self):
         with pytest.raises(ValueError):
@@ -234,7 +285,8 @@ class TestVfold:
         folds = FoldScheme.interleaved(n, 2)
         for fold in fold_fitted(sample, coll, folds):
             n_t = len(fold.train_idx)
-            coeffs = transform.flatten(transform.analyze(fold.y_train, transform.DB8))
+            y_t = sample.y[fold.train_idx]
+            coeffs = transform.flatten(transform.analyze(y_t, transform.DB8))
             assert len(fold.fitted) == len(coll)
             for values, dim in zip(fold.fitted, coll.dims):
                 tree = transform.unflatten(transform.truncate_flat(coeffs, dim), n_t)
