@@ -184,10 +184,6 @@ class WaveletModel(Model):
         self.family = BasisFamily("periodized_wavelet", "lebesgue", filter_name)
         self._atoms: Optional[np.ndarray] = None
 
-    @property
-    def filter_coefficients(self) -> np.ndarray:
-        return self.h
-
     def grid_atoms(self) -> np.ndarray:
         if self._atoms is None:
             # sqrt(N_GRID) = 128 is a power of two, so the scaling is exact

@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import selection, transform
-from .selection import (FoldScheme, ModelCollection, fit_collection, fold_fitted,
-                        select_cp, select_penvf, select_sh, select_vfcv,
+from .selection import (FOLD_METHODS, FoldScheme, ModelCollection, select_methods,
                         wavelet_collection)
 from .signals import (NoiseScenario, TestSignal, benchmark_signal, derive_seed,
                       generate, get_noise, get_signal)
@@ -45,7 +44,6 @@ class BenchConfig:
     methods: tuple
     replications: int
     base_seed: int
-    jobs: int = 1  # validated and recorded; replications run serially
     basis: str = "db8"
     folds: int = 2
     keep_ratios: bool = False
@@ -60,8 +58,6 @@ class BenchConfig:
         unknown = set(self.methods) - set(METHOD_ORDER)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; use {METHOD_ORDER}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
     @property
     def cells(self) -> list:
@@ -77,7 +73,6 @@ class BenchConfig:
             "methods": list(self.methods),
             "replications": self.replications,
             "base_seed": self.base_seed,
-            "jobs": self.jobs,
             "basis": self.basis,
             "folds": self.folds,
             "keep_ratios": self.keep_ratios,
@@ -93,7 +88,6 @@ class BenchConfig:
             methods=tuple(d.get("methods", METHOD_ORDER)),
             replications=int(d["replications"]),
             base_seed=int(d["base_seed"]),
-            jobs=int(d.get("jobs", 1)),
             basis=str(d.get("basis", "db8")),
             folds=int(d.get("folds", 2)),
             keep_ratios=bool(d.get("keep_ratios", False)),
@@ -137,10 +131,8 @@ class BenchReport:
             if res.ratios is not None:
                 row["ratios"] = list(res.ratios)
             rows.append(row)
-        config = self.config.to_dict()
-        config.pop("jobs", None)  # execution parameter, not part of the result
         return {"schema_version": 1, "kind": "bench_report",
-                "config": config, "cells": rows}
+                "config": self.config.to_dict(), "cells": rows}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -163,37 +155,18 @@ def _replicate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int,
                scheme: Optional[FoldScheme]) -> dict:
     """One replication: shared fits, one oracle, one ratio per method.
 
-    Losses are squared empirical-norm distances between the fitted and
-    true regression function at the design points, the natural sample
-    estimate of the L2(P^X) loss; all methods and the oracle share them,
-    so every ratio is at least 1.
+    Every method is scored by the oracle's in-sample loss at the design
+    points (:func:`selection.in_sample_losses`), so every ratio is at
+    least 1.
     """
     sample = generate(signal, noise, n, seed)
-    fits = fit_collection(sample, collection)
-    c_signal = transform.analyze_flat(signal(sample.x), fits.pyramid.h)
-    c_noise = fits.pyramid.coeffs - c_signal
-    cum_noise = np.cumsum(c_noise ** 2)
-    cum_signal = np.cumsum(c_signal ** 2)
-    total_signal = cum_signal[-1]
-    dims = np.array([f.model.dim for f in fits.fits])
-    losses = np.array([(cum_noise[d - 1] + (total_signal - cum_signal[d - 1])) / n
-                       for d in dims])
-    oracle_loss = float(losses[np.lexsort((dims, losses))[0]])
-
-    fold_fits = None if scheme is None else fold_fitted(sample, collection, scheme)
-
+    outcomes = select_methods(sample, collection, ("oracle", *methods),
+                              folds=scheme, signal=signal)
+    oracle = outcomes.pop("oracle")
+    losses = oracle.diagnostics["losses"]
+    oracle_loss = float(losses[oracle.chosen_index])
     out = {}
-    for method in methods:
-        if method == "sh":
-            sel = select_sh(sample, collection, fits=fits)
-        elif method == "cp":
-            sel = select_cp(sample, collection, fits=fits)
-        elif method == "vfcv":
-            sel = select_vfcv(sample, collection, scheme, fits=fits, fold_fits=fold_fits)
-        elif method == "penvf":
-            sel = select_penvf(sample, collection, scheme, fits=fits, fold_fits=fold_fits)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+    for method, sel in outcomes.items():
         loss = float(losses[sel.chosen_index])
         if oracle_loss > 0.0:
             out[method] = loss / oracle_loss
@@ -203,14 +176,11 @@ def _replicate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int,
 
 
 def run_bench(config: BenchConfig) -> BenchReport:
-    """Run every cell of the config, one replication at a time.
-
-    ``config.jobs`` is validated and recorded but has no effect.
-    """
+    """Run every cell of the config, one replication at a time."""
     filt = transform.get_filter(config.basis)
     collections = {n: wavelet_collection(n, filt, config.basis) for n in config.sizes}
     # fold schemes depend only on n and V, and only the fold methods use them
-    uses_folds = "vfcv" in config.methods or "penvf" in config.methods
+    uses_folds = any(m in FOLD_METHODS for m in config.methods)
     schemes = {n: FoldScheme.interleaved(n, config.folds) if uses_folds else None
                for n in config.sizes}
     cells = {}

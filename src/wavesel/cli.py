@@ -91,35 +91,22 @@ def _cmd_fit(args) -> int:
 def _cmd_select(args) -> int:
     sample = _load_sample(args.input)
     collection = _build_collection(sample.n, args.basis)
-    fits = selection.fit_collection(sample, collection)
-    methods = ["sh", "cp", "vfcv", "penvf"] if args.method == "all" else [args.method]
-    outcomes = {}
-    scheme = fold_fits = None
-    for method in methods:
-        if method == "oracle":
-            continue
-        if method in ("vfcv", "penvf"):
-            if scheme is None:
-                scheme = selection.FoldScheme.interleaved(sample.n, args.folds)
-                fold_fits = selection.fold_fitted(sample, collection, scheme)
-            fn = selection.select_vfcv if method == "vfcv" else selection.select_penvf
-            outcomes[method] = fn(sample, collection, scheme, fits=fits, fold_fits=fold_fits)
-        elif method == "sh":
-            outcomes[method] = selection.select_sh(sample, collection, fits=fits)
-        elif method == "cp":
-            outcomes[method] = selection.select_cp(sample, collection, fits=fits)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    if args.truth and (args.method in ("all", "oracle")):
+    methods = ("sh", "cp", "vfcv", "penvf") if args.method == "all" else (args.method,)
+    if args.method == "all" and args.truth:
+        methods += ("oracle",)
+    signal = None
+    if "oracle" in methods:
+        if not args.truth:
+            raise ValueError("oracle selection needs --truth")
         signal = _resolve_signal(args.truth, args.normalize)
-        outcomes["oracle"] = selection.oracle_select(sample, collection, signal, fits=fits)
-    elif args.method == "oracle":
-        raise ValueError("oracle selection needs --truth")
-    payload = {"n": sample.n, "basis": args.basis,
+    folds = (selection.FoldScheme.interleaved(sample.n, args.folds)
+             if any(m in selection.FOLD_METHODS for m in methods) else None)
+    outcomes = selection.select_methods(sample, collection, methods, folds=folds, signal=signal)
+    payload = {"schema_version": 2, "n": sample.n, "basis": args.basis,
                "outcomes": {m: o.to_dict() for m, o in outcomes.items()}}
     _write(args.out, _doc("selection", payload) + "\n")
     if args.svg:
-        first = outcomes[methods[0]] if methods[0] in outcomes else next(iter(outcomes.values()))
+        first = outcomes[methods[0]]
         dims = [t.dim for t in first.trace]
         crit = [t.criterion for t in first.trace]
         _write(args.svg, svg.risk_curve_svg(dims, crit, chosen_dim=first.chosen_dim))
@@ -170,8 +157,8 @@ def _cmd_conc(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = bench.BenchConfig.from_json(fh.read())
-    if args.jobs is not None:
-        config = bench.BenchConfig.from_dict({**config.to_dict(), "jobs": args.jobs})
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     report = bench.run_bench(config)
     fmt = args.format or ("json" if args.out.endswith(".json") else
                           "markdown" if args.out.endswith(".md") else "csv")
@@ -285,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="oracle-ratio replication bench")
     ben.add_argument("--config", required=True)
-    ben.add_argument("--jobs", type=int, help="accepted for compatibility; no effect")
+    ben.add_argument("--jobs", type=int, help="accepted for compatibility (>= 1); no effect")
     ben.add_argument("--format", choices=("csv", "json", "markdown"))
     ben.add_argument("--raw", help="also write the full JSON report here")
     ben.add_argument("--out", required=True)

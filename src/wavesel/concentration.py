@@ -63,10 +63,6 @@ class ConcentrationReport:
     std_emp: float
     failures: int
 
-    @property
-    def emp_concentrates_tighter(self) -> bool:
-        return self.std_emp < self.std_true
-
     def to_dict(self) -> dict:
         return {
             "schema_version": 1,

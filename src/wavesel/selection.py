@@ -18,9 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import bases, transform
-from .bases import N_GRID
-from .estimator import (FitResult, NestedPyramid, SingularDesignError, fit_ls,
-                        project_truth, pyramid_filter, signal_grid_values)
+from .estimator import FitResult, NestedPyramid, SingularDesignError, fit_ls, pyramid_filter
 from .signals import RegressionSample, TestSignal
 
 __all__ = [
@@ -28,8 +26,7 @@ __all__ = [
     "wavelet_collection",
     "FittedCollection",
     "fit_collection",
-    "TruthProfile",
-    "truth_profile",
+    "in_sample_losses",
     "FoldScheme",
     "FoldDegeneracyError",
     "PathSegment",
@@ -38,6 +35,8 @@ __all__ = [
     "TraceEntry",
     "SelectionOutcome",
     "oracle_select",
+    "FOLD_METHODS",
+    "select_methods",
     "select_sh",
     "select_cp",
     "select_vfcv",
@@ -118,43 +117,27 @@ def fit_collection(sample: RegressionSample, collection: ModelCollection) -> Fit
     return FittedCollection(tuple(fits), np.array(risks), tuple(failed))
 
 
-@dataclass(frozen=True)
-class TruthProfile:
-    betas: tuple
-    biases: np.ndarray
-    signal_norm2: float
+def in_sample_losses(fits: FittedCollection, signal_values: np.ndarray) -> np.ndarray:
+    """Per-model loss (1/n) sum_i (s_hat_m(x_i) - s*(x_i))^2 at the design points.
 
-
-def truth_profile(signal: TestSignal, collection: ModelCollection) -> TruthProfile:
-    """Projection coefficients and biases of the truth for every model."""
-    models = collection.models
-    s = signal_grid_values(signal)
-    norm2 = float(np.mean(s ** 2))
-    h = pyramid_filter(models, N_GRID)
-    if h is not None:
-        full = transform.analyze_flat(s, h) / np.sqrt(N_GRID)
-        csum = np.cumsum(full ** 2)
-        betas = tuple(full[: m.dim] for m in models)
-        biases = np.array([max(norm2 - csum[m.dim - 1], 0.0) for m in models])
-        return TruthProfile(betas, biases, norm2)
-    betas = []
-    biases = []
-    for m in models:
-        beta = project_truth(signal, m)
-        w = m.density_on_grid()
-        weights = 1.0 if w is None else w
-        s_m = m.grid_atoms().T @ beta
-        betas.append(beta)
-        biases.append(float(np.mean((s - s_m) ** 2 * weights)))
-    return TruthProfile(tuple(betas), np.array(biases), norm2)
-
-
-def true_losses(fitted: FittedCollection, truth: TruthProfile) -> np.ndarray:
-    """Per-model total loss ||s_hat - s*||^2 = bias + Parseval excess."""
-    return np.array([
-        truth.biases[i] + float(np.sum((fitted.fits[i].beta - truth.betas[i]) ** 2))
-        for i in range(len(fitted.fits))
-    ])
+    This is the oracle's loss: the sample estimate of the L2(P^X) loss,
+    given the truth's values ``signal_values`` at the design points. A
+    shared pyramid splits it by Parseval into the noise energy a model
+    keeps plus the signal energy it drops; otherwise each fit's design
+    values are compared with the truth directly.
+    """
+    if fits.pyramid is None:
+        return np.array([float(np.mean((f.design_values - signal_values) ** 2))
+                         for f in fits.fits])
+    n = len(fits.pyramid.coeffs)
+    c_signal = transform.analyze_flat(signal_values, fits.pyramid.h)
+    c_noise = fits.pyramid.coeffs - c_signal
+    cum_noise = np.cumsum(c_noise ** 2)
+    cum_signal = np.cumsum(c_signal ** 2)
+    total_signal = cum_signal[-1]
+    dims = np.array([f.model.dim for f in fits.fits])
+    return np.array([(cum_noise[d - 1] + (total_signal - cum_signal[d - 1])) / n
+                     for d in dims])
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +341,7 @@ class SelectionOutcome:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,  # 2: the oracle's criterion is the in-sample loss
             "kind": "selection_outcome",
             "method": self.method,
             "chosen_dim": int(self.chosen_dim),
@@ -400,12 +383,10 @@ def _outcome(method: str, dims, emp_risks, penalties, diagnostics) -> SelectionO
 
 
 def oracle_select(sample: RegressionSample, collection: ModelCollection,
-                  signal: TestSignal, fits: Optional[FittedCollection] = None,
-                  truth: Optional[TruthProfile] = None) -> SelectionOutcome:
-    """Minimize the true loss ||s_hat_m - s*||^2 over the collection."""
+                  signal: TestSignal, fits: Optional[FittedCollection] = None) -> SelectionOutcome:
+    """Minimize the in-sample loss of :func:`in_sample_losses` over the collection."""
     fits = fits or fit_collection(sample, collection)
-    truth = truth or truth_profile(signal, collection)
-    losses = true_losses(fits, truth)
+    losses = in_sample_losses(fits, signal(sample.x))
     dims = np.array([f.model.dim for f in fits.fits], dtype=int)
     idx = _argmin_tie_smaller(losses, dims)
     trace = tuple(TraceEntry(int(d), float(fits.emp_risks[i]), 0.0, float(losses[i]))
@@ -507,3 +488,40 @@ def select_penvf(sample: RegressionSample, collection: ModelCollection,
     pen = (folds.V - 1) / folds.V * terms.sum(axis=0)
     return _outcome("penvf", dims, fits.emp_risks, pen,
                     {"per_fold_terms": terms})
+
+
+FOLD_METHODS = ("vfcv", "penvf")
+
+
+def select_methods(sample: RegressionSample, collection: ModelCollection, methods,
+                   folds: Optional[FoldScheme] = None,
+                   signal: Optional[TestSignal] = None) -> dict:
+    """Run the named methods on one sample: {method: outcome}, in the order asked.
+
+    Methods are "oracle" (needs ``signal``), "sh", "cp", "vfcv" and
+    "penvf" (these two need ``folds``). The collection is fitted once, and
+    the fold fits are built once, only when a fold method is asked.
+    """
+    fits = fit_collection(sample, collection)
+    fold_fits = None
+    if any(m in FOLD_METHODS for m in methods):
+        if folds is None:
+            raise ValueError("2FCV and pen2F need a fold scheme")
+        fold_fits = fold_fitted(sample, collection, folds)
+    out = {}
+    for method in methods:
+        if method == "oracle":
+            if signal is None:
+                raise ValueError("oracle selection needs the true signal")
+            out[method] = oracle_select(sample, collection, signal, fits=fits)
+        elif method == "sh":
+            out[method] = select_sh(sample, collection, fits=fits)
+        elif method == "cp":
+            out[method] = select_cp(sample, collection, fits=fits)
+        elif method == "vfcv":
+            out[method] = select_vfcv(sample, collection, folds, fits=fits, fold_fits=fold_fits)
+        elif method == "penvf":
+            out[method] = select_penvf(sample, collection, folds, fits=fits, fold_fits=fold_fits)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+    return out

@@ -169,10 +169,6 @@ class CoefficientTree:
         if total != self.n:
             raise MalformedTreeError(f"coefficient count {total} != n = {self.n}")
 
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
     def energy(self) -> float:
         return float(self.approx[0] ** 2 + sum(float(np.dot(d, d)) for d in self.details))
 

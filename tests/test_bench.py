@@ -20,13 +20,13 @@ class TestConfig:
             small_config(sizes=(100,))
         with pytest.raises(ValueError):
             small_config(methods=("sh", "nope"))
-        with pytest.raises(ValueError):
-            small_config(jobs=0)
 
     def test_json_round_trip(self):
-        cfg = small_config(methods=("sh", "cp", "vfcv", "penvf"), jobs=4)
+        cfg = small_config(methods=("sh", "cp", "vfcv", "penvf"))
         clone = BenchConfig.from_json(cfg.to_json())
         assert clone == cfg
+        # configs written when the bench recorded a worker count still load
+        assert BenchConfig.from_dict({**cfg.to_dict(), "jobs": 4}) == cfg
 
 
 class TestRunBench:
@@ -50,13 +50,6 @@ class TestRunBench:
         cell = a.cell("wave", "h1", 256, "sh")
         assert cell.n_ok == 8 and cell.n_failed == 0
         assert cell.mean >= 1.0
-
-    def test_jobs_do_not_change_results(self):
-        a = run_bench(small_config(jobs=1))
-        b = run_bench(small_config(jobs=3))
-        for key in a.cells:
-            assert a.cells[key].mean == b.cells[key].mean
-            assert a.cells[key].stderr == b.cells[key].stderr
 
     def test_ratios_at_least_one(self):
         cfg = small_config(methods=("sh", "cp", "vfcv", "penvf"),

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from wavesel import cli
+from wavesel import bench, cli
+from wavesel.signals import derive_seed
 
 
 def run(argv):
@@ -91,6 +92,38 @@ class TestBench:
         assert run(["bench", "--config", cfg, "--out", out1]) == 0
         assert run(["bench", "--config", cfg, "--jobs", 8, "--out", out8]) == 0
         assert read(out1) == read(out8)
+
+    def test_jobs_below_one_rejected(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        assert run(["bench", "--config", cfg, "--jobs", 0, "--out", tmp_path / "t.csv"]) == 1
+        assert "jobs" in capsys.readouterr().err
+
+    def test_select_truth_ratios_equal_bench_ratios(self, tmp_path):
+        # `gen` and `select --truth` on a replication's seed judge the
+        # sample with the bench's oracle, so every ratio is the same float
+        cfg = bench.BenchConfig(signals=("doppler",), noises=("l1",), sizes=(256,),
+                                methods=bench.METHOD_ORDER, replications=6, base_seed=4,
+                                keep_ratios=True)
+        report = bench.run_bench(cfg)
+        cells = {m: report.cell("doppler", "l1", 256, m) for m in cfg.methods}
+        assert all(c.n_ok == cfg.replications for c in cells.values())
+        cell_seed = derive_seed(cfg.base_seed, 0)
+        for r in range(cfg.replications):
+            sample, sel = tmp_path / f"s{r}.csv", tmp_path / f"sel{r}.json"
+            assert run(["gen", "--signal", "doppler", "--noise", "l1", "--n", 256,
+                        "--seed", derive_seed(cell_seed, r), "--normalize", "--out", sample]) == 0
+            assert run(["select", "--method", "all", "--in", sample, "--truth", "doppler",
+                        "--normalize", "--out", sel]) == 0
+            doc = json.loads(read(sel))
+            assert doc["schema_version"] == 2
+            oracle = doc["outcomes"]["oracle"]
+            assert oracle["schema_version"] == 2
+            losses = dict(zip([t["dim"] for t in oracle["trace"]],
+                              oracle["diagnostics"]["losses"]))
+            best = losses[oracle["chosen_dim"]]
+            for method in cfg.methods:
+                ratio = losses[doc["outcomes"][method]["chosen_dim"]] / best
+                assert ratio == cells[method].ratios[r], method
 
     def test_markdown_out(self, tmp_path):
         cfg = self._config(tmp_path)

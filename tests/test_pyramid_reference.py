@@ -1,9 +1,11 @@
 """The shared nested pyramid against copies of the earlier per-caller code.
 
 Each reference below is the pyramid branch that ``fit_collection``,
-``fold_fitted``, ``truth_profile``, ``bench._replicate`` and ``fit_ls``
-carried before they all read one ``estimator.NestedPyramid``; the
-results must be the same floats, bit for bit. The 2FCV and pen2F
+``fold_fitted``, ``bench._replicate`` and ``fit_ls`` carried before they
+all read one ``estimator.NestedPyramid``; the results must be the same
+floats, bit for bit. ``ref_replicate`` also keeps the bench's own loss
+arithmetic and method dispatch from before both moved into
+``selection.in_sample_losses`` and ``selection.select_methods``. The 2FCV and pen2F
 references are the per-model interpolation loops the two selectors ran
 before both read the fold risks of ``fold_fitted``: 2FCV must match bit
 for bit, and pen2F, now computed from an identity, to rounding.
@@ -13,11 +15,10 @@ import numpy as np
 import pytest
 
 from wavesel import bases, bench, selection, transform
-from wavesel.bases import N_GRID
-from wavesel.estimator import FitResult, fit_ls, signal_grid_values
+from wavesel.estimator import FitResult, fit_ls
 from wavesel.selection import (FittedCollection, FoldScheme, ModelCollection,
                                fit_collection, fold_fitted, select_cp, select_penvf,
-                               select_sh, select_vfcv, truth_profile, wavelet_collection)
+                               select_sh, select_vfcv, wavelet_collection)
 from wavesel.signals import benchmark_signal, derive_seed, generate, get_noise
 
 CASES = [(name, n) for name in ("haar", "db8") for n in (256, 1024)]
@@ -92,17 +93,6 @@ def ref_select_penvf(sample, folds, fits, fold_fits):
     pen = (folds.V - 1) / folds.V * terms.sum(axis=0)
     crit = fits.emp_risks + pen
     return pen, int(np.lexsort((dims, crit))[0])
-
-
-def ref_truth_profile(signal, collection):
-    models = collection.models
-    s = signal_grid_values(signal)
-    norm2 = float(np.mean(s ** 2))
-    full = transform.analyze_flat(s, models[0].h) / np.sqrt(N_GRID)
-    csum = np.cumsum(full ** 2)
-    betas = tuple(full[: m.dim] for m in models)
-    biases = np.array([max(norm2 - csum[m.dim - 1], 0.0) for m in models])
-    return betas, biases, norm2
 
 
 def ref_replicate(signal, noise, n, seed, collection, methods, scheme):
@@ -200,17 +190,6 @@ def test_fold_selectors_match_reference_gram_route():
     sample = generate(benchmark_signal("wave"), get_noise("h1"), 64, 3)
     coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in (0, 1, 2)))
     _assert_fold_selectors_match(sample, coll, FoldScheme.interleaved(64, 4))
-
-
-@pytest.mark.parametrize("name, n", CASES)
-def test_truth_profile_matches_reference(name, n):
-    signal, _, coll = _setup(name, n)
-    got = truth_profile(signal, coll)
-    betas, biases, norm2 = ref_truth_profile(signal, coll)
-    assert np.array_equal(got.biases, biases)
-    assert got.signal_norm2 == norm2
-    for g, w in zip(got.betas, betas, strict=True):
-        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("name, n", CASES)

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavesel import bases, selection, transform
+from wavesel.estimator import NestedPyramid
 from wavesel.selection import (FoldDegeneracyError, FoldScheme, ModelCollection,
                                PathSegment, PenaltyPath, dimension_jump, fit_collection,
-                               fold_fitted, oracle_select, penalty_path, select_cp, select_penvf,
-                               select_sh, select_vfcv, true_losses, truth_profile,
+                               fold_fitted, in_sample_losses, oracle_select, penalty_path,
+                               select_cp, select_methods, select_penvf, select_sh, select_vfcv,
                                wavelet_collection)
 from wavesel.signals import (NoiseScenario, TestSignal, derive_seed, generate,
                              get_noise, get_signal)
@@ -340,13 +341,70 @@ class TestOracle:
     def test_oracle_concentrates_below_half_n(self):
         sig, noi = get_signal("wave"), get_noise("l1")
         coll = wavelet_collection(1024, transform.DB8)
-        truth = truth_profile(sig, coll)
         dims = []
         for r in range(20):
             sample = generate(sig, noi, 1024, derive_seed(31, r))
-            out = oracle_select(sample, coll, sig, truth=truth)
+            out = oracle_select(sample, coll, sig)
             dims.append(out.chosen_dim)
         assert np.median(dims) < 512
+
+
+class TestInSampleLosses:
+    @pytest.mark.parametrize("name", ["haar", "db8"])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_pyramid_route_matches_fitted_values(self, name, n):
+        sig = get_signal("doppler")
+        sample = generate(sig, get_noise("h1"), n, 17)
+        coll = wavelet_collection(n, transform.get_filter(name), name)
+        fits = fit_collection(sample, coll)
+        assert fits.pyramid is not None
+        fitted = NestedPyramid.of(sample.y, fits.pyramid.h).fitted(coll.dims)
+        want = np.mean((fitted - sig(sample.x)) ** 2, axis=1)
+        got = in_sample_losses(fits, sig(sample.x))
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    def test_gram_route_is_design_value_formula(self):
+        sig = get_signal("wave")
+        sample = generate(sig, get_noise("h1"), 48, 9)
+        coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in (0, 1, 2)))
+        fits = fit_collection(sample, coll)
+        assert fits.pyramid is None
+        s = sig(sample.x)
+        want = np.array([np.mean((f.design_values - s) ** 2) for f in fits.fits])
+        assert np.array_equal(in_sample_losses(fits, s), want)
+
+
+class TestSelectMethods:
+    def test_matches_each_selector_called_directly(self):
+        sig = get_signal("heavisine")
+        sample = generate(sig, get_noise("l2"), 256, 5)
+        coll = wavelet_collection(256, transform.DB8)
+        folds = FoldScheme.interleaved(256, 2)
+        fits = fit_collection(sample, coll)
+        direct = {
+            "penvf": select_penvf(sample, coll, folds, fits=fits),
+            "oracle": oracle_select(sample, coll, sig, fits=fits),
+            "sh": select_sh(sample, coll, fits=fits),
+            "vfcv": select_vfcv(sample, coll, folds, fits=fits),
+            "cp": select_cp(sample, coll, fits=fits),
+        }
+        got = select_methods(sample, coll, tuple(direct), folds=folds, signal=sig)
+        assert list(got) == list(direct)
+        for method, outcome in direct.items():
+            assert got[method].trace == outcome.trace
+            assert got[method].chosen_index == outcome.chosen_index
+            assert got[method].to_json() == outcome.to_json()
+
+    def test_fold_scheme_and_signal_only_when_needed(self):
+        sample = generate(get_signal("wave"), get_noise("h1"), 64, 1)
+        coll = wavelet_collection(64, transform.DB8)
+        assert list(select_methods(sample, coll, ("sh", "cp"))) == ["sh", "cp"]
+        with pytest.raises(ValueError, match="fold scheme"):
+            select_methods(sample, coll, ("vfcv",))
+        with pytest.raises(ValueError, match="true signal"):
+            select_methods(sample, coll, ("oracle",))
+        with pytest.raises(ValueError, match="unknown method"):
+            select_methods(sample, coll, ("nope",))
 
 
 def test_outcome_serialization():
