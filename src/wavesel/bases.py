@@ -33,7 +33,6 @@ __all__ = [
     "reference_grid",
     "DegenerateCellError",
     "LowerRegularityError",
-    "BasisFamily",
     "Model",
     "WaveletModel",
     "HaarWeightedModel",
@@ -95,14 +94,6 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     return recurse(a, fa, b, fb, fm, whole, tol, max_depth)
 
 
-@dataclass(frozen=True)
-class BasisFamily:
-    kind: str                    # haar_weighted | periodized_wavelet | piecewise_poly
-    measure: str = "lebesgue"    # lebesgue | density
-    filter_name: Optional[str] = None
-    c_min: Optional[float] = None
-
-
 class Model:
     """A finite-dimensional function space with an explicit orthonormal basis.
 
@@ -111,7 +102,6 @@ class Model:
     certification.
     """
 
-    family: BasisFamily
     dim: int
 
     # -- evaluation ----------------------------------------------------
@@ -173,7 +163,7 @@ class WaveletModel(Model):
     carry unit L2 norm under the grid measure.
     """
 
-    def __init__(self, filt, j_max: int, filter_name: Optional[str] = None):
+    def __init__(self, filt, j_max: int):
         if j_max < 0:
             raise ValueError("j_max must be >= 0")
         if (1 << (j_max + 1)) > N_GRID:
@@ -181,7 +171,6 @@ class WaveletModel(Model):
         self.h = transform.validate_filter(filt)
         self.j_max = int(j_max)
         self.dim = 1 << (self.j_max + 1)
-        self.family = BasisFamily("periodized_wavelet", "lebesgue", filter_name)
         self._atoms: Optional[np.ndarray] = None
 
     def grid_atoms(self) -> np.ndarray:
@@ -218,23 +207,19 @@ class HaarWeightedModel(Model):
 
     Atom at level j, position k reweights the two halves of the dyadic
     cell by the design mass p-/p+ each half carries, so no periodization
-    is needed and any density with a positive lower bound is allowed.
+    is needed and any density with a positive lower bound is allowed; a
+    ``density`` must come with that bound as a positive ``c_min``.
     """
 
     def __init__(self, j_max: int, density: Optional[Callable] = None,
-                 c_min: Optional[float] = None, quad_tol: float = 1e-10):
+                 c_min: Optional[float] = None):
         if j_max < 0:
             raise ValueError("j_max must be >= 0")
         self.j_max = int(j_max)
         self.dim = 1 << (self.j_max + 1)
         self.density = density
-        if density is None:
-            c_min = 1.0
-        elif c_min is None or c_min <= 0:
+        if density is not None and (c_min is None or c_min <= 0):
             raise ValueError("a positive density lower bound c_min is required")
-        self.c_min = float(c_min)
-        self.family = BasisFamily("haar_weighted", "lebesgue" if density is None else "density",
-                                  c_min=self.c_min)
         cl, cr = [1.0], [0.0]  # father atom
         p_plus, p_minus = [np.nan], [np.nan]
         for j in range(self.j_max + 1):
@@ -246,8 +231,8 @@ class HaarWeightedModel(Model):
                 if density is None:
                     pm = pp = width
                 else:
-                    pm = adaptive_simpson(density, a, m, tol=quad_tol)
-                    pp = adaptive_simpson(density, m, b, tol=quad_tol)
+                    pm = adaptive_simpson(density, a, m)
+                    pp = adaptive_simpson(density, m, b)
                 if min(pm, pp) < 1e-12:
                     raise DegenerateCellError(
                         f"half-cell mass {min(pm, pp):.3e} at level {j}, position {k + 1}; "
@@ -321,7 +306,6 @@ class PiecewisePolyModel(Model):
         self.degree = int(degree)
         self.n_cells = len(b) - 1
         self.dim = (self.degree + 1) * self.n_cells
-        self.family = BasisFamily("piecewise_poly", "lebesgue")
         self._atoms: Optional[np.ndarray] = None
 
     def _cell_of(self, x: np.ndarray) -> np.ndarray:
@@ -391,9 +375,9 @@ def build_haar_weighted(j_max: int, density: Optional[Callable] = None,
     return HaarWeightedModel(j_max, density, c_min)
 
 
-def build_periodized_wavelet(filt, j_max: int, filter_name: Optional[str] = None) -> WaveletModel:
+def build_periodized_wavelet(filt, j_max: int) -> WaveletModel:
     """Periodized wavelet model of dimension 2^(j_max+1); validates the filter."""
-    return WaveletModel(filt, j_max, filter_name)
+    return WaveletModel(filt, j_max)
 
 
 def build_piecewise_poly(partition: Sequence[float], degree: int) -> PiecewisePolyModel:

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import selection, transform
+from . import transform
+from .estimator import SingularDesignError
 from .selection import (FOLD_METHODS, FoldScheme, ModelCollection, select_methods,
                         wavelet_collection)
 from .signals import (NoiseScenario, TestSignal, benchmark_signal, derive_seed,
@@ -178,7 +179,7 @@ def _replicate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int,
 def run_bench(config: BenchConfig) -> BenchReport:
     """Run every cell of the config, one replication at a time."""
     filt = transform.get_filter(config.basis)
-    collections = {n: wavelet_collection(n, filt, config.basis) for n in config.sizes}
+    collections = {n: wavelet_collection(n, filt) for n in config.sizes}
     # fold schemes depend only on n and V, and only the fold methods use them
     uses_folds = any(m in FOLD_METHODS for m in config.methods)
     schemes = {n: FoldScheme.interleaved(n, config.folds) if uses_folds else None
@@ -196,7 +197,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
             try:
                 results.append(_replicate(signal, noise, n, seed, collection,
                                           config.methods, scheme))
-            except selection.SingularDesignError:
+            except SingularDesignError:
                 results.append(None)
 
         for method in config.methods:

@@ -64,7 +64,7 @@ def _cmd_gen(args) -> int:
 
 
 def _build_collection(n: int, basis: str) -> selection.ModelCollection:
-    return selection.wavelet_collection(n, transform.get_filter(basis), basis)
+    return selection.wavelet_collection(n, transform.get_filter(basis))
 
 
 def _cmd_fit(args) -> int:
@@ -117,8 +117,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.family == "wavelet":
-        model = bases.build_periodized_wavelet(transform.get_filter(args.filter),
-                                               args.levels, args.filter)
+        model = bases.build_periodized_wavelet(transform.get_filter(args.filter), args.levels)
     elif args.family == "haar-weighted":
         model = bases.build_haar_weighted(args.levels)
     elif args.family == "histogram":

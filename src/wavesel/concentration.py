@@ -92,8 +92,7 @@ class ConcentrationReport:
 
 
 def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
-                      n: int, N: int, seed: int, L0: float = 1.0,
-                      n_mc: int = 100_000) -> ConcentrationReport:
+                      n: int, N: int, seed: int, n_mc: int = 100_000) -> ConcentrationReport:
     """Ratios n * excess / C_m over N replications of a Gram-exact fit."""
     if N < 100:
         raise ValueError("need at least 100 replications")
@@ -106,7 +105,7 @@ def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
             ConcentrationRangeWarning, stacklevel=2)
     cm = estimator.compute_Cm(signal, noise, model, n_mc=n_mc,
                               seed=derive_seed(seed, 1 << 40)).value
-    eps = epsilon_n(n, dim, L0)
+    eps = epsilon_n(n, dim)
     truth = estimator.truth_terms(signal, model)
     r_true, r_emp = [], []
     failures = 0
@@ -175,8 +174,7 @@ def _sphere_max_quadratic(a: np.ndarray, m_mat: np.ndarray, c: float) -> tuple:
 
 def _random_direction_max(a: np.ndarray, m_mat: np.ndarray, c: float,
                           rng: np.random.Generator, n_dir: int,
-                          sup_limit: Optional[tuple] = None,
-                          polish_rounds: int = 24) -> float:
+                          sup_limit: Optional[tuple] = None) -> float:
     """Independent sphere supremum: random directions plus a shrinking
     random polish around the incumbent (derivative-free)."""
     if c <= 0:
@@ -199,7 +197,7 @@ def _random_direction_max(a: np.ndarray, m_mat: np.ndarray, c: float,
     best = int(np.argmax(vals))
     best_u, best_v = u[best], vals[best]
     radius = 1.0
-    for _ in range(polish_rounds):
+    for _ in range(24):
         cand = best_u + radius * rng.standard_normal((64, dim))
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         vals = value(cand)
@@ -257,14 +255,15 @@ def _empirical_terms(sample: RegressionSample, model, signal: TestSignal):
 
 def rep_formula_oracle(sample: RegressionSample, model, signal: TestSignal,
                        n_c: int = 1000, n_dir: int = 10_000, seed: int = 0,
-                       r0: Optional[float] = None, ball: bool = False,
-                       solver_tol: float = 1e-3, n_crosscheck: int = 12) -> RepFormulaReport:
+                       r0: Optional[float] = None, ball: bool = False) -> RepFormulaReport:
     """Profile Gamma_n over a geometric C grid and verify the identities.
 
     With ``r0`` the candidate set is truncated to sup-norm at most r0
     (the localization event under which the identities still hold); with
     ``ball`` the sphere is replaced by the ball, which must not move the
-    maximum.
+    maximum. The two sphere solvers must agree to 1e-3, relative, at about
+    a dozen grid points and at the argmax, or
+    :class:`SolverDisagreementError` is raised.
     """
     if model.dim > 3:
         raise ValueError("representation oracle is for models of dimension <= 3")
@@ -316,7 +315,7 @@ def rep_formula_oracle(sample: RegressionSample, model, signal: TestSignal,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 1))))
     gap = 0.0
     worst = 0.0
-    checks = np.unique(np.r_[c_grid[:: max(n_c // n_crosscheck, 1)], [argmax_c]])
+    checks = np.unique(np.r_[c_grid[:: max(n_c // 12, 1)], [argmax_c]])
     for c in checks:
         # the agreement check is on the plain sphere problem both solvers
         # handle; the truncated profile itself goes through gamma_at
@@ -325,7 +324,7 @@ def rep_formula_oracle(sample: RegressionSample, model, signal: TestSignal,
         scale = max(emp_excess, abs(lagr), 1e-12)
         gap = max(gap, abs(lagr - rand))
         worst = max(worst, abs(lagr - rand) / scale)
-    if worst > solver_tol:
+    if worst > 1e-3:
         raise SolverDisagreementError(
             f"sphere suprema disagree by {gap:.3e} (relative {worst:.3e})")
 

@@ -71,8 +71,6 @@ class RiskReport:
     total: float
     empirical_excess: float
     sup_dev: float
-    c_m: Optional[float] = None
-    epsilon_n: Optional[float] = None
 
 
 def pyramid_filter(models, n: int) -> Optional[np.ndarray]:
@@ -241,8 +239,7 @@ def truth_terms(signal: TestSignal, model) -> TruthTerms:
     return TruthTerms(model, beta_m, s, weights, s_m, bias)
 
 
-def fit_risks(sample: RegressionSample, fit: FitResult, truth: TruthTerms,
-              c_m: Optional[float] = None, L0: float = 1.0) -> RiskReport:
+def fit_risks(sample: RegressionSample, fit: FitResult, truth: TruthTerms) -> RiskReport:
     """Risk decomposition of a fit of ``truth.model`` to ``sample``."""
     model = truth.model
     excess = float(np.sum((fit.beta - truth.beta_m) ** 2))
@@ -253,19 +250,15 @@ def fit_risks(sample: RegressionSample, fit: FitResult, truth: TruthTerms,
     proj_values = _model_design_values(sample, model, truth.beta_m, fit.method)
     resid = sample.y - proj_values
     empirical_excess = float(np.dot(resid, resid) / sample.n - fit.empirical_risk)
-
-    eps = epsilon_n(sample.n, model.dim, L0) if c_m is not None else None
-    return RiskReport(truth.bias, excess, total, max(empirical_excess, 0.0), sup_dev,
-                      c_m=c_m, epsilon_n=eps)
+    return RiskReport(truth.bias, excess, total, max(empirical_excess, 0.0), sup_dev)
 
 
 def excess_risks(sample: RegressionSample, model, signal: TestSignal,
-                 fit: Optional[FitResult] = None, c_m: Optional[float] = None,
-                 L0: float = 1.0) -> RiskReport:
+                 fit: Optional[FitResult] = None) -> RiskReport:
     """Full risk decomposition of a fitted model against the known truth."""
     if fit is None:
         fit = fit_ls(sample, model)
-    return fit_risks(sample, fit, truth_terms(signal, model), c_m, L0)
+    return fit_risks(sample, fit, truth_terms(signal, model))
 
 
 @dataclass(frozen=True)

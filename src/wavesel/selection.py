@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import bases, transform
-from .estimator import FitResult, NestedPyramid, SingularDesignError, fit_ls, pyramid_filter
+from .estimator import FitResult, NestedPyramid, fit_ls, pyramid_filter
 from .signals import RegressionSample, TestSignal
 
 __all__ = [
@@ -71,12 +71,12 @@ class ModelCollection:
         return iter(self.models)
 
 
-def wavelet_collection(n: int, filt, filter_name: Optional[str] = None) -> ModelCollection:
+def wavelet_collection(n: int, filt) -> ModelCollection:
     """Nested wavelet models with dimensions 2^j, j = 1..log2(n)-1."""
     p = int(n).bit_length() - 1
     if (1 << p) != n or p < 2:
         raise ValueError("need a dyadic sample size >= 4")
-    models = tuple(bases.WaveletModel(filt, j - 1, filter_name) for j in range(1, p))
+    models = tuple(bases.WaveletModel(filt, j - 1) for j in range(1, p))
     return ModelCollection(models)
 
 
@@ -84,7 +84,6 @@ def wavelet_collection(n: int, filt, filter_name: Optional[str] = None) -> Model
 class FittedCollection:
     fits: tuple
     emp_risks: np.ndarray
-    failed: tuple = ()
     pyramid: Optional[NestedPyramid] = None  # the sample's, when one serves all fits
 
     def __len__(self) -> int:
@@ -92,7 +91,11 @@ class FittedCollection:
 
 
 def fit_collection(sample: RegressionSample, collection: ModelCollection) -> FittedCollection:
-    """Fit every model once; a nested wavelet collection shares one pyramid."""
+    """Fit every model once; a nested wavelet collection shares one pyramid.
+
+    Raises :class:`~wavesel.estimator.SingularDesignError` for the first
+    model the sample cannot fit.
+    """
     models = collection.models
     h = pyramid_filter(models, sample.n)
     if h is not None:
@@ -101,20 +104,8 @@ def fit_collection(sample: RegressionSample, collection: ModelCollection) -> Fit
                      for m in models)
         return FittedCollection(fits, np.array([f.empirical_risk for f in fits]),
                                 pyramid=pyramid)
-    fits = []
-    risks = []
-    failed = []
-    for m in models:
-        try:
-            f = fit_ls(sample, m)
-        except SingularDesignError as exc:
-            failed.append((m.dim, str(exc)))
-            continue
-        fits.append(f)
-        risks.append(f.empirical_risk)
-    if not fits:
-        raise SingularDesignError("every model in the collection failed to fit")
-    return FittedCollection(tuple(fits), np.array(risks), tuple(failed))
+    fits = tuple(fit_ls(sample, m) for m in models)
+    return FittedCollection(fits, np.array([f.empirical_risk for f in fits]))
 
 
 def in_sample_losses(fits: FittedCollection, signal_values: np.ndarray) -> np.ndarray:
@@ -148,13 +139,11 @@ def in_sample_losses(fits: FittedCollection, signal_values: np.ndarray) -> np.nd
 class FoldScheme:
     """Index blocks over the rank-ordered sample.
 
-    ``blocks[j]`` is held out in fold j and the fit uses its complement,
-    unless explicit ``train_blocks`` are given (test doubles use that).
+    ``blocks[j]`` is held out in fold j and the fit uses its complement.
     """
 
     V: int
     blocks: tuple
-    train_blocks: Optional[tuple] = None
 
     @classmethod
     def interleaved(cls, n: int, V: int) -> "FoldScheme":
@@ -179,8 +168,6 @@ class FoldScheme:
         return self.blocks[j]
 
     def train(self, j: int, n: int) -> np.ndarray:
-        if self.train_blocks is not None:
-            return self.train_blocks[j]
         mask = np.ones(n, dtype=bool)
         mask[self.blocks[j]] = False
         return np.nonzero(mask)[0]
@@ -188,16 +175,14 @@ class FoldScheme:
 
 @dataclass(frozen=True)
 class FoldFit:
-    train_idx: np.ndarray
-    fitted: tuple              # per-model fitted values at the training points
     train_risks: np.ndarray    # R_j: per-model risk on the training block
     heldout_risks: np.ndarray  # CV_j: per-model risk on the held-out block
 
 
 def fold_fitted(sample: RegressionSample, collection: ModelCollection,
                 folds: FoldScheme) -> tuple:
-    """Per-fold training fits and their training and held-out risks for
-    every model (shared by 2FCV and pen2F).
+    """Per-fold training and held-out risks of every model (shared by
+    2FCV and pen2F).
 
     A fold fit predicts off its training points by linear interpolation
     in x between its fitted values, with constant extrapolation at the
@@ -216,17 +201,17 @@ def fold_fitted(sample: RegressionSample, collection: ModelCollection,
         h = pyramid_filter(collection.models, len(tr))
         if h is not None:
             pyramid = NestedPyramid.of(y_t, h)
-            fitted = tuple(pyramid.fitted(collection.dims))
+            fitted = pyramid.fitted(collection.dims)
             risks = [pyramid.risk(d) for d in collection.dims]
         else:
             sub = RegressionSample(x_t, y_t, sample.meta)
             fits = [fit_ls(sub, m, method="gram_exact") for m in collection]
-            fitted = tuple(f.design_values for f in fits)
+            fitted = [f.design_values for f in fits]
             risks = [f.empirical_risk for f in fits]
         x_h = sample.x[held]
         y_h = sample.y[held]
         cv = [float(np.mean((y_h - np.interp(x_h, x_t, values)) ** 2)) for values in fitted]
-        out.append(FoldFit(tr, fitted, np.array(risks), np.array(cv)))
+        out.append(FoldFit(np.array(risks), np.array(cv)))
     return tuple(out)
 
 

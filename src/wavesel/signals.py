@@ -145,11 +145,31 @@ class SampleMeta:
 
 @dataclass(frozen=True)
 class RegressionSample:
-    """Design/response pairs with x sorted strictly increasing."""
+    """Design/response pairs with x sorted strictly increasing.
+
+    Every loader builds through this constructor, which raises ValueError
+    unless x and y are 1-d arrays of one length with at least two
+    points, all finite, and x lies in [0, 1] and strictly increases: the
+    rank-ordered fits and the folds read the sample in x order.
+    """
 
     x: np.ndarray
     y: np.ndarray
     meta: SampleMeta
+
+    def __post_init__(self):
+        x, y = self.x, self.y
+        if x.ndim != 1 or y.shape != x.shape:
+            raise ValueError(f"x and y must be 1-d arrays of one length, "
+                             f"got shapes {x.shape} and {y.shape}")
+        if len(x) < 2:
+            raise ValueError(f"need at least 2 points, got {len(x)}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("x and y must be finite")
+        if not (x[1:] > x[:-1]).all():
+            raise ValueError("x must be strictly increasing; sort x and y jointly")
+        if x[0] < 0.0 or x[-1] > 1.0:
+            raise ValueError(f"x must lie in [0, 1], got [{float(x[0])!r}, {float(x[-1])!r}]")
 
     @property
     def n(self) -> int:
@@ -249,8 +269,6 @@ def generate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int) -> Reg
     independent of the design. Identical arguments give bit-identical
     output.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
     rng = _rng(seed)
     x = rng.random(n)
     eps = rng.standard_normal(n)

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from wavesel import bench, cli
@@ -216,6 +217,34 @@ class TestErrors:
         err = capsys.readouterr().err
         doc = json.loads(err.strip().splitlines()[-1])
         assert doc["error"] == "FileNotFoundError"
+
+    def _select_error(self, tmp_path, path, capsys):
+        code = cli.main(["select", "--method", "all", "--in", str(path),
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert not (tmp_path / "o.json").exists()
+        return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+    def test_shuffled_sample_rejected(self, tmp_path, capsys):
+        # in shuffled order the rank-ordered fits would pair the wrong points
+        src = tmp_path / "s.csv"
+        assert run(["gen", "--signal", "doppler", "--noise", "l1", "--n", 256,
+                    "--seed", 1, "--normalize", "--out", src]) == 0
+        lines = read(src).splitlines()
+        head, rows = lines[:3], lines[3:]
+        order = np.random.default_rng(0).permutation(len(rows))
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join(head + [rows[i] for i in order]) + "\n")
+        capsys.readouterr()
+        doc = self._select_error(tmp_path, shuffled, capsys)
+        assert doc["error"] == "ValueError" and "strictly increasing" in doc["message"]
+
+    def test_out_of_range_and_nan_sample_rejected(self, tmp_path, capsys):
+        rows = [f"{3.0 + i / 16!r},{0.5 if i != 7 else float('nan')!r}" for i in range(16)]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n" + "\n".join(rows) + "\n")
+        doc = self._select_error(tmp_path, bad, capsys)
+        assert doc["error"] == "ValueError" and "finite" in doc["message"]
 
     def test_oracle_without_truth(self, tmp_path, sample_csv, capsys):
         code = cli.main(["select", "--method", "oracle", "--in", str(sample_csv),

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavesel import bases, selection, transform
-from wavesel.estimator import NestedPyramid
-from wavesel.selection import (FoldDegeneracyError, FoldScheme, ModelCollection,
+from wavesel.estimator import NestedPyramid, SingularDesignError
+from wavesel.selection import (FoldDegeneracyError, FoldFit, FoldScheme, ModelCollection,
                                PathSegment, PenaltyPath, dimension_jump, fit_collection,
                                fold_fitted, in_sample_losses, oracle_select, penalty_path,
                                select_cp, select_methods, select_penvf, select_sh, select_vfcv,
@@ -241,15 +241,15 @@ class TestFoldScheme:
 
 class TestVfold:
     def test_degenerate_double_reduces_to_empirical_risk(self):
-        # both folds see the full sample: the criterion is the empirical risk
-        # and selection degenerates to its argmin (the largest model)
+        # fold data as if both folds saw the full sample: the criterion is the
+        # empirical risk and selection degenerates to its argmin (the largest model)
         n = 256
         sample = generate(get_signal("wave"), get_noise("h1"), n, 9)
         coll = wavelet_collection(n, transform.DB8)
         fits = fit_collection(sample, coll)
-        full = np.arange(n)
-        double = FoldScheme(2, (full, full), train_blocks=(full, full))
-        out = select_vfcv(sample, coll, double, fits=fits)
+        double = (FoldFit(fits.emp_risks, fits.emp_risks),) * 2
+        out = select_vfcv(sample, coll, FoldScheme.interleaved(n, 2), fits=fits,
+                          fold_fits=double)
         crit = np.array([t.criterion for t in out.trace])
         assert np.allclose(crit, fits.emp_risks, atol=1e-12)
         assert out.chosen_dim == coll.dims[-1]
@@ -259,9 +259,9 @@ class TestVfold:
         sample = generate(get_signal("wave"), get_noise("h1"), n, 9)
         coll = wavelet_collection(n, transform.DB8)
         fits = fit_collection(sample, coll)
-        full = np.arange(n)
-        double = FoldScheme(2, (full, full), train_blocks=(full, full))
-        out = select_penvf(sample, coll, double, fits=fits)
+        double = (FoldFit(fits.emp_risks, fits.emp_risks),) * 2
+        out = select_penvf(sample, coll, FoldScheme.interleaved(n, 2), fits=fits,
+                           fold_fits=double)
         pens = np.array([t.penalty for t in out.trace])
         assert np.allclose(pens, 0.0, atol=1e-12)
         assert out.chosen_dim == coll.dims[-1]
@@ -280,18 +280,21 @@ class TestVfold:
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_fold_fitted_matches_per_model_synthesis(self, n):
-        # one batched synthesis per fold gives each model's own floats
+        # one batched synthesis per fold gives each model's own floats, so
+        # its held-out risks are those of one synthesis per model
         sample = generate(get_signal("doppler"), get_noise("h1"), n, 17)
         coll = wavelet_collection(n, transform.DB8)
         folds = FoldScheme.interleaved(n, 2)
-        for fold in fold_fitted(sample, coll, folds):
-            n_t = len(fold.train_idx)
-            y_t = sample.y[fold.train_idx]
+        for j, fold in enumerate(fold_fitted(sample, coll, folds)):
+            train = folds.train(j, n)
+            x_t, y_t = sample.x[train], sample.y[train]
+            x_h, y_h = sample.x[folds.heldout(j)], sample.y[folds.heldout(j)]
             coeffs = transform.flatten(transform.analyze(y_t, transform.DB8))
-            assert len(fold.fitted) == len(coll)
-            for values, dim in zip(fold.fitted, coll.dims):
-                tree = transform.unflatten(transform.truncate_flat(coeffs, dim), n_t)
-                assert np.array_equal(values, transform.synthesize(tree, transform.DB8))
+            assert len(fold.heldout_risks) == len(coll)
+            for risk, dim in zip(fold.heldout_risks, coll.dims):
+                tree = transform.unflatten(transform.truncate_flat(coeffs, dim), len(train))
+                values = transform.synthesize(tree, transform.DB8)
+                assert risk == float(np.mean((y_h - np.interp(x_h, x_t, values)) ** 2))
 
     def test_vfold_v4_gram_path(self):
         # V = 4 training sizes are not dyadic, exercising the exact solve
@@ -355,7 +358,7 @@ class TestInSampleLosses:
     def test_pyramid_route_matches_fitted_values(self, name, n):
         sig = get_signal("doppler")
         sample = generate(sig, get_noise("h1"), n, 17)
-        coll = wavelet_collection(n, transform.get_filter(name), name)
+        coll = wavelet_collection(n, transform.get_filter(name))
         fits = fit_collection(sample, coll)
         assert fits.pyramid is not None
         fitted = NestedPyramid.of(sample.y, fits.pyramid.h).fitted(coll.dims)
@@ -422,6 +425,15 @@ def test_collection_requires_increasing_dims():
     models = (bases.WaveletModel(transform.DB8, 2), bases.WaveletModel(transform.DB8, 2))
     with pytest.raises(ValueError):
         ModelCollection(models)
+
+
+def test_fit_collection_raises_on_unfittable_model():
+    # 12 points cannot fit the 16-dimensional model: the whole collection
+    # fails, rather than dropping that model and selecting among the rest
+    sample = generate(get_signal("wave"), get_noise("h1"), 12, 5)
+    coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in range(4)))
+    with pytest.raises(SingularDesignError, match="dimension 16"):
+        fit_collection(sample, coll)
 
 
 def test_wavelet_collection_dimensions():

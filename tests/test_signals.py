@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from wavesel import signals
-from wavesel.signals import (NoiseScenario, RegressionSample, TestSignal,
+from wavesel.signals import (NoiseScenario, RegressionSample, SampleMeta, TestSignal,
                              benchmark_scale, benchmark_signal, derive_seed,
                              eval_signal, generate, get_noise, get_signal)
 
@@ -131,6 +133,37 @@ def test_round_trip_csv_json():
     j = RegressionSample.from_json(s.to_json())
     assert np.array_equal(j.x, s.x) and np.array_equal(j.y, s.y)
     assert j.meta == s.meta
+
+
+@pytest.mark.parametrize("x, y, message", [
+    (np.array([[0.1, 0.2]]), np.array([[1.0, 2.0]]), "1-d"),
+    (np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0]), "one length"),
+    (np.array([0.5]), np.array([1.0]), "at least 2"),
+    (np.array([0.1, 0.2, 0.3]), np.array([1.0, np.nan, 2.0]), "finite"),
+    (np.array([0.1, np.inf]), np.array([1.0, 2.0]), "finite"),
+    (np.array([-0.1, 0.2]), np.array([1.0, 2.0]), r"\[0, 1\]"),
+    (np.array([0.5, 1.5]), np.array([1.0, 2.0]), r"\[0, 1\]"),
+    (np.array([0.3, 0.2, 0.4]), np.array([1.0, 2.0, 3.0]), "strictly increasing"),
+    (np.array([0.2, 0.2, 0.4]), np.array([1.0, 2.0, 3.0]), "strictly increasing"),
+])
+def test_sample_constructor_rejects(x, y, message):
+    with pytest.raises(ValueError, match=message):
+        RegressionSample(x, y, SampleMeta("custom", "custom", len(x), 0))
+
+
+def test_sample_constructor_accepts_closed_interval():
+    s = RegressionSample(np.array([0.0, 0.5, 1.0]), np.zeros(3),
+                         SampleMeta("custom", "custom", 3, 0))
+    assert s.n == 3
+
+
+def test_sample_loaders_validate():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        RegressionSample.from_csv("x,y\n0.5,1.0\n0.25,2.0\n")
+    doc = {"meta": {"signal": "c", "noise": "c", "n": 2, "seed": 0},
+           "x": [0.25, 2.0], "y": [1.0, 2.0]}
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        RegressionSample.from_json(json.dumps(doc))
 
 
 def test_generate_requires_two_points():
