@@ -208,7 +208,8 @@ class HaarWeightedModel(Model):
     Atom at level j, position k reweights the two halves of the dyadic
     cell by the design mass p-/p+ each half carries, so no periodization
     is needed and any density with a positive lower bound is allowed; a
-    ``density`` must come with that bound as a positive ``c_min``.
+    ``density`` must come with that bound as a positive ``c_min``, which
+    the density may not fall below on the reference grid.
     """
 
     def __init__(self, j_max: int, density: Optional[Callable] = None,
@@ -218,8 +219,13 @@ class HaarWeightedModel(Model):
         self.j_max = int(j_max)
         self.dim = 1 << (self.j_max + 1)
         self.density = density
-        if density is not None and (c_min is None or c_min <= 0):
-            raise ValueError("a positive density lower bound c_min is required")
+        if density is not None:
+            if c_min is None or c_min <= 0:
+                raise ValueError("a positive density lower bound c_min is required")
+            low = float(np.min(self.density_on_grid()))
+            if low < c_min:
+                raise ValueError(f"density falls to {low!r} on the reference grid, "
+                                 f"below c_min = {c_min!r}")
         cl, cr = [1.0], [0.0]  # father atom
         p_plus, p_minus = [np.nan], [np.nan]
         for j in range(self.j_max + 1):

@@ -5,7 +5,12 @@ share the per-replication fits and the oracle is computed once, so the
 ratio ||s_hat_selected - s*||^2 / ||s_hat_oracle - s*||^2 is at least 1
 by construction. Replication seeds are derived from (base seed, cell
 index, replication index), so no result depends on the order of the
-runs. Replications run serially: a thread pool measured slower.
+runs. The replications of every cell at one sample size share one
+collection and one fold scheme, so they run in blocks: each block makes
+one pyramid analysis of its stacked responses and truths, and one
+analysis and one synthesis per fold, while the selectors run per
+replication. The pyramid kernels are batch-invariant, so a ratio does
+not depend on the block it ran in.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from . import transform
 from .estimator import SingularDesignError
 from .selection import (FOLD_METHODS, FoldScheme, ModelCollection, select_methods,
                         wavelet_collection)
-from .signals import (NoiseScenario, TestSignal, benchmark_signal, derive_seed,
-                      generate, get_noise, get_signal)
+from .signals import benchmark_signal, derive_seed, generate, get_noise, get_signal
 
 __all__ = [
     "METHOD_LABELS",
@@ -151,57 +155,86 @@ class BenchReport:
         return cls(config, cells)
 
 
-def _replicate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int,
-               collection: ModelCollection, methods,
-               scheme: Optional[FoldScheme]) -> dict:
-    """One replication: shared fits, one oracle, one ratio per method.
+# elements of working memory one block may hold: a replication costs 2n for
+# the analysis of its response and truth, plus models * n_t for its fold
+# synthesis when a fold method runs
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _block_size(n: int, collection: ModelCollection, scheme: Optional[FoldScheme]) -> int:
+    n_t = 0 if scheme is None else max(n - len(scheme.heldout(j)) for j in range(scheme.V))
+    return max(1, _BLOCK_ELEMENTS // (2 * n + len(collection) * n_t))
+
+
+def _replicate_block(jobs, n: int, collection: ModelCollection, methods,
+                     scheme: Optional[FoldScheme]) -> list:
+    """Replications at sample size n, one per (signal, noise, seed) job:
+    shared fits, one oracle and one ratio per method each.
 
     Every method is scored by the oracle's in-sample loss at the design
     points (:func:`selection.in_sample_losses`), so every ratio is at
     least 1.
     """
-    sample = generate(signal, noise, n, seed)
-    outcomes = select_methods(sample, collection, ("oracle", *methods),
-                              folds=scheme, signal=signal)
-    oracle = outcomes.pop("oracle")
-    losses = oracle.diagnostics["losses"]
-    oracle_loss = float(losses[oracle.chosen_index])
-    out = {}
-    for method, sel in outcomes.items():
-        loss = float(losses[sel.chosen_index])
-        if oracle_loss > 0.0:
-            out[method] = loss / oracle_loss
-        else:
-            out[method] = 1.0 if loss <= 1e-300 else np.inf
+    samples = [generate(signal, noise, n, seed) for signal, noise, seed in jobs]
+    truths = [signal(sample.x) for (signal, _, _), sample in zip(jobs, samples)]
+    out = []
+    for outcomes in select_methods(samples, collection, ("oracle", *methods),
+                                   folds=scheme, signal_values=truths):
+        oracle = outcomes.pop("oracle")
+        losses = oracle.diagnostics["losses"]
+        oracle_loss = float(losses[oracle.chosen_index])
+        ratios = {}
+        for method, sel in outcomes.items():
+            loss = float(losses[sel.chosen_index])
+            if oracle_loss > 0.0:
+                ratios[method] = loss / oracle_loss
+            else:
+                ratios[method] = 1.0 if loss <= 1e-300 else np.inf
+        out.append(ratios)
     return out
 
 
+def _run_block(jobs, n, collection, methods, scheme) -> list:
+    """:func:`_replicate_block`, with None for a replication whose design
+    is singular: a failing block reruns one replication at a time."""
+    try:
+        return _replicate_block(jobs, n, collection, methods, scheme)
+    except SingularDesignError:
+        if len(jobs) == 1:
+            return [None]
+        return [r for job in jobs for r in _run_block([job], n, collection, methods, scheme)]
+
+
 def run_bench(config: BenchConfig) -> BenchReport:
-    """Run every cell of the config, one replication at a time."""
+    """Run every cell of the config, in blocks of replications per sample size."""
     filt = transform.get_filter(config.basis)
-    collections = {n: wavelet_collection(n, filt) for n in config.sizes}
     # fold schemes depend only on n and V, and only the fold methods use them
     uses_folds = any(m in FOLD_METHODS for m in config.methods)
-    schemes = {n: FoldScheme.interleaved(n, config.folds) if uses_folds else None
-               for n in config.sizes}
-    cells = {}
+    jobs = {}  # n -> [(cell index, (signal, noise, seed))]
     for cell_index, (sig_name, noi_name, n) in enumerate(config.cells):
         signal = benchmark_signal(sig_name) if config.normalize else get_signal(sig_name)
         noise = get_noise(noi_name)
-        collection, scheme = collections[n], schemes[n]
         cell_seed = derive_seed(config.base_seed, cell_index)
-        seeds = [derive_seed(cell_seed, r) for r in range(config.replications)]
+        jobs.setdefault(n, []).extend(
+            (cell_index, (signal, noise, derive_seed(cell_seed, r)))
+            for r in range(config.replications))
 
-        results = []
-        for seed in seeds:
-            try:
-                results.append(_replicate(signal, noise, n, seed, collection,
-                                          config.methods, scheme))
-            except SingularDesignError:
-                results.append(None)
+    results = {}  # cell index -> per-replication ratios, None for a failure
+    for n, todo in jobs.items():
+        collection = wavelet_collection(n, filt)
+        scheme = FoldScheme.interleaved(n, config.folds) if uses_folds else None
+        size = _block_size(n, collection, scheme)
+        for start in range(0, len(todo), size):
+            block = todo[start:start + size]
+            ratios = _run_block([job for _, job in block], n, collection,
+                                config.methods, scheme)
+            for (cell_index, _), r in zip(block, ratios):
+                results.setdefault(cell_index, []).append(r)
 
+    cells = {}
+    for cell_index, (sig_name, noi_name, n) in enumerate(config.cells):
         for method in config.methods:
-            ratios = np.array([r[method] for r in results
+            ratios = np.array([r[method] for r in results[cell_index]
                                if r is not None and np.isfinite(r[method])])
             n_failed = config.replications - len(ratios)
             mean = float(np.mean(ratios)) if len(ratios) else np.nan

@@ -94,14 +94,15 @@ def _cmd_select(args) -> int:
     methods = ("sh", "cp", "vfcv", "penvf") if args.method == "all" else (args.method,)
     if args.method == "all" and args.truth:
         methods += ("oracle",)
-    signal = None
+    truths = None
     if "oracle" in methods:
         if not args.truth:
             raise ValueError("oracle selection needs --truth")
-        signal = _resolve_signal(args.truth, args.normalize)
+        truths = [_resolve_signal(args.truth, args.normalize)(sample.x)]
     folds = (selection.FoldScheme.interleaved(sample.n, args.folds)
              if any(m in selection.FOLD_METHODS for m in methods) else None)
-    outcomes = selection.select_methods(sample, collection, methods, folds=folds, signal=signal)
+    outcomes, = selection.select_methods([sample], collection, methods, folds=folds,
+                                         signal_values=truths)
     payload = {"schema_version": 2, "n": sample.n, "basis": args.basis,
                "outcomes": {m: o.to_dict() for m, o in outcomes.items()}}
     _write(args.out, _doc("selection", payload) + "\n")

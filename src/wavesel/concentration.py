@@ -284,8 +284,13 @@ def rep_formula_oracle(sample: RegressionSample, model, signal: TestSignal,
     resid = sample.y - s_m_x
     emp_excess = float(np.dot(resid, resid) / sample.n - fit.empirical_risk)
 
-    atoms = np.linalg.solve(chol, model.grid_atoms())  # whitened evaluation
-    sup_limit = (atoms, r0) if r0 is not None and np.isfinite(r0) else None
+    sup_limit = None
+    if r0 is not None and np.isfinite(r0):
+        # whitened evaluation; a row maximum of |delta @ atoms| does not
+        # depend on repeated columns, and piecewise-constant atoms repeat
+        # almost all of theirs
+        atoms = np.unique(np.linalg.solve(chol, model.grid_atoms()), axis=1)
+        sup_limit = (atoms, r0)
 
     def gamma_at(c):
         val, delta = _sphere_max_quadratic(a, m_mat, c)

@@ -102,8 +102,19 @@ class NestedPyramid:
 
     @classmethod
     def of(cls, y: np.ndarray, h: np.ndarray) -> "NestedPyramid":
-        coeffs = transform.analyze_flat(y, h)
-        return cls(h, coeffs, np.cumsum(coeffs ** 2), float(np.dot(y, y)))
+        return cls.stack((y,), h)[0]
+
+    @classmethod
+    def stack(cls, ys, h: np.ndarray) -> tuple:
+        """The pyramids of equal-length vectors ys, from one batched analysis.
+
+        The analysis is batch-invariant and each row keeps its own
+        cumulative sum and energy, so every pyramid holds the floats that
+        :meth:`of` gives for its vector alone.
+        """
+        coeffs = transform.analyze_flat(np.stack(ys), h)
+        return tuple(cls(h, c, np.cumsum(c ** 2), float(np.dot(y, y)))
+                     for y, c in zip(ys, coeffs))
 
     def beta(self, dim: int) -> np.ndarray:
         """Coefficients of the dimension-dim fit, in function units."""
@@ -116,9 +127,16 @@ class NestedPyramid:
 
     def fitted(self, dims) -> np.ndarray:
         """Fitted values for each of dims, one row each, from one synthesis."""
-        kept = np.where(np.arange(len(self.coeffs)) < np.asarray(dims)[:, None],
-                        self.coeffs, 0.0)
-        return transform.synthesize_flat(kept, self.h)
+        return NestedPyramid.fitted_stack((self,), dims)[0]
+
+    @staticmethod
+    def fitted_stack(pyramids, dims) -> np.ndarray:
+        """(len(pyramids), len(dims), n) fitted values of pyramids of one
+        filter and length, from one batched synthesis."""
+        coeffs = np.stack([p.coeffs for p in pyramids])
+        kept = np.where(np.arange(coeffs.shape[-1]) < np.asarray(dims)[:, None],
+                        coeffs[:, None, :], 0.0)
+        return transform.synthesize_flat(kept, pyramids[0].h)
 
 
 def design_matrix(sample: RegressionSample, model) -> np.ndarray:

@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import bases, transform
+from . import bases
 from .estimator import FitResult, NestedPyramid, fit_ls, pyramid_filter
-from .signals import RegressionSample, TestSignal
+from .signals import RegressionSample
 
 __all__ = [
     "ModelCollection",
@@ -85,27 +85,46 @@ class FittedCollection:
     fits: tuple
     emp_risks: np.ndarray
     pyramid: Optional[NestedPyramid] = None  # the sample's, when one serves all fits
+    signal: Optional[NestedPyramid] = None   # the truth's, when fitted with its values
 
     def __len__(self) -> int:
         return len(self.fits)
 
 
-def fit_collection(sample: RegressionSample, collection: ModelCollection) -> FittedCollection:
-    """Fit every model once; a nested wavelet collection shares one pyramid.
+def fit_collection(samples, collection: ModelCollection, signal_values=None):
+    """Fit every model once per sample; a nested wavelet collection shares
+    one pyramid per sample.
 
-    Raises :class:`~wavesel.estimator.SingularDesignError` for the first
-    model the sample cannot fit.
+    ``samples`` is one sample, which gives one :class:`FittedCollection`,
+    or a block of samples of one size, which gives a tuple of them. On the
+    pyramid route the block's responses, and the truth's values at each
+    sample's design points when ``signal_values`` gives them (an array per
+    sample), go through one batched analysis. Raises
+    :class:`~wavesel.estimator.SingularDesignError` for the first model a
+    sample cannot fit.
     """
+    if isinstance(samples, RegressionSample):
+        truths = None if signal_values is None else (signal_values,)
+        return fit_collection((samples,), collection, truths)[0]
+    samples = tuple(samples)
+    truths = () if signal_values is None else tuple(signal_values)
+    if truths and len(truths) != len(samples):
+        raise ValueError(f"{len(truths)} signal value arrays for {len(samples)} samples")
     models = collection.models
-    h = pyramid_filter(models, sample.n)
-    if h is not None:
-        pyramid = NestedPyramid.of(sample.y, h)
+    h = pyramid_filter(models, samples[0].n)
+    if h is None:
+        fitted = [tuple(fit_ls(sample, m) for m in models) for sample in samples]
+        return tuple(FittedCollection(fits, np.array([f.empirical_risk for f in fits]))
+                     for fits in fitted)
+    pyramids = NestedPyramid.stack([s.y for s in samples] + list(truths), h)
+    signals = pyramids[len(samples):] if truths else (None,) * len(samples)
+    out = []
+    for pyramid, signal in zip(pyramids, signals):
         fits = tuple(FitResult(m, pyramid.beta(m.dim), pyramid.risk(m.dim), "pyramid_fast", None)
                      for m in models)
-        return FittedCollection(fits, np.array([f.empirical_risk for f in fits]),
-                                pyramid=pyramid)
-    fits = tuple(fit_ls(sample, m) for m in models)
-    return FittedCollection(fits, np.array([f.empirical_risk for f in fits]))
+        out.append(FittedCollection(fits, np.array([f.empirical_risk for f in fits]),
+                                    pyramid=pyramid, signal=signal))
+    return tuple(out)
 
 
 def in_sample_losses(fits: FittedCollection, signal_values: np.ndarray) -> np.ndarray:
@@ -114,17 +133,20 @@ def in_sample_losses(fits: FittedCollection, signal_values: np.ndarray) -> np.nd
     This is the oracle's loss: the sample estimate of the L2(P^X) loss,
     given the truth's values ``signal_values`` at the design points. A
     shared pyramid splits it by Parseval into the noise energy a model
-    keeps plus the signal energy it drops; otherwise each fit's design
-    values are compared with the truth directly.
+    keeps plus the signal energy it drops, and reads the truth's
+    coefficients from the analysis :func:`fit_collection` made with the
+    signal values; otherwise each fit's design values are compared with
+    the truth directly.
     """
     if fits.pyramid is None:
         return np.array([float(np.mean((f.design_values - signal_values) ** 2))
                          for f in fits.fits])
+    if fits.signal is None:
+        raise ValueError("the pyramid route needs the collection fitted with the signal values")
     n = len(fits.pyramid.coeffs)
-    c_signal = transform.analyze_flat(signal_values, fits.pyramid.h)
-    c_noise = fits.pyramid.coeffs - c_signal
+    c_noise = fits.pyramid.coeffs - fits.signal.coeffs
     cum_noise = np.cumsum(c_noise ** 2)
-    cum_signal = np.cumsum(c_signal ** 2)
+    cum_signal = fits.signal.csum
     total_signal = cum_signal[-1]
     dims = np.array([f.model.dim for f in fits.fits])
     return np.array([(cum_noise[d - 1] + (total_signal - cum_signal[d - 1])) / n
@@ -179,40 +201,51 @@ class FoldFit:
     heldout_risks: np.ndarray  # CV_j: per-model risk on the held-out block
 
 
-def fold_fitted(sample: RegressionSample, collection: ModelCollection,
-                folds: FoldScheme) -> tuple:
+def fold_fitted(samples, collection: ModelCollection, folds: FoldScheme) -> tuple:
     """Per-fold training and held-out risks of every model (shared by
     2FCV and pen2F).
 
-    A fold fit predicts off its training points by linear interpolation
-    in x between its fitted values, with constant extrapolation at the
-    boundary.
+    ``samples`` is one sample, which gives its tuple of :class:`FoldFit`
+    (one per fold), or a block of samples of one size, which gives one
+    such tuple per sample. On the pyramid route each fold analyses the
+    whole block's training responses in one call and synthesizes every
+    model of every sample in another. A fold fit predicts off its
+    training points by linear interpolation in x between its fitted
+    values, with constant extrapolation at the boundary.
     """
-    out = []
+    if isinstance(samples, RegressionSample):
+        return fold_fitted((samples,), collection, folds)[0]
+    samples = tuple(samples)
+    n = samples[0].n
+    dims = collection.dims
+    out = [[] for _ in samples]
     for j in range(folds.V):
         held = folds.heldout(j)
         if len(held) == 0:
             raise FoldDegeneracyError(f"fold {j + 1} is empty")
-        tr = folds.train(j, sample.n)
+        tr = folds.train(j, n)
         if len(tr) == 0:
             raise FoldDegeneracyError(f"training set of fold {j + 1} is empty")
-        x_t = sample.x[tr]
-        y_t = sample.y[tr]
         h = pyramid_filter(collection.models, len(tr))
         if h is not None:
-            pyramid = NestedPyramid.of(y_t, h)
-            fitted = pyramid.fitted(collection.dims)
-            risks = [pyramid.risk(d) for d in collection.dims]
+            pyramids = NestedPyramid.stack([s.y[tr] for s in samples], h)
+            fitted = NestedPyramid.fitted_stack(pyramids, dims)
+            risks = [[p.risk(d) for d in dims] for p in pyramids]
         else:
-            sub = RegressionSample(x_t, y_t, sample.meta)
-            fits = [fit_ls(sub, m, method="gram_exact") for m in collection]
-            fitted = [f.design_values for f in fits]
-            risks = [f.empirical_risk for f in fits]
-        x_h = sample.x[held]
-        y_h = sample.y[held]
-        cv = [float(np.mean((y_h - np.interp(x_h, x_t, values)) ** 2)) for values in fitted]
-        out.append(FoldFit(np.array(risks), np.array(cv)))
-    return tuple(out)
+            fitted, risks = [], []
+            for sample in samples:
+                sub = RegressionSample(sample.x[tr], sample.y[tr], sample.meta)
+                fits = [fit_ls(sub, m, method="gram_exact") for m in collection]
+                fitted.append([f.design_values for f in fits])
+                risks.append([f.empirical_risk for f in fits])
+        for sample, row, row_fitted, row_risks in zip(samples, out, fitted, risks):
+            x_t = sample.x[tr]
+            x_h = sample.x[held]
+            y_h = sample.y[held]
+            cv = [float(np.mean((y_h - np.interp(x_h, x_t, values)) ** 2))
+                  for values in row_fitted]
+            row.append(FoldFit(np.array(row_risks), np.array(cv)))
+    return tuple(tuple(row) for row in out)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +401,12 @@ def _outcome(method: str, dims, emp_risks, penalties, diagnostics) -> SelectionO
 
 
 def oracle_select(sample: RegressionSample, collection: ModelCollection,
-                  signal: TestSignal, fits: Optional[FittedCollection] = None) -> SelectionOutcome:
-    """Minimize the in-sample loss of :func:`in_sample_losses` over the collection."""
-    fits = fits or fit_collection(sample, collection)
-    losses = in_sample_losses(fits, signal(sample.x))
+                  signal_values: np.ndarray,
+                  fits: Optional[FittedCollection] = None) -> SelectionOutcome:
+    """Minimize the in-sample loss of :func:`in_sample_losses` over the
+    collection, given the truth's values at the design points."""
+    fits = fits or fit_collection(sample, collection, signal_values)
+    losses = in_sample_losses(fits, signal_values)
     dims = np.array([f.model.dim for f in fits.fits], dtype=int)
     idx = _argmin_tie_smaller(losses, dims)
     trace = tuple(TraceEntry(int(d), float(fits.emp_risks[i]), 0.0, float(losses[i]))
@@ -478,35 +513,45 @@ def select_penvf(sample: RegressionSample, collection: ModelCollection,
 FOLD_METHODS = ("vfcv", "penvf")
 
 
-def select_methods(sample: RegressionSample, collection: ModelCollection, methods,
-                   folds: Optional[FoldScheme] = None,
-                   signal: Optional[TestSignal] = None) -> dict:
-    """Run the named methods on one sample: {method: outcome}, in the order asked.
+def select_methods(samples, collection: ModelCollection, methods,
+                   folds: Optional[FoldScheme] = None, signal_values=None) -> list:
+    """Run the named methods on a block of samples of one size: one
+    {method: outcome} dict per sample, in the order asked.
 
-    Methods are "oracle" (needs ``signal``), "sh", "cp", "vfcv" and
-    "penvf" (these two need ``folds``). The collection is fitted once, and
-    the fold fits are built once, only when a fold method is asked.
+    Methods are "oracle" (needs ``signal_values``, the truth's values at
+    each sample's design points), "sh", "cp", "vfcv" and "penvf" (these
+    two need ``folds``). The block's collection is fitted once, and its
+    fold fits are built once, only when a fold method is asked; the
+    selectors then run per sample.
     """
-    fits = fit_collection(sample, collection)
-    fold_fits = None
+    samples = tuple(samples)
+    truths = None if signal_values is None else tuple(signal_values)
+    fits = fit_collection(samples, collection, truths)
+    fold_fits = (None,) * len(samples)
     if any(m in FOLD_METHODS for m in methods):
         if folds is None:
             raise ValueError("2FCV and pen2F need a fold scheme")
-        fold_fits = fold_fitted(sample, collection, folds)
-    out = {}
-    for method in methods:
-        if method == "oracle":
-            if signal is None:
-                raise ValueError("oracle selection needs the true signal")
-            out[method] = oracle_select(sample, collection, signal, fits=fits)
-        elif method == "sh":
-            out[method] = select_sh(sample, collection, fits=fits)
-        elif method == "cp":
-            out[method] = select_cp(sample, collection, fits=fits)
-        elif method == "vfcv":
-            out[method] = select_vfcv(sample, collection, folds, fits=fits, fold_fits=fold_fits)
-        elif method == "penvf":
-            out[method] = select_penvf(sample, collection, folds, fits=fits, fold_fits=fold_fits)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        fold_fits = fold_fitted(samples, collection, folds)
+    out = []
+    for sample, sample_fits, sample_folds, truth in zip(samples, fits, fold_fits,
+                                                        truths or (None,) * len(samples)):
+        outcomes = {}
+        for method in methods:
+            if method == "oracle":
+                if truth is None:
+                    raise ValueError("oracle selection needs the true signal")
+                outcomes[method] = oracle_select(sample, collection, truth, fits=sample_fits)
+            elif method == "sh":
+                outcomes[method] = select_sh(sample, collection, fits=sample_fits)
+            elif method == "cp":
+                outcomes[method] = select_cp(sample, collection, fits=sample_fits)
+            elif method == "vfcv":
+                outcomes[method] = select_vfcv(sample, collection, folds, fits=sample_fits,
+                                               fold_fits=sample_folds)
+            elif method == "penvf":
+                outcomes[method] = select_penvf(sample, collection, folds, fits=sample_fits,
+                                                fold_fits=sample_folds)
+            else:
+                raise ValueError(f"unknown method {method!r}")
+        out.append(outcomes)
     return out

@@ -120,6 +120,12 @@ class TestHaarWeighted:
         g = phi.T @ phi / len(x)
         assert np.max(np.abs(g - np.eye(m.dim))) < 0.03
 
+    def test_density_below_c_min_rejected(self):
+        with pytest.raises(ValueError, match="below c_min"):
+            build_haar_weighted(2, density=lambda x: 0.5 + x, c_min=10.0)
+        # the density's infimum over [0, 1] is a valid bound
+        assert build_haar_weighted(2, density=lambda x: 0.5 + x, c_min=0.5).dim == 8
+
     def test_degenerate_density_rejected(self):
         spike = lambda x: np.where(np.abs(x - 0.9) < 1e-4, 1e4, 1e-13) + 0.0
         with pytest.raises(DegenerateCellError):

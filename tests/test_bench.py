@@ -38,8 +38,9 @@ class TestRunBench:
         coll = selection.wavelet_collection(64, transform.DB8)
         member = signals.TestSignal("Custom", lambda x: np.full_like(np.asarray(x, float), 0.4))
         zero = signals.NoiseScenario("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
-        out = bench._replicate(member, zero, 64, 5, coll, ("sh", "cp", "vfcv", "penvf"),
-                               selection.FoldScheme.interleaved(64, 2))
+        out, = bench._replicate_block([(member, zero, 5)], 64, coll,
+                                      ("sh", "cp", "vfcv", "penvf"),
+                                      selection.FoldScheme.interleaved(64, 2))
         assert all(v == 1.0 for v in out.values())
 
     def test_report_structure_and_determinism(self):
@@ -142,3 +143,68 @@ def test_normalize_flag_matters():
     a = run_bench(cfg_raw).cell("heavisine", "l1", 256, "cp").mean
     b = run_bench(cfg_norm).cell("heavisine", "l1", 256, "cp").mean
     assert a != b
+
+
+def _record_blocks(monkeypatch) -> list:
+    """Record the length of every block the bench runs."""
+    sizes = []
+    real = bench._replicate_block
+
+    def spy(jobs, *args):
+        sizes.append(len(jobs))
+        return real(jobs, *args)
+
+    monkeypatch.setattr(bench, "_replicate_block", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n, folds", [(256, 2), (1024, 2), (128, 3)])
+def test_report_bytes_do_not_depend_on_block_size(monkeypatch, n, folds):
+    # folds = 3 gives non-dyadic training sizes, so the fold fits take the
+    # Gram route per replication
+    cfg = BenchConfig(signals=("wave", "doppler"), noises=("l1",), sizes=(n,),
+                      methods=("sh", "cp", "vfcv", "penvf"), replications=5,
+                      base_seed=21, folds=folds, keep_ratios=True)
+    n_t = n - n // folds
+    per_rep = 2 * n + (n.bit_length() - 2) * n_t
+    sizes = _record_blocks(monkeypatch)
+    default = run_bench(cfg).to_json()
+    assert max(sizes) == min(10, bench._BLOCK_ELEMENTS // per_rep)
+    for budget, block in ((1, 1), (7 * per_rep, 7)):
+        sizes.clear()
+        monkeypatch.setattr(bench, "_BLOCK_ELEMENTS", budget)
+        assert run_bench(cfg).to_json() == default
+        # a block with a singular fold design reruns one replication at a time
+        assert max(sizes) == block
+
+
+def test_singular_design_fails_only_its_replication(monkeypatch):
+    from wavesel import selection
+    from wavesel.estimator import SingularDesignError
+    from wavesel.signals import derive_seed
+
+    cfg = BenchConfig(signals=("wave", "doppler"), noises=("h1",), sizes=(256,),
+                      methods=("sh", "cp", "vfcv", "penvf"), replications=8,
+                      base_seed=5, keep_ratios=True)
+    clean = run_bench(cfg)
+    # the third replication of the second cell, in the middle of the one block
+    bad = derive_seed(derive_seed(cfg.base_seed, 1), 2)
+    real = selection.fit_collection
+
+    def stub(samples, *args, **kwargs):
+        block = [samples] if isinstance(samples, selection.RegressionSample) else samples
+        if any(s.meta.seed == bad for s in block):
+            raise SingularDesignError("stubbed singular design")
+        return real(samples, *args, **kwargs)
+
+    monkeypatch.setattr(selection, "fit_collection", stub)
+    sizes = _record_blocks(monkeypatch)
+    stubbed = run_bench(cfg)
+    assert sizes[0] == 16  # the failing replication shared a block
+    for key, want in clean.cells.items():
+        got = stubbed.cells[key]
+        if key[0] == "doppler":
+            assert (got.n_ok, got.n_failed) == (7, 1)
+            assert got.ratios == want.ratios[:2] + want.ratios[3:]
+        else:
+            assert got == want

@@ -1,9 +1,10 @@
 """The shared nested pyramid against copies of the earlier per-caller code.
 
 Each reference below is the pyramid branch that ``fit_collection``,
-``fold_fitted``, ``bench._replicate`` and ``fit_ls`` carried before they
-all read one ``estimator.NestedPyramid``; the results must be the same
-floats, bit for bit. ``ref_replicate`` also keeps the bench's own loss
+``fold_fitted``, the bench's replication and ``fit_ls`` carried before
+they all read one ``estimator.NestedPyramid``; the results must be the
+same floats, bit for bit, also when the bench runs replications in a
+block (``bench._replicate_block``). ``ref_replicate`` also keeps the bench's own loss
 arithmetic and method dispatch from before both moved into
 ``selection.in_sample_losses`` and ``selection.select_methods``. The 2FCV and pen2F
 references are the per-model interpolation loops the two selectors ran
@@ -214,9 +215,10 @@ def test_replicate_matches_reference(name, n):
     signal, _, coll = _setup(name, n)
     methods = ("sh", "cp", "vfcv", "penvf")
     scheme = FoldScheme.interleaved(n, 2)
-    for r in range(3):
-        seed = derive_seed(11, r)
-        got = bench._replicate(signal, get_noise("h1"), n, seed, coll, methods, scheme)
+    seeds = [derive_seed(11, r) for r in range(3)]
+    block = bench._replicate_block([(signal, get_noise("h1"), seed) for seed in seeds],
+                                   n, coll, methods, scheme)
+    for seed, got in zip(seeds, block, strict=True):
         want = ref_replicate(signal, get_noise("h1"), n, seed, coll, methods, scheme)
         assert got == want
 

@@ -332,13 +332,13 @@ class TestOracle:
         member = TestSignal("Custom", lambda x: np.full_like(np.asarray(x, float), 0.33))
         sample = generate(member, ZERO_NOISE, 256, 4)
         coll = wavelet_collection(256, transform.DB8)
-        out = oracle_select(sample, coll, member)
+        out = oracle_select(sample, coll, member(sample.x))
         assert out.chosen_dim == 2
 
     def test_single_model_collection(self):
         coll = ModelCollection((bases.WaveletModel(transform.DB8, 2),))
         sample = generate(get_signal("wave"), get_noise("l1"), 64, 1)
-        out = oracle_select(sample, coll, get_signal("wave"))
+        out = oracle_select(sample, coll, get_signal("wave")(sample.x))
         assert out.chosen_dim == 8
 
     def test_oracle_concentrates_below_half_n(self):
@@ -347,7 +347,7 @@ class TestOracle:
         dims = []
         for r in range(20):
             sample = generate(sig, noi, 1024, derive_seed(31, r))
-            out = oracle_select(sample, coll, sig)
+            out = oracle_select(sample, coll, sig(sample.x))
             dims.append(out.chosen_dim)
         assert np.median(dims) < 512
 
@@ -359,12 +359,19 @@ class TestInSampleLosses:
         sig = get_signal("doppler")
         sample = generate(sig, get_noise("h1"), n, 17)
         coll = wavelet_collection(n, transform.get_filter(name))
-        fits = fit_collection(sample, coll)
+        fits = fit_collection(sample, coll, sig(sample.x))
         assert fits.pyramid is not None
         fitted = NestedPyramid.of(sample.y, fits.pyramid.h).fitted(coll.dims)
         want = np.mean((fitted - sig(sample.x)) ** 2, axis=1)
         got = in_sample_losses(fits, sig(sample.x))
         assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    def test_pyramid_route_needs_the_signal_analysis(self):
+        sig = get_signal("wave")
+        sample = generate(sig, get_noise("h1"), 64, 2)
+        fits = fit_collection(sample, wavelet_collection(64, transform.DB8))
+        with pytest.raises(ValueError, match="signal values"):
+            in_sample_losses(fits, sig(sample.x))
 
     def test_gram_route_is_design_value_formula(self):
         sig = get_signal("wave")
@@ -383,15 +390,16 @@ class TestSelectMethods:
         sample = generate(sig, get_noise("l2"), 256, 5)
         coll = wavelet_collection(256, transform.DB8)
         folds = FoldScheme.interleaved(256, 2)
-        fits = fit_collection(sample, coll)
+        fits = fit_collection(sample, coll, sig(sample.x))
         direct = {
             "penvf": select_penvf(sample, coll, folds, fits=fits),
-            "oracle": oracle_select(sample, coll, sig, fits=fits),
+            "oracle": oracle_select(sample, coll, sig(sample.x), fits=fits),
             "sh": select_sh(sample, coll, fits=fits),
             "vfcv": select_vfcv(sample, coll, folds, fits=fits),
             "cp": select_cp(sample, coll, fits=fits),
         }
-        got = select_methods(sample, coll, tuple(direct), folds=folds, signal=sig)
+        got, = select_methods([sample], coll, tuple(direct), folds=folds,
+                              signal_values=[sig(sample.x)])
         assert list(got) == list(direct)
         for method, outcome in direct.items():
             assert got[method].trace == outcome.trace
@@ -401,13 +409,36 @@ class TestSelectMethods:
     def test_fold_scheme_and_signal_only_when_needed(self):
         sample = generate(get_signal("wave"), get_noise("h1"), 64, 1)
         coll = wavelet_collection(64, transform.DB8)
-        assert list(select_methods(sample, coll, ("sh", "cp"))) == ["sh", "cp"]
+        got, = select_methods([sample], coll, ("sh", "cp"))
+        assert list(got) == ["sh", "cp"]
         with pytest.raises(ValueError, match="fold scheme"):
-            select_methods(sample, coll, ("vfcv",))
+            select_methods([sample], coll, ("vfcv",))
         with pytest.raises(ValueError, match="true signal"):
-            select_methods(sample, coll, ("oracle",))
+            select_methods([sample], coll, ("oracle",))
         with pytest.raises(ValueError, match="unknown method"):
-            select_methods(sample, coll, ("nope",))
+            select_methods([sample], coll, ("nope",))
+
+    @pytest.mark.parametrize("n, V, methods", [
+        (256, 2, ("oracle", "sh", "cp", "vfcv", "penvf")),
+        (64, 4, ("oracle", "sh", "vfcv", "penvf")),
+    ])
+    def test_block_gives_each_sample_its_own_outcomes(self, n, V, methods):
+        # a block of samples, with fold fits on the pyramid route (V = 2)
+        # and on the Gram route (V = 4 training sizes are not dyadic), gives
+        # each sample the outcomes of a block of one, bit for bit
+        coll = (wavelet_collection(n, transform.DB8) if V == 2 else
+                ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in (0, 1, 2))))
+        folds = FoldScheme.interleaved(n, V)
+        cases = [(get_signal(name), get_noise(noise), seed) for name, noise, seed in
+                 (("wave", "h1", 1), ("doppler", "l1", 2), ("spikes", "l2", 3))]
+        samples = [generate(sig, noi, n, seed) for sig, noi, seed in cases]
+        truths = [sig(s.x) for (sig, _, _), s in zip(cases, samples)]
+        block = select_methods(samples, coll, methods, folds=folds, signal_values=truths)
+        for sample, truth, got in zip(samples, truths, block, strict=True):
+            alone, = select_methods([sample], coll, methods, folds=folds,
+                                    signal_values=[truth])
+            for method in methods:
+                assert got[method].to_json() == alone[method].to_json()
 
 
 def test_outcome_serialization():
