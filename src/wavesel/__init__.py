@@ -10,5 +10,3 @@ experiments (:mod:`wavesel.concentration`), the oracle-ratio bench
 """
 
 __version__ = "0.1.0"
-
-SCHEMA_VERSION = 1

@@ -68,9 +68,9 @@ def reference_grid() -> np.ndarray:
     return g
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10, max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance ``tol``."""
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive Simpson quadrature with absolute tolerance 1e-10 and at
+    most 40 levels of bisection."""
 
     def simpson(lo, flo, hi, fhi, fmid):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
@@ -91,7 +91,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     fa, fb = float(f(a)), float(f(b))
     fm = float(f(0.5 * (a + b)))
     whole = simpson(a, fa, b, fb, fm)
-    return recurse(a, fa, b, fb, fm, whole, tol, max_depth)
+    return recurse(a, fa, b, fb, fm, whole, 1e-10, 40)
 
 
 class Model:

@@ -16,14 +16,13 @@ not depend on the block it ran in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from . import transform
-from .estimator import SingularDesignError
 from .selection import (FOLD_METHODS, FoldScheme, ModelCollection, select_methods,
                         wavelet_collection)
 from .signals import benchmark_signal, derive_seed, generate, get_noise, get_signal
@@ -50,7 +49,6 @@ class BenchConfig:
     replications: int
     base_seed: int
     basis: str = "db8"
-    folds: int = 2
     keep_ratios: bool = False
     normalize: bool = True
 
@@ -79,13 +77,20 @@ class BenchConfig:
             "replications": self.replications,
             "base_seed": self.base_seed,
             "basis": self.basis,
-            "folds": self.folds,
             "keep_ratios": self.keep_ratios,
             "normalize": self.normalize,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
+        # "jobs" and "folds" (always 2) are legacy keys: accepted, not kept
+        unknown = set(d) - {f.name for f in fields(cls)} - {"schema_version", "kind",
+                                                           "jobs", "folds"}
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        if d.get("folds", 2) != 2:
+            raise ValueError(f"folds must be 2, got {d['folds']!r}: 2FCV and pen2F fit "
+                             "their folds with the pyramid of the half sample")
         return cls(
             signals=tuple(d["signals"]),
             noises=tuple(d["noises"]),
@@ -94,7 +99,6 @@ class BenchConfig:
             replications=int(d["replications"]),
             base_seed=int(d["base_seed"]),
             basis=str(d.get("basis", "db8")),
-            folds=int(d.get("folds", 2)),
             keep_ratios=bool(d.get("keep_ratios", False)),
             normalize=bool(d.get("normalize", True)),
         )
@@ -194,17 +198,6 @@ def _replicate_block(jobs, n: int, collection: ModelCollection, methods,
     return out
 
 
-def _run_block(jobs, n, collection, methods, scheme) -> list:
-    """:func:`_replicate_block`, with None for a replication whose design
-    is singular: a failing block reruns one replication at a time."""
-    try:
-        return _replicate_block(jobs, n, collection, methods, scheme)
-    except SingularDesignError:
-        if len(jobs) == 1:
-            return [None]
-        return [r for job in jobs for r in _run_block([job], n, collection, methods, scheme)]
-
-
 def run_bench(config: BenchConfig) -> BenchReport:
     """Run every cell of the config, in blocks of replications per sample size."""
     filt = transform.get_filter(config.basis)
@@ -219,15 +212,15 @@ def run_bench(config: BenchConfig) -> BenchReport:
             (cell_index, (signal, noise, derive_seed(cell_seed, r)))
             for r in range(config.replications))
 
-    results = {}  # cell index -> per-replication ratios, None for a failure
+    results = {}  # cell index -> per-replication ratios
     for n, todo in jobs.items():
         collection = wavelet_collection(n, filt)
-        scheme = FoldScheme.interleaved(n, config.folds) if uses_folds else None
+        scheme = FoldScheme.interleaved(n, 2) if uses_folds else None
         size = _block_size(n, collection, scheme)
         for start in range(0, len(todo), size):
             block = todo[start:start + size]
-            ratios = _run_block([job for _, job in block], n, collection,
-                                config.methods, scheme)
+            ratios = _replicate_block([job for _, job in block], n, collection,
+                                      config.methods, scheme)
             for (cell_index, _), r in zip(block, ratios):
                 results.setdefault(cell_index, []).append(r)
 
@@ -235,7 +228,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
     for cell_index, (sig_name, noi_name, n) in enumerate(config.cells):
         for method in config.methods:
             ratios = np.array([r[method] for r in results[cell_index]
-                               if r is not None and np.isfinite(r[method])])
+                               if np.isfinite(r[method])])
             n_failed = config.replications - len(ratios)
             mean = float(np.mean(ratios)) if len(ratios) else np.nan
             stderr = (float(np.std(ratios, ddof=1) / np.sqrt(len(ratios)))
@@ -280,7 +273,7 @@ def emit_table(report: BenchReport, fmt: str = "markdown") -> str:
                  "|" + "|".join("---" for _ in header) + "|"]
         for (sig, noi, n), cells in rows:
             means = [c.mean if c is not None and np.isfinite(c.mean) else np.inf for c in cells]
-            best = int(np.argmin(means)) if cells else -1
+            best = int(np.argmin(means)) if np.any(np.isfinite(means)) else -1
             rendered = []
             for i, c in enumerate(cells):
                 text = _fmt(c)

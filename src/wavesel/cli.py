@@ -99,7 +99,7 @@ def _cmd_select(args) -> int:
         if not args.truth:
             raise ValueError("oracle selection needs --truth")
         truths = [_resolve_signal(args.truth, args.normalize)(sample.x)]
-    folds = (selection.FoldScheme.interleaved(sample.n, args.folds)
+    folds = (selection.FoldScheme.interleaved(sample.n, 2)
              if any(m in selection.FOLD_METHODS for m in methods) else None)
     outcomes, = selection.select_methods([sample], collection, methods, folds=folds,
                                          signal_values=truths)
@@ -141,7 +141,9 @@ def _cmd_certify(args) -> int:
 def _cmd_conc(args) -> int:
     signal = _resolve_signal(args.signal, args.normalize)
     noise = signals.get_noise(args.noise)
-    j_max = int(np.log2(args.dim)) - 1
+    if args.dim < 2 or args.dim & (args.dim - 1):
+        raise ValueError(f"--dim {args.dim} is not a power of two >= 2")
+    j_max = args.dim.bit_length() - 2
     model = bases.build_haar_weighted(j_max)
     report = concentration.run_concentration(signal, noise, model, args.n,
                                              args.reps, args.seed, n_mc=args.n_mc)
@@ -186,7 +188,9 @@ def _cmd_plot(args) -> int:
         tree = transform.CoefficientTree.from_dict(doc)
         text = svg.coefficients_svg(transform.flatten(tree))
     elif args.kind == "ratio-histogram":
-        text = svg.ratio_histogram_svg(np.asarray(doc.get("ratios_true", doc.get("ratios", [])), dtype=float))
+        if doc.get("kind") != "concentration_report":
+            raise ValueError("input file is not a concentration report")
+        text = svg.ratio_histogram_svg(np.asarray(doc["ratios_true"], dtype=float))
     else:
         raise ValueError(f"unknown plot kind {args.kind!r}")
     _write(args.out, text)
@@ -240,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("sh", "cp", "vfcv", "penvf", "oracle", "all"))
     sel.add_argument("--in", dest="input", required=True)
     sel.add_argument("--basis", default="db8", choices=_FILTERS)
-    sel.add_argument("--folds", type=int, default=2)
     sel.add_argument("--truth", choices=signals.SIGNAL_NAMES)
     sel.add_argument("--normalize", action="store_true")
     sel.add_argument("--svg")

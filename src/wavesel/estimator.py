@@ -59,10 +59,6 @@ class FitResult:
     method: str
     design_values: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.beta)
-
 
 @dataclass(frozen=True)
 class RiskReport:
@@ -283,11 +279,10 @@ def excess_risks(sample: RegressionSample, model, signal: TestSignal,
 class CmEstimate:
     value: float
     stderr: float
-    n_mc: int
 
 
 def compute_Cm(signal: TestSignal, noise: NoiseScenario, model,
-               n_mc: int = 100_000, seed: int = 0, n_batches: int = 50) -> CmEstimate:
+               n_mc: int = 100_000, seed: int = 0) -> CmEstimate:
     """Monte-Carlo estimate of sum_k Var((Y - s_m(X)) phi_k(X)) under the
     uniform design, with a batch standard error."""
     if n_mc < 10_000:
@@ -303,11 +298,12 @@ def compute_Cm(signal: TestSignal, noise: NoiseScenario, model,
     z *= resid[:, None]
 
     total = float(np.sum(np.var(z, axis=0, ddof=1)))
+    n_batches = 50
     batch = n_mc // n_batches
     vals = [float(np.sum(np.var(z[i * batch:(i + 1) * batch], axis=0, ddof=1)))
             for i in range(n_batches)]
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n_batches))
-    return CmEstimate(total, stderr, n_mc)
+    return CmEstimate(total, stderr)
 
 
 def epsilon_n(n: int, dim: int, L0: float = 1.0) -> float:

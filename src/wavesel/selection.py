@@ -207,11 +207,13 @@ def fold_fitted(samples, collection: ModelCollection, folds: FoldScheme) -> tupl
 
     ``samples`` is one sample, which gives its tuple of :class:`FoldFit`
     (one per fold), or a block of samples of one size, which gives one
-    such tuple per sample. On the pyramid route each fold analyses the
-    whole block's training responses in one call and synthesizes every
-    model of every sample in another. A fold fit predicts off its
-    training points by linear interpolation in x between its fitted
-    values, with constant extrapolation at the boundary.
+    such tuple per sample. A fold fit is the full-sample estimator on the
+    training block: each fold analyses the whole block's training
+    responses in one pyramid call and synthesizes every model of every
+    sample in another, so a training block the pyramid cannot serve
+    raises ``ValueError``. A fold fit predicts off its training points by
+    linear interpolation in x between its fitted values, with constant
+    extrapolation at the boundary.
     """
     if isinstance(samples, RegressionSample):
         return fold_fitted((samples,), collection, folds)[0]
@@ -227,17 +229,12 @@ def fold_fitted(samples, collection: ModelCollection, folds: FoldScheme) -> tupl
         if len(tr) == 0:
             raise FoldDegeneracyError(f"training set of fold {j + 1} is empty")
         h = pyramid_filter(collection.models, len(tr))
-        if h is not None:
-            pyramids = NestedPyramid.stack([s.y[tr] for s in samples], h)
-            fitted = NestedPyramid.fitted_stack(pyramids, dims)
-            risks = [[p.risk(d) for d in dims] for p in pyramids]
-        else:
-            fitted, risks = [], []
-            for sample in samples:
-                sub = RegressionSample(sample.x[tr], sample.y[tr], sample.meta)
-                fits = [fit_ls(sub, m, method="gram_exact") for m in collection]
-                fitted.append([f.design_values for f in fits])
-                risks.append([f.empirical_risk for f in fits])
+        if h is None:
+            raise ValueError(f"one pyramid cannot fit the collection on the {len(tr)} "
+                             f"training points of fold {j + 1}")
+        pyramids = NestedPyramid.stack([s.y[tr] for s in samples], h)
+        fitted = NestedPyramid.fitted_stack(pyramids, dims)
+        risks = [[p.risk(d) for d in dims] for p in pyramids]
         for sample, row, row_fitted, row_risks in zip(samples, out, fitted, risks):
             x_t = sample.x[tr]
             x_h = sample.x[held]
@@ -274,10 +271,6 @@ class PenaltyPath:
     shapes: np.ndarray
     risks: np.ndarray
     dims: np.ndarray
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.array([seg.alpha_lo for seg in self.segments[:-1]])
 
     def segment_at(self, alpha: float) -> PathSegment:
         """Path segment covering alpha; at a breakpoint the smaller dim wins."""

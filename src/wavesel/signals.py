@@ -68,7 +68,6 @@ class TestSignal:
 
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
-    smoothness_note: str = ""
 
     def __call__(self, x):
         return eval_signal(self, x)
@@ -88,10 +87,10 @@ class NoiseScenario:
 
 
 _SIGNALS = {
-    "wave": TestSignal("Wave", _wave, "smooth, two cosine frequencies"),
-    "heavisine": TestSignal("HeaviSine", _heavisine, "smooth with two jumps"),
-    "doppler": TestSignal("Doppler", _doppler, "chirp, spatially inhomogeneous"),
-    "spikes": TestSignal("Spikes", _spikes, "five narrow Gaussian peaks"),
+    "wave": TestSignal("Wave", _wave),                 # smooth, two cosine frequencies
+    "heavisine": TestSignal("HeaviSine", _heavisine),  # smooth with two jumps
+    "doppler": TestSignal("Doppler", _doppler),        # chirp, spatially inhomogeneous
+    "spikes": TestSignal("Spikes", _spikes),           # five narrow Gaussian peaks
 }
 
 _NOISES = {
@@ -243,8 +242,7 @@ def benchmark_signal(name: str) -> TestSignal:
     """The built-in signal rescaled to the common benchmark amplitude."""
     base = get_signal(name)
     c = benchmark_scale(name)
-    note = base.smoothness_note + "; benchmark scale %.6g" % c
-    return TestSignal(base.name, lambda x: c * np.asarray(base.eval(x), dtype=float), note)
+    return TestSignal(base.name, lambda x: c * np.asarray(base.eval(x), dtype=float))
 
 
 def derive_seed(base_seed: int, index: int) -> int:

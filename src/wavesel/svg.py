@@ -20,6 +20,8 @@ __all__ = [
 ]
 
 _MARGIN = 54.0
+_WIDTH = 640
+_HEIGHT = 420
 
 
 def _num(v: float) -> str:
@@ -27,48 +29,43 @@ def _num(v: float) -> str:
 
 
 class SvgCanvas:
-    def __init__(self, width: int = 640, height: int = 420, title: str = ""):
-        self.width = width
-        self.height = height
+    def __init__(self, title: str):
         self.title = title
         self.elements: list = []
 
-    def line(self, x1, y1, x2, y2, stroke="#333", width=1.0, cls=""):
+    def line(self, x1, y1, x2, y2, stroke="#333", cls=""):
         c = f' class="{cls}"' if cls else ""
         self.elements.append(
             f'<line{c} x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
-            f'stroke="{stroke}" stroke-width="{_num(width)}"/>')
+            f'stroke="{stroke}" stroke-width="1"/>')
 
-    def polyline(self, points, stroke="#1f77b4", width=1.5, cls=""):
+    def polyline(self, points, cls=""):
         pts = " ".join(f"{_num(x)},{_num(y)}" for x, y in points)
         c = f' class="{cls}"' if cls else ""
         self.elements.append(
-            f'<polyline{c} points="{pts}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_num(width)}"/>')
+            f'<polyline{c} points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
 
-    def circle(self, x, y, r=3.0, fill="#d62728", cls=""):
+    def circle(self, x, y, cls=""):
         c = f' class="{cls}"' if cls else ""
         self.elements.append(
-            f'<circle{c} cx="{_num(x)}" cy="{_num(y)}" r="{_num(r)}" fill="{fill}"/>')
+            f'<circle{c} cx="{_num(x)}" cy="{_num(y)}" r="3" fill="#d62728"/>')
 
-    def rect(self, x, y, w, h, fill="#1f77b4", cls=""):
+    def rect(self, x, y, w, h, cls=""):
         c = f' class="{cls}"' if cls else ""
         self.elements.append(
             f'<rect{c} x="{_num(x)}" y="{_num(y)}" width="{_num(w)}" height="{_num(h)}" '
-            f'fill="{fill}"/>')
+            'fill="#1f77b4"/>')
 
-    def text(self, x, y, content, size=11, anchor="middle", cls=""):
+    def text(self, x, y, content, anchor="middle", cls=""):
         c = f' class="{cls}"' if cls else ""
         self.elements.append(
-            f'<text{c} x="{_num(x)}" y="{_num(y)}" font-size="{size}" '
+            f'<text{c} x="{_num(x)}" y="{_num(y)}" font-size="11" '
             f'font-family="sans-serif" text-anchor="{anchor}">{content}</text>')
 
     def render(self) -> str:
-        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-                f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">')
-        parts = [head]
-        if self.title:
-            parts.append(f'<title>{self.title}</title>')
+        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+                f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">')
+        parts = [head, f'<title>{self.title}</title>']
         parts.extend(self.elements)
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
@@ -79,7 +76,6 @@ class _Axes:
 
     def __init__(self, canvas: SvgCanvas, x_range, y_range, logx=False, logy=False,
                  xlabel="", ylabel=""):
-        self.canvas = canvas
         self.logx = logx
         self.logy = logy
         self.x0, self.x1 = self._tr(x_range[0], logx), self._tr(x_range[1], logx)
@@ -88,11 +84,10 @@ class _Axes:
             self.x1 = self.x0 + 1.0
         if self.y1 == self.y0:
             self.y1 = self.y0 + 1.0
-        w, h = canvas.width, canvas.height
-        canvas.line(_MARGIN, h - _MARGIN, w - 12, h - _MARGIN, cls="axis")
-        canvas.line(_MARGIN, h - _MARGIN, _MARGIN, 12, cls="axis")
+        canvas.line(_MARGIN, _HEIGHT - _MARGIN, _WIDTH - 12, _HEIGHT - _MARGIN, cls="axis")
+        canvas.line(_MARGIN, _HEIGHT - _MARGIN, _MARGIN, 12, cls="axis")
         if xlabel:
-            canvas.text(w / 2, h - 12, xlabel, cls="axis-label")
+            canvas.text(_WIDTH / 2, _HEIGHT - 12, xlabel, cls="axis-label")
         if ylabel:
             canvas.text(16, 24, ylabel, anchor="start", cls="axis-label")
 
@@ -102,47 +97,39 @@ class _Axes:
 
     def px(self, x):
         t = (self._tr(x, self.logx) - self.x0) / (self.x1 - self.x0)
-        return _MARGIN + t * (self.canvas.width - _MARGIN - 12)
+        return _MARGIN + t * (_WIDTH - _MARGIN - 12)
 
     def py(self, y):
         t = (self._tr(y, self.logy) - self.y0) / (self.y1 - self.y0)
-        return (self.canvas.height - _MARGIN) - t * (self.canvas.height - _MARGIN - 12)
+        return (_HEIGHT - _MARGIN) - t * (_HEIGHT - _MARGIN - 12)
 
 
-def risk_curve_svg(dims, criteria, chosen_dim=None, extra=None, title="criterion vs dimension") -> str:
-    """Log-log criterion against dimension; optional second curve and marker."""
-    canvas = SvgCanvas(title=title)
+def risk_curve_svg(dims, criteria, chosen_dim=None) -> str:
+    """Log-log criterion against dimension, with a marker at the chosen one."""
+    canvas = SvgCanvas("criterion vs dimension")
     dims = np.asarray(dims, dtype=float)
     if len(dims) == 0:
         _Axes(canvas, (1.0, 10.0), (0.1, 1.0), xlabel="dimension", ylabel="criterion")
         return canvas.render()
-    series = [np.asarray(criteria, dtype=float)]
-    if extra is not None:
-        series.append(np.asarray(extra, dtype=float))
-    positive = [s[s > 0].min() for s in series if np.any(s > 0)]
-    floor = 0.5 * min(positive) if positive else 1e-12
-    plotted = [np.maximum(s, floor) for s in series]
-    lo = min(s.min() for s in plotted)
-    hi = max(s.max() for s in plotted)
-    ax = _Axes(canvas, (dims.min(), dims.max()), (lo, hi), logx=True, logy=True,
-               xlabel="dimension", ylabel="criterion")
-    colors = ("#1f77b4", "#7f7f7f")
-    for s, color in zip(plotted, colors):
-        ax.canvas.polyline([(ax.px(d), ax.py(v)) for d, v in zip(dims, s)],
-                           stroke=color, cls="curve")
+    crit = np.asarray(criteria, dtype=float)
+    floor = 0.5 * crit[crit > 0].min() if np.any(crit > 0) else 1e-12
+    plotted = np.maximum(crit, floor)
+    ax = _Axes(canvas, (dims.min(), dims.max()), (plotted.min(), plotted.max()),
+               logx=True, logy=True, xlabel="dimension", ylabel="criterion")
+    canvas.polyline([(ax.px(d), ax.py(v)) for d, v in zip(dims, plotted)], cls="curve")
     if chosen_dim is not None:
         i = int(np.argmin(np.abs(dims - chosen_dim)))
-        canvas.circle(ax.px(dims[i]), ax.py(plotted[0][i]), cls="chosen")
+        canvas.circle(ax.px(dims[i]), ax.py(plotted[i]), cls="chosen")
     return canvas.render()
 
 
-def dimension_jump_svg(segments, alpha_min=None, title="dimension jump") -> str:
+def dimension_jump_svg(segments, alpha_min=None) -> str:
     """Staircase of selected dimension against the penalty level alpha.
 
     ``segments`` holds (alpha_lo, alpha_hi, dim) tuples ordered by
     decreasing alpha, as produced by the exact penalty path.
     """
-    canvas = SvgCanvas(title=title)
+    canvas = SvgCanvas("dimension jump")
     segs = list(segments)
     if not segs:
         _Axes(canvas, (1e-3, 1.0), (1.0, 2.0), logx=True, logy=True,
@@ -161,7 +148,7 @@ def dimension_jump_svg(segments, alpha_min=None, title="dimension jump") -> str:
         left = max(lo, lo_alpha)
         pts.append((ax.px(right), ax.py(dim)))
         pts.append((ax.px(left), ax.py(dim)))
-    canvas.polyline(pts, stroke="#1f77b4", cls="staircase")
+    canvas.polyline(pts, cls="staircase")
     if alpha_min is not None and alpha_min > 0:
         canvas.line(ax.px(alpha_min), ax.py(max(dims)), ax.px(alpha_min), ax.py(min(dims)),
                     stroke="#d62728", cls="alpha-min")
@@ -169,9 +156,9 @@ def dimension_jump_svg(segments, alpha_min=None, title="dimension jump") -> str:
     return canvas.render()
 
 
-def coefficients_svg(values, title="pyramid coefficients") -> str:
+def coefficients_svg(values) -> str:
     """Stem plot of flattened coefficients by index."""
-    canvas = SvgCanvas(title=title)
+    canvas = SvgCanvas("pyramid coefficients")
     v = np.asarray(values, dtype=float)
     if len(v) == 0:
         _Axes(canvas, (0.0, 1.0), (-1.0, 1.0), xlabel="index", ylabel="coefficient")
@@ -186,13 +173,13 @@ def coefficients_svg(values, title="pyramid coefficients") -> str:
     return canvas.render()
 
 
-def ratio_histogram_svg(ratios, bins: int = 24, title="ratio histogram") -> str:
-    canvas = SvgCanvas(title=title)
+def ratio_histogram_svg(ratios) -> str:
+    canvas = SvgCanvas("ratio histogram")
     r = np.asarray(ratios, dtype=float)
     if len(r) == 0:
         _Axes(canvas, (0.0, 1.0), (0.0, 1.0), xlabel="ratio", ylabel="count")
         return canvas.render()
-    counts, edges = np.histogram(r, bins=bins)
+    counts, edges = np.histogram(r, bins=24)
     ax = _Axes(canvas, (edges[0], edges[-1]), (0, max(counts.max(), 1)),
                xlabel="ratio", ylabel="count")
     y0 = ax.py(0)

@@ -82,18 +82,18 @@ def get_filter(name: str) -> np.ndarray:
     return h
 
 
-def validate_filter(h, tol: float = 1e-12) -> np.ndarray:
-    """Check sum(h) = sqrt(2) and double-shift orthonormality."""
+def validate_filter(h) -> np.ndarray:
+    """Check sum(h) = sqrt(2) and double-shift orthonormality, to 1e-12."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or len(h) < 2 or len(h) % 2 != 0:
         raise InvalidFilterError("scaling filter must be 1-d with even length >= 2")
-    if abs(h.sum() - np.sqrt(2.0)) > tol:
+    if abs(h.sum() - np.sqrt(2.0)) > 1e-12:
         raise InvalidFilterError(f"sum of taps is {h.sum()!r}, not sqrt(2)")
     L = len(h)
     for m in range(L // 2):
         target = 1.0 if m == 0 else 0.0
         got = float(np.dot(h[2 * m:], h[: L - 2 * m]))
-        if abs(got - target) > tol:
+        if abs(got - target) > 1e-12:
             raise InvalidFilterError(f"double-shift orthonormality fails at shift {m}: {got!r}")
     return h
 

@@ -25,8 +25,19 @@ class TestConfig:
         cfg = small_config(methods=("sh", "cp", "vfcv", "penvf"))
         clone = BenchConfig.from_json(cfg.to_json())
         assert clone == cfg
-        # configs written when the bench recorded a worker count still load
-        assert BenchConfig.from_dict({**cfg.to_dict(), "jobs": 4}) == cfg
+        # configs written when the bench recorded a worker count or a fold
+        # count (always 2) still load
+        assert BenchConfig.from_dict({**cfg.to_dict(), "jobs": 4, "folds": 2}) == cfg
+
+    def test_other_fold_counts_rejected(self):
+        with pytest.raises(ValueError, match="folds must be 2"):
+            BenchConfig.from_dict({**small_config().to_dict(), "folds": 3})
+
+    def test_unknown_keys_rejected(self):
+        # a misspelled key must not run silently with the default
+        doc = {**small_config().to_dict(), "keep_ratio": True, "normalise": False}
+        with pytest.raises(ValueError, match=r"\['keep_ratio', 'normalise'\]"):
+            BenchConfig.from_dict(doc)
 
 
 class TestRunBench:
@@ -112,6 +123,13 @@ class TestEmitTable:
         line = [l for l in emit_table(rep, "markdown").splitlines() if "wave | l1 | 256" in l][0]
         assert "**1.000" in line
 
+    def test_markdown_bolds_nothing_in_a_failed_row(self):
+        cfg = small_config()
+        failed = CellResult(np.nan, np.nan, 0, 8, True)
+        rep = BenchReport(cfg, {("wave", "h1", 256, "sh"): failed,
+                                ("wave", "h1", 256, "cp"): failed})
+        assert emit_table(rep, "markdown").splitlines()[-1] == "| wave | h1 | 256 | failed | failed |"
+
     def test_column_order(self):
         rep = self._fake_report()
         header = emit_table(rep, "csv").splitlines()[1]
@@ -158,13 +176,11 @@ def _record_blocks(monkeypatch) -> list:
     return sizes
 
 
-@pytest.mark.parametrize("n, folds", [(256, 2), (1024, 2), (128, 3)])
+@pytest.mark.parametrize("n, folds", [(256, 2), (1024, 2)])
 def test_report_bytes_do_not_depend_on_block_size(monkeypatch, n, folds):
-    # folds = 3 gives non-dyadic training sizes, so the fold fits take the
-    # Gram route per replication
     cfg = BenchConfig(signals=("wave", "doppler"), noises=("l1",), sizes=(n,),
                       methods=("sh", "cp", "vfcv", "penvf"), replications=5,
-                      base_seed=21, folds=folds, keep_ratios=True)
+                      base_seed=21, keep_ratios=True)
     n_t = n - n // folds
     per_rep = 2 * n + (n.bit_length() - 2) * n_t
     sizes = _record_blocks(monkeypatch)
@@ -174,37 +190,5 @@ def test_report_bytes_do_not_depend_on_block_size(monkeypatch, n, folds):
         sizes.clear()
         monkeypatch.setattr(bench, "_BLOCK_ELEMENTS", budget)
         assert run_bench(cfg).to_json() == default
-        # a block with a singular fold design reruns one replication at a time
         assert max(sizes) == block
 
-
-def test_singular_design_fails_only_its_replication(monkeypatch):
-    from wavesel import selection
-    from wavesel.estimator import SingularDesignError
-    from wavesel.signals import derive_seed
-
-    cfg = BenchConfig(signals=("wave", "doppler"), noises=("h1",), sizes=(256,),
-                      methods=("sh", "cp", "vfcv", "penvf"), replications=8,
-                      base_seed=5, keep_ratios=True)
-    clean = run_bench(cfg)
-    # the third replication of the second cell, in the middle of the one block
-    bad = derive_seed(derive_seed(cfg.base_seed, 1), 2)
-    real = selection.fit_collection
-
-    def stub(samples, *args, **kwargs):
-        block = [samples] if isinstance(samples, selection.RegressionSample) else samples
-        if any(s.meta.seed == bad for s in block):
-            raise SingularDesignError("stubbed singular design")
-        return real(samples, *args, **kwargs)
-
-    monkeypatch.setattr(selection, "fit_collection", stub)
-    sizes = _record_blocks(monkeypatch)
-    stubbed = run_bench(cfg)
-    assert sizes[0] == 16  # the failing replication shared a block
-    for key, want in clean.cells.items():
-        got = stubbed.cells[key]
-        if key[0] == "doppler":
-            assert (got.n_ok, got.n_failed) == (7, 1)
-            assert got.ratios == want.ratios[:2] + want.ratios[3:]
-        else:
-            assert got == want

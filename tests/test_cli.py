@@ -132,6 +132,15 @@ class TestBench:
         run(["bench", "--config", cfg, "--out", out])
         assert read(out).startswith("| signal | noise | n | SH | Cp |")
 
+    def test_three_folds_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(read(self._config(tmp_path))), "folds": 3}))
+        out = tmp_path / "t.csv"
+        assert run(["bench", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "ValueError" and "folds must be 2" in doc["message"]
+
 
 class TestPlot:
     def test_risk_curve_from_select(self, tmp_path, sample_csv):
@@ -172,6 +181,15 @@ class TestPlot:
         assert run(["plot", "--kind", "dimension-jump", "--in", path, "--out", out]) == 0
         assert 'class="staircase"' in read(out)
 
+    def test_ratio_histogram_needs_concentration_report(self, tmp_path, sample_csv, capsys):
+        sel = tmp_path / "sel.json"
+        run(["select", "--method", "cp", "--in", sample_csv, "--out", sel])
+        out = tmp_path / "h.svg"
+        assert run(["plot", "--kind", "ratio-histogram", "--in", sel, "--out", out]) == 1
+        assert not out.exists()
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "ValueError" and "concentration report" in doc["message"]
+
     def test_coefficients_plot(self, tmp_path, sample_csv):
         fit_csv, coef = tmp_path / "f.csv", tmp_path / "c.json"
         run(["fit", "--in", sample_csv, "--truth", "wave", "--out", fit_csv,
@@ -208,6 +226,21 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["select", "--method", "bogus", "--in", "x", "--out", "y"])
         assert exc.value.code == 2
+
+    def test_select_has_no_folds_flag(self, capsys):
+        # 2FCV and pen2F always use two folds
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["select", "--folds", "2", "--in", "x", "--out", "y"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("dim", [48, 0])
+    def test_conc_dim_not_a_power_of_two(self, tmp_path, capsys, dim):
+        # 48 used to run a 32-dimensional model, and 0 overflowed
+        out = tmp_path / "conc.json"
+        assert run(["conc", "--n", 256, "--dim", dim, "--out", out]) == 1
+        assert not out.exists()
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "ValueError" and f"--dim {dim}" in doc["message"]
 
     def test_runtime_error_exit_1_json_stderr(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

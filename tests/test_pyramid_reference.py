@@ -10,8 +10,7 @@ arithmetic and method dispatch from before both moved into
 references are the per-model interpolation loops the two selectors ran
 before both read the fold risks of ``fold_fitted``: 2FCV must match bit
 for bit, and pen2F, now computed from an identity, to rounding. They read
-the training indices and fitted values of ``ref_fold_fitted``, which also
-keeps the Gram branch ``fold_fitted`` takes off the pyramid route.
+the training indices and fitted values of ``ref_fold_fitted``.
 """
 
 from dataclasses import dataclass
@@ -19,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from wavesel import bases, bench, transform
-from wavesel.estimator import FitResult, fit_ls, pyramid_filter
-from wavesel.selection import (FittedCollection, FoldScheme, ModelCollection,
-                               fit_collection, fold_fitted, select_cp, select_penvf,
-                               select_sh, select_vfcv, wavelet_collection)
-from wavesel.signals import RegressionSample, benchmark_signal, derive_seed, generate, get_noise
+from wavesel import bench, transform
+from wavesel.estimator import FitResult, fit_ls
+from wavesel.selection import (FittedCollection, FoldScheme, fit_collection, fold_fitted,
+                               select_cp, select_penvf, select_sh, select_vfcv,
+                               wavelet_collection)
+from wavesel.signals import benchmark_signal, derive_seed, generate, get_noise
 
 CASES = [(name, n) for name in ("haar", "db8") for n in (256, 1024)]
 
@@ -62,19 +61,13 @@ def ref_fold_fitted(sample, collection, folds):
         y_t = sample.y[tr]
         n_t = len(tr)
         dims = collection.dims
-        if pyramid_filter(collection.models, n_t) is not None:
-            h = collection.models[0].h
-            coeffs = transform.analyze_flat(y_t, h)
-            energy = float(np.dot(y_t, y_t))
-            csum = np.cumsum(coeffs ** 2)
-            kept = np.where(np.arange(n_t) < dims[:, None], coeffs, 0.0)
-            fitted = list(transform.synthesize_flat(kept, h))
-            risks = [max((energy - csum[d - 1]) / n_t, 0.0) for d in dims]
-        else:
-            sub = RegressionSample(x_t, y_t, sample.meta)
-            fits = [fit_ls(sub, m, method="gram_exact") for m in collection]
-            fitted = [f.design_values for f in fits]
-            risks = [f.empirical_risk for f in fits]
+        h = collection.models[0].h
+        coeffs = transform.analyze_flat(y_t, h)
+        energy = float(np.dot(y_t, y_t))
+        csum = np.cumsum(coeffs ** 2)
+        kept = np.where(np.arange(n_t) < dims[:, None], coeffs, 0.0)
+        fitted = list(transform.synthesize_flat(kept, h))
+        risks = [max((energy - csum[d - 1]) / n_t, 0.0) for d in dims]
         held = folds.heldout(j)
         x_h = sample.x[held]
         y_h = sample.y[held]
@@ -183,7 +176,10 @@ def test_fold_fitted_matches_reference(name, n):
         assert np.array_equal(g.heldout_risks, w.heldout_risks)
 
 
-def _assert_fold_selectors_match(sample, coll, folds):
+@pytest.mark.parametrize("name, n", CASES)
+def test_fold_selectors_match_reference(name, n):
+    _, sample, coll = _setup(name, n)
+    folds = FoldScheme.interleaved(n, 2)
     fits = fit_collection(sample, coll)
     fold_fits = fold_fitted(sample, coll, folds)
     ref_fold_fits = ref_fold_fitted(sample, coll, folds)
@@ -195,19 +191,6 @@ def _assert_fold_selectors_match(sample, coll, folds):
     got = select_penvf(sample, coll, folds, fits=fits, fold_fits=fold_fits)
     assert np.max(np.abs(np.array([t.penalty for t in got.trace]) - pen)) <= 1e-10 * np.max(np.abs(pen))
     assert got.chosen_index == idx
-
-
-@pytest.mark.parametrize("name, n", CASES)
-def test_fold_selectors_match_reference(name, n):
-    _, sample, coll = _setup(name, n)
-    _assert_fold_selectors_match(sample, coll, FoldScheme.interleaved(n, 2))
-
-
-def test_fold_selectors_match_reference_gram_route():
-    # V = 4 gives training blocks of 48 points, off the pyramid route
-    sample = generate(benchmark_signal("wave"), get_noise("h1"), 64, 3)
-    coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in (0, 1, 2)))
-    _assert_fold_selectors_match(sample, coll, FoldScheme.interleaved(64, 4))
 
 
 @pytest.mark.parametrize("name, n", CASES)
