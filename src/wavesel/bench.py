@@ -25,7 +25,7 @@ import numpy as np
 from . import transform
 from .selection import (FOLD_METHODS, FoldScheme, ModelCollection, select_methods,
                         wavelet_collection)
-from .signals import benchmark_signal, derive_seed, generate, get_noise, get_signal
+from .signals import _draw, benchmark_signal, derive_seed, get_noise, get_signal
 
 __all__ = [
     "METHOD_LABELS",
@@ -38,6 +38,19 @@ __all__ = [
 
 METHOD_LABELS = {"sh": "SH", "cp": "Cp", "vfcv": "2FCV", "penvf": "pen2F"}
 METHOD_ORDER = ("sh", "cp", "vfcv", "penvf")
+
+
+# the JSON type of each config value; [t] is a list of t
+_JSON_TYPES = {"signals": [str], "noises": [str], "methods": [str], "sizes": [int],
+               "replications": int, "base_seed": int, "basis": str,
+               "keep_ratios": bool, "normalize": bool}
+
+
+def _has_json_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_json_type(v, kind[0]) for v in value)
+    # bool is a subclass of int, but true is not a count
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -91,16 +104,21 @@ class BenchConfig:
         if d.get("folds", 2) != 2:
             raise ValueError(f"folds must be 2, got {d['folds']!r}: 2FCV and pen2F fit "
                              "their folds with the pyramid of the half sample")
+        for key, kind in _JSON_TYPES.items():
+            if key in d and not _has_json_type(d[key], kind):
+                expected = (f"a list of {kind[0].__name__}" if isinstance(kind, list)
+                            else kind.__name__)
+                raise ValueError(f"config key {key!r} must be {expected}, got {d[key]!r}")
         return cls(
             signals=tuple(d["signals"]),
             noises=tuple(d["noises"]),
-            sizes=tuple(int(v) for v in d["sizes"]),
+            sizes=tuple(d["sizes"]),
             methods=tuple(d.get("methods", METHOD_ORDER)),
-            replications=int(d["replications"]),
-            base_seed=int(d["base_seed"]),
-            basis=str(d.get("basis", "db8")),
-            keep_ratios=bool(d.get("keep_ratios", False)),
-            normalize=bool(d.get("normalize", True)),
+            replications=d["replications"],
+            base_seed=d["base_seed"],
+            basis=d.get("basis", "db8"),
+            keep_ratios=d.get("keep_ratios", False),
+            normalize=d.get("normalize", True),
         )
 
     @classmethod
@@ -159,15 +177,20 @@ class BenchReport:
         return cls(config, cells)
 
 
-# elements of working memory one block may hold: a replication costs 2n for
-# the analysis of its response and truth, plus models * n_t for its fold
-# synthesis when a fold method runs
-_BLOCK_ELEMENTS = 1 << 16
+# float64 elements of working memory one block may hold (3.25 MiB). Per
+# replication, tracemalloc measures about 13n while the block's responses
+# and truths are analysed, and about 8n + 5/2 models * n_t while a fold is
+# fitted: the samples and their pyramids, plus every model's fitted values
+# on the training half and the scratch of their prefix synthesis
+_BLOCK_ELEMENTS = 13 << 15
 
 
 def _block_size(n: int, collection: ModelCollection, scheme: Optional[FoldScheme]) -> int:
-    n_t = 0 if scheme is None else max(n - len(scheme.heldout(j)) for j in range(scheme.V))
-    return max(1, _BLOCK_ELEMENTS // (2 * n + len(collection) * n_t))
+    held = 13 * n
+    if scheme is not None:
+        n_t = max(n - len(scheme.heldout(j)) for j in range(scheme.V))
+        held = max(held, 8 * n + 5 * len(collection) * n_t // 2)
+    return max(1, _BLOCK_ELEMENTS // held)
 
 
 def _replicate_block(jobs, n: int, collection: ModelCollection, methods,
@@ -179,8 +202,7 @@ def _replicate_block(jobs, n: int, collection: ModelCollection, methods,
     points (:func:`selection.in_sample_losses`), so every ratio is at
     least 1.
     """
-    samples = [generate(signal, noise, n, seed) for signal, noise, seed in jobs]
-    truths = [signal(sample.x) for (signal, _, _), sample in zip(jobs, samples)]
+    samples, truths = zip(*(_draw(signal, noise, n, seed) for signal, noise, seed in jobs))
     out = []
     for outcomes in select_methods(samples, collection, ("oracle", *methods),
                                    folds=scheme, signal_values=truths):

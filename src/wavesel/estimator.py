@@ -128,11 +128,10 @@ class NestedPyramid:
     @staticmethod
     def fitted_stack(pyramids, dims) -> np.ndarray:
         """(len(pyramids), len(dims), n) fitted values of pyramids of one
-        filter and length, from one batched synthesis."""
+        filter and length, from one prefix synthesis of their stacked
+        coefficients (dims are increasing powers of two)."""
         coeffs = np.stack([p.coeffs for p in pyramids])
-        kept = np.where(np.arange(coeffs.shape[-1]) < np.asarray(dims)[:, None],
-                        coeffs[:, None, :], 0.0)
-        return transform.synthesize_flat(kept, pyramids[0].h)
+        return transform.synthesize_prefixes(coeffs, dims, pyramids[0].h)
 
 
 def design_matrix(sample: RegressionSample, model) -> np.ndarray:

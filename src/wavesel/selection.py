@@ -201,6 +201,46 @@ class FoldFit:
     heldout_risks: np.ndarray  # CV_j: per-model risk on the held-out block
 
 
+def _heldout_risks(fitted: np.ndarray, x_t: np.ndarray, x_h: np.ndarray, y_h: np.ndarray,
+                   k: np.ndarray) -> np.ndarray:
+    """Mean squared held-out error of each row of ``fitted`` (models, n_t).
+
+    Each row predicts as ``np.interp(x_h, x_t, row)``, in its operation
+    order: inside its training bracket k, x_t[k] < x_h < x_t[k + 1], the
+    slope (f[k+1] - f[k]) / (x_t[k+1] - x_t[k]) times (x_h - x_t[k]) plus
+    f[k]; f[0] before the training points (k = -1) and f[-1] after them
+    (k = n_t - 1). The predictions are built in one C-ordered array, so
+    each row's mean sums pairwise as the mean of one vector does.
+    """
+    lo, hi = np.searchsorted(k, [0, len(x_t) - 1])
+    kc = k[lo:hi]
+    pred = np.empty((len(fitted), len(x_h)))
+    inner = pred[:, lo:hi]
+    f_k = np.take(fitted, kc, axis=-1)
+    np.subtract(np.take(fitted, kc + 1, axis=-1), f_k, out=inner)
+    inner /= x_t[kc + 1] - x_t[kc]
+    inner *= x_h[lo:hi] - x_t[kc]
+    inner += f_k
+    pred[:, :lo] = fitted[:, :1]
+    pred[:, hi:] = fitted[:, -1:]
+    pred -= y_h
+    np.square(pred, out=pred)
+    return pred.mean(axis=-1)
+
+
+def _fold_fits(samples, tr: np.ndarray, held: np.ndarray, h: np.ndarray, dims) -> list:
+    """The :class:`FoldFit` of each sample on one fold, from one analysis
+    and one prefix synthesis of the block's training responses. The fitted
+    values live only for the call, so one fold's are freed before the next
+    fold's synthesis (the bench sizes its blocks by that peak)."""
+    k = np.searchsorted(tr, held) - 1
+    pyramids = NestedPyramid.stack([s.y[tr] for s in samples], h)
+    fitted = NestedPyramid.fitted_stack(pyramids, dims)
+    return [FoldFit(np.array([p.risk(d) for d in dims]),
+                    _heldout_risks(f, s.x[tr], s.x[held], s.y[held], k))
+            for s, p, f in zip(samples, pyramids, fitted)]
+
+
 def fold_fitted(samples, collection: ModelCollection, folds: FoldScheme) -> tuple:
     """Per-fold training and held-out risks of every model (shared by
     2FCV and pen2F).
@@ -213,7 +253,9 @@ def fold_fitted(samples, collection: ModelCollection, folds: FoldScheme) -> tupl
     sample in another, so a training block the pyramid cannot serve
     raises ``ValueError``. A fold fit predicts off its training points by
     linear interpolation in x between its fitted values, with constant
-    extrapolation at the boundary.
+    extrapolation at the boundary. Since x strictly increases, a held-out
+    point's bracket of training points is fixed by the ranks alone, once
+    per fold for every sample.
     """
     if isinstance(samples, RegressionSample):
         return fold_fitted((samples,), collection, folds)[0]
@@ -232,16 +274,8 @@ def fold_fitted(samples, collection: ModelCollection, folds: FoldScheme) -> tupl
         if h is None:
             raise ValueError(f"one pyramid cannot fit the collection on the {len(tr)} "
                              f"training points of fold {j + 1}")
-        pyramids = NestedPyramid.stack([s.y[tr] for s in samples], h)
-        fitted = NestedPyramid.fitted_stack(pyramids, dims)
-        risks = [[p.risk(d) for d in dims] for p in pyramids]
-        for sample, row, row_fitted, row_risks in zip(samples, out, fitted, risks):
-            x_t = sample.x[tr]
-            x_h = sample.x[held]
-            y_h = sample.y[held]
-            cv = [float(np.mean((y_h - np.interp(x_h, x_t, values)) ** 2))
-                  for values in row_fitted]
-            row.append(FoldFit(np.array(row_risks), np.array(cv)))
+        for row, fit in zip(out, _fold_fits(samples, tr, held, h, dims)):
+            row.append(fit)
     return tuple(tuple(row) for row in out)
 
 

@@ -267,20 +267,31 @@ def generate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int) -> Reg
     independent of the design. Identical arguments give bit-identical
     output.
     """
+    return _draw(signal, noise, n, seed)[0]
+
+
+def _draw(signal: TestSignal, noise: NoiseScenario, n: int, seed: int) -> tuple:
+    """The sample of :func:`generate` and the signal's values at its design
+    points, from the one evaluation that builds y."""
     rng = _rng(seed)
-    x = rng.random(n)
+    u = rng.random(n)
     eps = rng.standard_normal(n)
-    order = np.argsort(x, kind="stable")
-    x = x[order]
-    eps = eps[order]
-    if np.any(np.diff(x) <= 0):
+    # distinct keys have exactly one sorting permutation, so any sort pairs
+    # x and eps as the stable sort does; only a tie needs the stable sort
+    order = np.argsort(u)
+    x = u[order]
+    if np.any(x[1:] == x[:-1]):
+        order = np.argsort(u, kind="stable")
+        x = u[order]
         # ties are a probability-zero event; nudge upward by one ulp to keep
         # the design strictly increasing without changing the joint pairing
         for i in range(1, n):
             if x[i] <= x[i - 1]:
                 x[i] = np.nextafter(x[i - 1], 1.0)
-    y = eval_signal(signal, x) + np.asarray(noise.sigma(x), dtype=float) * eps
+    eps = eps[order]
+    values = eval_signal(signal, x)
+    y = values + np.asarray(noise.sigma(x), dtype=float) * eps
     meta = SampleMeta(signal.name.lower(), noise.name.lower(), n, int(seed))
     x.setflags(write=False)
     y.setflags(write=False)
-    return RegressionSample(x, y, meta)
+    return RegressionSample(x, y, meta), values

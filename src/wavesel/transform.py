@@ -9,8 +9,10 @@ exact transpose. Both work along the last axis, so any leading batch
 axes are transformed in one call, and each output element accumulates
 its filter taps in the same order whatever the batch shape: a batched
 call returns the same floats, bit for bit, as one call per row.
-``analyze`` and ``synthesize`` wrap them for a single
-:class:`CoefficientTree`.
+``synthesize_prefixes`` synthesizes every dyadic prefix of the
+coefficients (each nested model's fit) in one pass, with the same floats
+as ``synthesize_flat`` of each truncation. ``analyze`` and
+``synthesize`` wrap the flat kernels for a single :class:`CoefficientTree`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "synthesize",
     "analyze_flat",
     "synthesize_flat",
+    "synthesize_prefixes",
     "flatten",
     "unflatten",
 ]
@@ -134,20 +137,28 @@ def _analyze_step(a: np.ndarray, hg: np.ndarray):
     return out[..., 0, :], out[..., 1, :]
 
 
-def _synthesize_step(approx: np.ndarray, detail: np.ndarray, hg: np.ndarray) -> np.ndarray:
-    # input j feeds output (2j + k) % n = 2 * ((j + k // 2) % half) + k % 2,
-    # so taps 2m and 2m + 1 add to position (j + m) % half of the two
-    # parity planes; each output still receives its taps in increasing k
-    half = approx.shape[-1]
-    out = np.zeros((2,) + approx.shape)
+def _synthesize_step(rows: np.ndarray, detail, hg: np.ndarray) -> np.ndarray:
+    # rows (..., k, half) -> (..., k, 2 * half). Tap 2m + r of input j adds
+    # to output 2 * ((j + m) % half) + r: parity r of a (..., half, 2)
+    # output, whose reshape interleaves the parities, at position
+    # (j + m) % half. Each output receives its taps in increasing order.
+    # Every row takes the h taps; the last row also takes ``detail``
+    # through the g taps, added to its h terms before they accumulate. With
+    # no detail (None) the g taps are skipped: a zero detail would add only
+    # signed zeros, and the accumulator starts at +0, so the sums are the same
+    half = rows.shape[-1]
+    out = np.zeros(rows.shape + (2,))
+    terms = np.empty_like(rows)
     for m in range(hg.shape[1] // 2):
-        terms = np.multiply.outer(hg[0, 2 * m:2 * m + 2], approx)
-        terms += np.multiply.outer(hg[1, 2 * m:2 * m + 2], detail)
         s = m % half
-        out[..., s:] += terms[..., :half - s]
-        if s:
-            out[..., :s] += terms[..., half - s:]
-    return np.moveaxis(out, 0, -1).reshape(approx.shape[:-1] + (2 * half,))
+        for r in (0, 1):
+            np.multiply(rows, hg[0, 2 * m + r], out=terms)
+            if detail is not None:
+                terms[..., -1, :] += hg[1, 2 * m + r] * detail
+            out[..., s:, r] += terms[..., :half - s]
+            if s:
+                out[..., :s, r] += terms[..., half - s:]
+    return out.reshape(rows.shape[:-1] + (2 * half,))
 
 
 @dataclass(frozen=True)
@@ -216,13 +227,36 @@ def analyze_flat(values, filt) -> np.ndarray:
 def synthesize_flat(coeffs, filt) -> np.ndarray:
     """Exact inverse of :func:`analyze_flat` along the last axis."""
     c = np.asarray(coeffs, dtype=float)
+    return synthesize_prefixes(c, (c.shape[-1] if c.ndim else 0,), filt)[..., 0, :]
+
+
+def synthesize_prefixes(coeffs, dims, filt) -> np.ndarray:
+    """Synthesis of each dyadic prefix of the coefficients, in one pass.
+
+    ``coeffs`` has shape ``(..., n)`` and ``dims`` are strictly increasing
+    powers of two up to n. Row i of the ``(..., len(dims), n)`` result is
+    :func:`synthesize_flat` of ``coeffs`` with all but the leading
+    ``dims[i]`` zeroed, bit for bit. The coarse chain is synthesized once;
+    the prefix of dimension 2^J leaves it at level J, where its remaining
+    details are zero, and is upsampled from there with the h taps alone.
+    """
+    c = np.asarray(coeffs, dtype=float)
     n = c.shape[-1] if c.ndim else 0
     p = _check_dyadic(n)
+    levels = [int(d).bit_length() - 1 for d in dims]
+    if (not levels or any(d < 1 or 1 << lv != d for lv, d in zip(levels, dims))
+            or levels != sorted(set(levels)) or levels[-1] > p):
+        raise ValueError(f"dims {list(dims)} are not strictly increasing powers of two <= {n}")
     hg = _filter_bank(filt)
-    a = c[..., :1]
-    for j in range(p):
-        a = _synthesize_step(a, c[..., 1 << j: 2 << j], hg)
-    return a
+    rows = c[..., None, :1]  # the last row is the chain while a later prefix needs it
+    for j in range(p + 1):
+        if j in levels[:-1]:
+            # the chain's row stays behind as prefix j's, and a copy goes on
+            rows = np.concatenate([rows, rows[..., -1:, :]], axis=-2)
+        if j < p:
+            detail = c[..., 1 << j:2 << j] if j < levels[-1] else None
+            rows = _synthesize_step(rows, detail, hg)
+    return rows
 
 
 def analyze(values, filt) -> CoefficientTree:
@@ -257,7 +291,8 @@ def unflatten(coeffs, n: int) -> CoefficientTree:
 
 
 def truncate_flat(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Zero all coefficients beyond the leading ``dim`` (a dyadic prefix)."""
+    """Zero all coefficients beyond the leading ``dim`` (a dyadic prefix)
+    along the last axis."""
     out = np.zeros_like(coeffs)
-    out[:dim] = coeffs[:dim]
+    out[..., :dim] = coeffs[..., :dim]
     return out

@@ -33,6 +33,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="folds must be 2"):
             BenchConfig.from_dict({**small_config().to_dict(), "folds": 3})
 
+    @pytest.mark.parametrize("key, value", [
+        ("keep_ratios", "false"), ("normalize", "false"), ("normalize", 0),
+        ("sizes", [256.9]), ("sizes", [True]), ("sizes", 256),
+        ("replications", 2.7), ("replications", True), ("base_seed", 3.0),
+        ("signals", "wave"), ("noises", ["h1", 2]), ("methods", "sh"), ("basis", 8)])
+    def test_value_types_checked(self, key, value):
+        # a value of the wrong JSON type must not be coerced into a run
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            BenchConfig.from_dict({**small_config().to_dict(), key: value})
+
     def test_unknown_keys_rejected(self):
         # a misspelled key must not run silently with the default
         doc = {**small_config().to_dict(), "keep_ratio": True, "normalise": False}
@@ -182,7 +192,7 @@ def test_report_bytes_do_not_depend_on_block_size(monkeypatch, n, folds):
                       methods=("sh", "cp", "vfcv", "penvf"), replications=5,
                       base_seed=21, keep_ratios=True)
     n_t = n - n // folds
-    per_rep = 2 * n + (n.bit_length() - 2) * n_t
+    per_rep = max(13 * n, 8 * n + 5 * (n.bit_length() - 2) * n_t // 2)
     sizes = _record_blocks(monkeypatch)
     default = run_bench(cfg).to_json()
     assert max(sizes) == min(10, bench._BLOCK_ELEMENTS // per_rep)

@@ -141,6 +141,17 @@ class TestBench:
         doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert doc["error"] == "ValueError" and "folds must be 2" in doc["message"]
 
+    @pytest.mark.parametrize("key, value", [("keep_ratios", "false"), ("sizes", [256.9]),
+                                            ("replications", 2.7), ("signals", "wave")])
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(read(self._config(tmp_path))), key: value}))
+        out = tmp_path / "t.csv"
+        assert run(["bench", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "ValueError" and f"config key '{key}'" in doc["message"]
+
 
 class TestPlot:
     def test_risk_curve_from_select(self, tmp_path, sample_csv):

@@ -1,0 +1,128 @@
+"""Golden decisions: the dimensions every method chose, and its ratio to
+the oracle, on a fixed grid of bench samples and on the criterion-8 sample.
+
+The record in ``tests/data/golden_decisions.json`` was written by an
+earlier version of the code; this test recomputes it. Dimensions must
+match exactly. Ratios must match to 1e-12 relative, since another
+machine's libm or SIMD path may move the last bit of sin and cos. A
+change that moves a decision fails here and names the sample, the
+method and both values.
+
+Regenerating the record is a deliberate act, done only when a change is
+meant to move decisions (list every changed entry, and why, in
+CHANGES.md)::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+from wavesel import bench, cli
+from wavesel.bench import METHOD_ORDER, BenchConfig, run_bench
+
+RECORD = os.path.join(os.path.dirname(__file__), "data", "golden_decisions.json")
+CONFIG = BenchConfig(signals=("wave", "heavisine", "doppler", "spikes"),
+                     noises=("l1", "l2", "h1", "h2"), sizes=(256, 1024),
+                     methods=METHOD_ORDER, replications=8, base_seed=2015,
+                     keep_ratios=True)
+# the criterion-8 sample of tests/test_acceptance.py
+SELECT_TRUTH = ["--signal", "spikes", "--noise", "h2", "--n", "256", "--seed", "9"]
+RTOL = 1e-12
+
+
+def bench_decisions(monkeypatch) -> list:
+    """One entry per replication of CONFIG, in cell then replication order:
+    the chosen dimensions read from the bench's own selector outcomes, and
+    the ratios of its raw report."""
+    dims = {}  # (signal, noise, n, seed) -> {method: dim}
+    real = bench.select_methods
+
+    def spy(samples, *args, **kwargs):
+        outcomes = real(samples, *args, **kwargs)
+        for sample, chosen in zip(samples, outcomes):
+            m = sample.meta
+            dims[(m.signal, m.noise, m.n, m.seed)] = {
+                k: o.chosen_dim for k, o in chosen.items()}
+        return outcomes
+
+    monkeypatch.setattr(bench, "select_methods", spy)
+    report = run_bench(CONFIG)
+    by_cell = {}
+    for key, d in dims.items():
+        by_cell.setdefault(key[:3], []).append((key[3], d))
+    out = []
+    for sig, noi, n in CONFIG.cells:
+        reps = by_cell[(sig, noi, n)]
+        assert len(reps) == CONFIG.replications
+        ratios = {m: report.cell(sig, noi, n, m).ratios for m in CONFIG.methods}
+        for r, (seed, d) in enumerate(reps):
+            out.append({"sample": f"{sig}/{noi}/n={n}/rep={r}/seed={seed}",
+                        "dims": d,
+                        "ratios": {m: ratios[m][r] for m in CONFIG.methods}})
+    return out
+
+
+def select_truth_decision(tmp_dir) -> dict:
+    """The criterion-8 sample through ``wavesel gen`` and ``select --truth``."""
+    sample = os.path.join(tmp_dir, "s.csv")
+    sel = os.path.join(tmp_dir, "sel.json")
+    assert cli.main(["gen", *SELECT_TRUTH, "--out", sample]) == 0
+    assert cli.main(["select", "--method", "all", "--in", sample, "--truth", "spikes",
+                     "--out", sel]) == 0
+    with open(sel, encoding="utf-8") as fh:
+        outcomes = json.load(fh)["outcomes"]
+    oracle = outcomes["oracle"]
+    losses = dict(zip([t["dim"] for t in oracle["trace"]], oracle["diagnostics"]["losses"]))
+    best = losses[oracle["chosen_dim"]]
+    return {"sample": "select --truth " + " ".join(SELECT_TRUTH),
+            "dims": {m: o["chosen_dim"] for m, o in outcomes.items()},
+            "ratios": {m: losses[outcomes[m]["chosen_dim"]] / best for m in METHOD_ORDER}}
+
+
+def _mismatches(want: dict, got: dict) -> list:
+    out = []
+    for method, dim in want["dims"].items():
+        if got["dims"].get(method) != dim:
+            out.append(f"{want['sample']} {method}: dimension {got['dims'].get(method)} "
+                       f"!= recorded {dim}")
+    for method, ratio in want["ratios"].items():
+        value = got["ratios"][method]
+        if not abs(value - ratio) <= RTOL * abs(ratio):
+            out.append(f"{want['sample']} {method}: ratio {value!r} != recorded {ratio!r}")
+    return out
+
+
+def test_golden_decisions(monkeypatch, tmp_path):
+    with open(RECORD, encoding="utf-8") as fh:
+        record = json.load(fh)
+    assert record["config"] == CONFIG.to_dict()
+    got = bench_decisions(monkeypatch) + [select_truth_decision(str(tmp_path))]
+    want = record["bench"] + [record["select_truth"]]
+    assert [g["sample"] for g in got] == [w["sample"] for w in want]
+    bad = [line for w, g in zip(want, got) for line in _mismatches(w, g)]
+    assert not bad, f"{len(bad)} decisions moved:\n" + "\n".join(bad[:20])
+
+
+def _write_record() -> None:
+    import tempfile
+
+    with pytest.MonkeyPatch.context() as mp:
+        entries = bench_decisions(mp)
+    with tempfile.TemporaryDirectory() as tmp:
+        truth = select_truth_decision(tmp)
+    doc = {"config": CONFIG.to_dict(), "bench": entries, "select_truth": truth}
+    os.makedirs(os.path.dirname(RECORD), exist_ok=True)
+    with open(RECORD, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(entries) + 1} decisions to {RECORD}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    _write_record()

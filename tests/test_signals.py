@@ -119,6 +119,34 @@ def test_pairing_preserved_under_sort():
     assert np.allclose(s.y, eval_signal(sig, s.x))
 
 
+def test_tied_draw_keeps_the_stable_sort_pairing(monkeypatch):
+    # ties have probability zero, so force them: x takes 8 values. With a
+    # zero signal and unit noise, y is eps itself and shows the pairing
+    real = signals._rng
+
+    class TiedDraw:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def random(self, n):
+            return (np.floor(self._rng.random(n) * 8) + 0.5) / 8
+
+        def standard_normal(self, n):
+            return self._rng.standard_normal(n)
+
+    monkeypatch.setattr(signals, "_rng", TiedDraw)
+    zero = TestSignal("Zero", lambda x: np.zeros_like(np.asarray(x, float)))
+    unit = NoiseScenario("Unit", lambda x: np.ones_like(np.asarray(x, float)))
+    s = generate(zero, unit, 512, 5)
+    draw = TiedDraw(5)
+    u, eps = draw.random(512), draw.standard_normal(512)
+    order = np.argsort(u, kind="stable")
+    assert np.all(np.diff(s.x) > 0)
+    assert np.array_equal(s.y, eps[order])
+    # each x is its draw, nudged up by at most the length of its run of ties
+    assert np.all((s.x >= u[order]) & (s.x < u[order] + 1 / 8))
+
+
 def test_derive_seed_mixing():
     assert derive_seed(1, 0) != derive_seed(1, 1)
     assert derive_seed(1, 0) != derive_seed(2, 0)

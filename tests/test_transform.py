@@ -7,8 +7,8 @@ from wavesel import bases, transform
 from wavesel.estimator import NestedPyramid, fit_ls, pyramid_filter
 from wavesel.transform import (DB8, HAAR, CoefficientTree, InvalidFilterError,
                                MalformedTreeError, analyze, analyze_flat, flatten,
-                               get_filter, qmf, synthesize, synthesize_flat, unflatten,
-                               validate_filter)
+                               get_filter, qmf, synthesize, synthesize_flat,
+                               synthesize_prefixes, unflatten, validate_filter)
 
 
 def rng(seed=0):
@@ -142,6 +142,47 @@ def test_batched_kernels_match_reference_exactly(filt, batch, p):
     values = synthesize_flat(coeffs, filt)
     assert values.shape == x.shape
     assert np.array_equal(values, _rowwise(_reference_synthesize, coeffs, filt))
+
+
+@pytest.mark.parametrize("filt", [HAAR, DB8], ids=["haar", "db8"])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=str)
+@pytest.mark.parametrize("p", range(1, 13))
+def test_prefix_synthesis_matches_each_truncation(filt, batch, p):
+    # every prefix, bit for bit, as synthesize_flat and the reference give
+    # its truncation; p = 1..3 with DB8 covers levels shorter than the filter
+    n = 1 << p
+    coeffs = rng(200 + p).standard_normal(batch + (n,))
+    dims = [1 << j for j in range(p + 1)]
+    prefixes = synthesize_prefixes(coeffs, dims, filt)
+    assert prefixes.shape == batch + (len(dims), n)
+    for i, dim in enumerate(dims):
+        kept = transform.truncate_flat(coeffs, dim)
+        want = synthesize_flat(kept, filt)
+        assert prefixes[..., i, :].tobytes() == want.tobytes()
+        assert np.array_equal(want, _rowwise(_reference_synthesize, kept, filt))
+
+
+def test_prefix_synthesis_of_some_prefixes():
+    coeffs = rng(5).standard_normal((2, 256))
+    for dims in ([1], [256], [4, 32], [2, 64, 128]):
+        prefixes = synthesize_prefixes(coeffs, dims, DB8)
+        for i, dim in enumerate(dims):
+            want = synthesize_flat(transform.truncate_flat(coeffs, dim), DB8)
+            assert prefixes[..., i, :].tobytes() == want.tobytes()
+    for dims in ([], [0], [3], [4, 2], [4, 4], [512]):
+        with pytest.raises(ValueError, match="powers of two"):
+            synthesize_prefixes(coeffs, dims, DB8)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_db8_parseval_at_levels_shorter_than_the_filter(p):
+    # at n <= 16 the 16 taps wrap around the level more than once
+    n = 1 << p
+    atoms = analyze_flat(np.eye(n), DB8)  # row i: the coefficients of e_i
+    assert np.max(np.abs(atoms @ atoms.T - np.eye(n))) < 1e-12
+    x = rng(p).standard_normal((5, n))
+    energy = np.sum(x ** 2, axis=-1)
+    assert np.all(np.abs(np.sum(analyze_flat(x, DB8) ** 2, axis=-1) - energy) < 1e-12 * energy)
 
 
 @settings(max_examples=60, deadline=None)
