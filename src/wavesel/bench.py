@@ -71,6 +71,9 @@ class BenchConfig:
         for n in self.sizes:
             if n < 4 or (n & (n - 1)) != 0:
                 raise ValueError(f"sample size {n} is not a power of two >= 4")
+            if n < 16 and "sh" in self.methods:
+                raise ValueError(f"sample size {n} gives {n.bit_length() - 2} models; the "
+                                 "slope heuristics needs at least 3 (n >= 16)")
         unknown = set(self.methods) - set(METHOD_ORDER)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; use {METHOD_ORDER}")
@@ -187,9 +190,8 @@ _BLOCK_ELEMENTS = 13 << 15
 
 def _block_size(n: int, collection: ModelCollection, scheme: Optional[FoldScheme]) -> int:
     held = 13 * n
-    if scheme is not None:
-        n_t = max(n - len(scheme.heldout(j)) for j in range(scheme.V))
-        held = max(held, 8 * n + 5 * len(collection) * n_t // 2)
+    if scheme is not None:  # each fold fits on n_t = n/2 training points
+        held = max(held, 8 * n + 5 * len(collection) * (n // 2) // 2)
     return max(1, _BLOCK_ELEMENTS // held)
 
 
@@ -223,7 +225,7 @@ def _replicate_block(jobs, n: int, collection: ModelCollection, methods,
 def run_bench(config: BenchConfig) -> BenchReport:
     """Run every cell of the config, in blocks of replications per sample size."""
     filt = transform.get_filter(config.basis)
-    # fold schemes depend only on n and V, and only the fold methods use them
+    # the even/odd fold scheme depends only on n, and only the fold methods use it
     uses_folds = any(m in FOLD_METHODS for m in config.methods)
     jobs = {}  # n -> [(cell index, (signal, noise, seed))]
     for cell_index, (sig_name, noi_name, n) in enumerate(config.cells):

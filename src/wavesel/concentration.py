@@ -136,17 +136,18 @@ def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
 # representation formulas on tiny models
 # ---------------------------------------------------------------------------
 
-def _sphere_max_quadratic(a: np.ndarray, m_mat: np.ndarray, c: float) -> tuple:
+def _sphere_max_quadratic(a: np.ndarray, m_mat: np.ndarray, c: float, eig: tuple) -> tuple:
     """Maximize 2 a.delta - delta' M delta subject to |delta|^2 = c.
 
-    Solved through the eigendecomposition of M and the secular equation
+    Solved through the eigendecomposition M = V Lambda V', given as
+    ``eig = (Lambda, V, V' a)`` since it does not depend on c, and the
+    secular equation
     ||(Lambda + lam I)^{-1} a~||^2 = c on the admissible branch
     lam >= -lambda_min (the trust-region hard case included).
     """
     if c <= 0:
         return 0.0, np.zeros(len(a))
-    evals, vecs = np.linalg.eigh(m_mat)
-    at = vecs.T @ a
+    evals, vecs, at = eig
     lam_min = float(evals[0])
 
     def norm2(lam):
@@ -292,8 +293,11 @@ def rep_formula_oracle(sample: RegressionSample, model, signal: TestSignal,
         atoms = np.unique(np.linalg.solve(chol, model.grid_atoms()), axis=1)
         sup_limit = (atoms, r0)
 
+    evals, vecs = np.linalg.eigh(m_mat)
+    eig = (evals, vecs, vecs.T @ a)  # shared by every sphere solve below
+
     def gamma_at(c):
-        val, delta = _sphere_max_quadratic(a, m_mat, c)
+        val, delta = _sphere_max_quadratic(a, m_mat, c, eig)
         if sup_limit is not None and np.max(np.abs(delta @ atoms)) > r0:
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 7))))
             val = _random_direction_max(a, m_mat, c, rng, n_dir, sup_limit)
@@ -324,7 +328,7 @@ def rep_formula_oracle(sample: RegressionSample, model, signal: TestSignal,
     for c in checks:
         # the agreement check is on the plain sphere problem both solvers
         # handle; the truncated profile itself goes through gamma_at
-        lagr, _ = _sphere_max_quadratic(a, m_mat, c)
+        lagr, _ = _sphere_max_quadratic(a, m_mat, c, eig)
         rand = _random_direction_max(a, m_mat, c, rng, n_dir, None)
         scale = max(emp_excess, abs(lagr), 1e-12)
         gap = max(gap, abs(lagr - rand))

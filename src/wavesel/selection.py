@@ -7,6 +7,10 @@ alpha -> argmin_m {risk_m + alpha * shape_m}, computed from the lower
 convex hull of the (shape, risk) cloud, and places the minimal level at
 the breakpoint with the largest drop in selected dimension (ties going
 to the largest alpha).
+
+Every fit, of the whole sample and of each even/odd training half, reads
+the nested pyramid of its responses, so a collection is a nested wavelet
+collection on a dyadic n.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import bases
-from .estimator import FitResult, NestedPyramid, fit_ls, pyramid_filter
+from .estimator import FitResult, NestedPyramid, pyramid_filter
 from .signals import RegressionSample
 
 __all__ = [
@@ -28,7 +32,6 @@ __all__ = [
     "fit_collection",
     "in_sample_losses",
     "FoldScheme",
-    "FoldDegeneracyError",
     "PathSegment",
     "PenaltyPath",
     "penalty_path",
@@ -43,10 +46,6 @@ __all__ = [
     "select_penvf",
     "fold_fitted",
 ]
-
-
-class FoldDegeneracyError(ValueError):
-    """A V-fold block is empty."""
 
 
 @dataclass(frozen=True)
@@ -84,24 +83,42 @@ def wavelet_collection(n: int, filt) -> ModelCollection:
 class FittedCollection:
     fits: tuple
     emp_risks: np.ndarray
-    pyramid: Optional[NestedPyramid] = None  # the sample's, when one serves all fits
+    pyramid: Optional[NestedPyramid] = None  # the sample's, set by fit_collection
     signal: Optional[NestedPyramid] = None   # the truth's, when fitted with its values
 
     def __len__(self) -> int:
         return len(self.fits)
 
 
+def _analyze(ys, collection: ModelCollection, truths=()) -> tuple:
+    """Pyramids and per-model empirical risks of equal-length responses ys.
+
+    The responses, and the truth's values ``truths`` when given, go
+    through one batched analysis. Returns the responses' pyramids, their
+    risk arrays and the truths' pyramids. Raises ``ValueError`` when one
+    pyramid cannot fit the collection at that length.
+    """
+    n = len(ys[0])
+    h = pyramid_filter(collection.models, n)
+    if h is None:
+        raise ValueError(f"one pyramid cannot fit the collection on {n} points")
+    pyramids = NestedPyramid.stack([*ys, *truths], h)
+    fitted = pyramids[:len(ys)]
+    dims = collection.dims
+    risks = [np.array([p.risk(d) for d in dims]) for p in fitted]
+    return fitted, risks, pyramids[len(ys):]
+
+
 def fit_collection(samples, collection: ModelCollection, signal_values=None):
-    """Fit every model once per sample; a nested wavelet collection shares
-    one pyramid per sample.
+    """Fit every model of a nested wavelet collection from one pyramid per
+    sample.
 
     ``samples`` is one sample, which gives one :class:`FittedCollection`,
-    or a block of samples of one size, which gives a tuple of them. On the
-    pyramid route the block's responses, and the truth's values at each
-    sample's design points when ``signal_values`` gives them (an array per
-    sample), go through one batched analysis. Raises
-    :class:`~wavesel.estimator.SingularDesignError` for the first model a
-    sample cannot fit.
+    or a block of samples of one size, which gives a tuple of them. The
+    block's responses, and the truth's values at each sample's design
+    points when ``signal_values`` gives them (an array per sample), go
+    through one batched analysis. Raises ``ValueError`` when one pyramid
+    cannot fit the collection on the sample size.
     """
     if isinstance(samples, RegressionSample):
         truths = None if signal_values is None else (signal_values,)
@@ -110,47 +127,32 @@ def fit_collection(samples, collection: ModelCollection, signal_values=None):
     truths = () if signal_values is None else tuple(signal_values)
     if truths and len(truths) != len(samples):
         raise ValueError(f"{len(truths)} signal value arrays for {len(samples)} samples")
-    models = collection.models
-    h = pyramid_filter(models, samples[0].n)
-    if h is None:
-        fitted = [tuple(fit_ls(sample, m) for m in models) for sample in samples]
-        return tuple(FittedCollection(fits, np.array([f.empirical_risk for f in fits]))
-                     for fits in fitted)
-    pyramids = NestedPyramid.stack([s.y for s in samples] + list(truths), h)
-    signals = pyramids[len(samples):] if truths else (None,) * len(samples)
-    out = []
-    for pyramid, signal in zip(pyramids, signals):
-        fits = tuple(FitResult(m, pyramid.beta(m.dim), pyramid.risk(m.dim), "pyramid_fast", None)
-                     for m in models)
-        out.append(FittedCollection(fits, np.array([f.empirical_risk for f in fits]),
-                                    pyramid=pyramid, signal=signal))
-    return tuple(out)
+    pyramids, risks, signals = _analyze([s.y for s in samples], collection, truths)
+    return tuple(
+        FittedCollection(tuple(FitResult(m, pyramid.beta(m.dim), float(r), "pyramid_fast", None)
+                               for m, r in zip(collection.models, emp_risks)),
+                         emp_risks, pyramid=pyramid, signal=signal)
+        for pyramid, emp_risks, signal in zip(pyramids, risks,
+                                              signals or (None,) * len(samples)))
 
 
 def in_sample_losses(fits: FittedCollection, signal_values: np.ndarray) -> np.ndarray:
     """Per-model loss (1/n) sum_i (s_hat_m(x_i) - s*(x_i))^2 at the design points.
 
     This is the oracle's loss: the sample estimate of the L2(P^X) loss,
-    given the truth's values ``signal_values`` at the design points. A
-    shared pyramid splits it by Parseval into the noise energy a model
+    given the truth's values ``signal_values`` at the design points. The
+    sample's pyramid splits it by Parseval into the noise energy a model
     keeps plus the signal energy it drops, and reads the truth's
     coefficients from the analysis :func:`fit_collection` made with the
-    signal values; otherwise each fit's design values are compared with
-    the truth directly.
+    signal values.
     """
-    if fits.pyramid is None:
-        return np.array([float(np.mean((f.design_values - signal_values) ** 2))
-                         for f in fits.fits])
-    if fits.signal is None:
-        raise ValueError("the pyramid route needs the collection fitted with the signal values")
+    if fits.pyramid is None or fits.signal is None:
+        raise ValueError("the in-sample loss needs the collection fitted with the signal values")
     n = len(fits.pyramid.coeffs)
-    c_noise = fits.pyramid.coeffs - fits.signal.coeffs
-    cum_noise = np.cumsum(c_noise ** 2)
+    cum_noise = np.cumsum((fits.pyramid.coeffs - fits.signal.coeffs) ** 2)
     cum_signal = fits.signal.csum
-    total_signal = cum_signal[-1]
     dims = np.array([f.model.dim for f in fits.fits])
-    return np.array([(cum_noise[d - 1] + (total_signal - cum_signal[d - 1])) / n
-                     for d in dims])
+    return (cum_noise[dims - 1] + (cum_signal[-1] - cum_signal[dims - 1])) / n
 
 
 # ---------------------------------------------------------------------------
@@ -159,40 +161,27 @@ def in_sample_losses(fits: FittedCollection, signal_values: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class FoldScheme:
-    """Index blocks over the rank-ordered sample.
+    """The even/odd split of the rank-ordered sample of size n: fold j
+    fits on ranks j, j + 2, ... (0-based) and holds out the others."""
 
-    ``blocks[j]`` is held out in fold j and the fit uses its complement.
-    """
-
-    V: int
-    blocks: tuple
+    n: int
+    V = 2
 
     @classmethod
     def interleaved(cls, n: int, V: int) -> "FoldScheme":
-        """Rank-interleaved blocks; V=2 gives the even/odd-rank split."""
-        if V < 2 or V > n:
-            raise ValueError("need 2 <= V <= n")
-        idx = np.arange(n)
-        blocks = tuple(idx[idx % V == (j + 1) % V] for j in range(V))
-        scheme = cls(V, blocks)
-        scheme.validate(n)
-        return scheme
-
-    def validate(self, n: int) -> None:
-        all_idx = np.concatenate(self.blocks)
-        if len(all_idx) != n or len(np.unique(all_idx)) != n:
-            raise ValueError("blocks do not partition the index set")
-        for b in self.blocks:
-            if abs(len(b) - n / self.V) >= 1:
-                raise ValueError("block sizes must be within 1 of n/V")
+        """The even/odd split; only V = 2 is supported."""
+        if V != 2:
+            raise ValueError(f"V must be 2, got {V}: 2FCV and pen2F fit their folds "
+                             "with the pyramid of the half sample")
+        return cls(n)
 
     def heldout(self, j: int) -> np.ndarray:
-        return self.blocks[j]
+        return np.arange(1 - j, self.n, 2)
 
     def train(self, j: int, n: int) -> np.ndarray:
-        mask = np.ones(n, dtype=bool)
-        mask[self.blocks[j]] = False
-        return np.nonzero(mask)[0]
+        if n != self.n:
+            raise ValueError(f"a fold scheme for {self.n} points cannot split {n}")
+        return np.arange(j, n, 2)
 
 
 @dataclass(frozen=True)
@@ -228,17 +217,17 @@ def _heldout_risks(fitted: np.ndarray, x_t: np.ndarray, x_h: np.ndarray, y_h: np
     return pred.mean(axis=-1)
 
 
-def _fold_fits(samples, tr: np.ndarray, held: np.ndarray, h: np.ndarray, dims) -> list:
+def _fold_fits(samples, collection: ModelCollection, tr: np.ndarray,
+               held: np.ndarray) -> list:
     """The :class:`FoldFit` of each sample on one fold, from one analysis
     and one prefix synthesis of the block's training responses. The fitted
     values live only for the call, so one fold's are freed before the next
     fold's synthesis (the bench sizes its blocks by that peak)."""
+    pyramids, risks, _ = _analyze([s.y[tr] for s in samples], collection)
     k = np.searchsorted(tr, held) - 1
-    pyramids = NestedPyramid.stack([s.y[tr] for s in samples], h)
-    fitted = NestedPyramid.fitted_stack(pyramids, dims)
-    return [FoldFit(np.array([p.risk(d) for d in dims]),
-                    _heldout_risks(f, s.x[tr], s.x[held], s.y[held], k))
-            for s, p, f in zip(samples, pyramids, fitted)]
+    fitted = NestedPyramid.fitted_stack(pyramids, collection.dims)
+    return [FoldFit(r, _heldout_risks(f, s.x[tr], s.x[held], s.y[held], k))
+            for s, r, f in zip(samples, risks, fitted)]
 
 
 def fold_fitted(samples, collection: ModelCollection, folds: FoldScheme) -> tuple:
@@ -248,35 +237,21 @@ def fold_fitted(samples, collection: ModelCollection, folds: FoldScheme) -> tupl
     ``samples`` is one sample, which gives its tuple of :class:`FoldFit`
     (one per fold), or a block of samples of one size, which gives one
     such tuple per sample. A fold fit is the full-sample estimator on the
-    training block: each fold analyses the whole block's training
-    responses in one pyramid call and synthesizes every model of every
-    sample in another, so a training block the pyramid cannot serve
-    raises ``ValueError``. A fold fit predicts off its training points by
-    linear interpolation in x between its fitted values, with constant
-    extrapolation at the boundary. Since x strictly increases, a held-out
-    point's bracket of training points is fixed by the ranks alone, once
-    per fold for every sample.
+    training half: each fold analyses the whole block's training
+    responses in one pyramid call, as :func:`fit_collection` does for the
+    whole sample, and synthesizes every model of every sample in another.
+    A fold fit predicts off its training points by linear interpolation
+    in x between its fitted values, with constant extrapolation at the
+    boundary. Since x strictly increases, a held-out point's bracket of
+    training points is fixed by the ranks alone, once per fold for every
+    sample.
     """
     if isinstance(samples, RegressionSample):
         return fold_fitted((samples,), collection, folds)[0]
     samples = tuple(samples)
     n = samples[0].n
-    dims = collection.dims
-    out = [[] for _ in samples]
-    for j in range(folds.V):
-        held = folds.heldout(j)
-        if len(held) == 0:
-            raise FoldDegeneracyError(f"fold {j + 1} is empty")
-        tr = folds.train(j, n)
-        if len(tr) == 0:
-            raise FoldDegeneracyError(f"training set of fold {j + 1} is empty")
-        h = pyramid_filter(collection.models, len(tr))
-        if h is None:
-            raise ValueError(f"one pyramid cannot fit the collection on the {len(tr)} "
-                             f"training points of fold {j + 1}")
-        for row, fit in zip(out, _fold_fits(samples, tr, held, h, dims)):
-            row.append(fit)
-    return tuple(tuple(row) for row in out)
+    return tuple(zip(*(_fold_fits(samples, collection, folds.train(j, n), folds.heldout(j))
+                       for j in range(folds.V))))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +409,7 @@ def oracle_select(sample: RegressionSample, collection: ModelCollection,
     collection, given the truth's values at the design points."""
     fits = fits or fit_collection(sample, collection, signal_values)
     losses = in_sample_losses(fits, signal_values)
-    dims = np.array([f.model.dim for f in fits.fits], dtype=int)
+    dims = collection.dims
     idx = _argmin_tie_smaller(losses, dims)
     trace = tuple(TraceEntry(int(d), float(fits.emp_risks[i]), 0.0, float(losses[i]))
                   for i, d in enumerate(dims))
@@ -466,7 +441,7 @@ def select_sh(sample: RegressionSample, collection: ModelCollection,
     fits = fits or fit_collection(sample, collection)
     if len(fits) < 3:
         raise ValueError("slope heuristics needs at least 3 fitted models")
-    dims = np.array([f.model.dim for f in fits.fits], dtype=int)
+    dims = collection.dims
     shape = dims / sample.n if shape is None else np.asarray(shape, dtype=float)
     path = penalty_path(shape, fits.emp_risks, dims)
     alpha_min, jumps, no_jump = dimension_jump(path)
@@ -484,7 +459,7 @@ def select_cp(sample: RegressionSample, collection: ModelCollection,
     """Mallows' Cp: pen(m) = 2 sigma2_hat D_m / n with the saturated-model
     variance estimator sigma2_hat = d^2(Y, m_{n/2}) / (n - n/2)."""
     fits = fits or fit_collection(sample, collection)
-    dims = np.array([f.model.dim for f in fits.fits], dtype=int)
+    dims = collection.dims
     n = sample.n
     if dims.max() != n // 2:
         raise ValueError("Cp needs the saturated model of dimension n/2 in the collection")
@@ -500,7 +475,7 @@ def select_vfcv(sample: RegressionSample, collection: ModelCollection,
     """V-fold cross-validation: the mean over folds of the held-out risks."""
     fits = fits or fit_collection(sample, collection)
     fold_fits = fold_fits or fold_fitted(sample, collection, folds)
-    dims = np.array([f.model.dim for f in fits.fits], dtype=int)
+    dims = collection.dims
     per_fold = np.array([fold.heldout_risks for fold in fold_fits])
     crit = per_fold.mean(axis=0)
     penalties = crit - fits.emp_risks  # implied penalty, for the trace
@@ -511,15 +486,16 @@ def select_vfcv(sample: RegressionSample, collection: ModelCollection,
 def select_penvf(sample: RegressionSample, collection: ModelCollection,
                  folds: FoldScheme, fits: Optional[FittedCollection] = None,
                  fold_fits: Optional[tuple] = None) -> SelectionOutcome:
-    """V-fold penalization: empirical risk plus the resampled ideal penalty
+    """V-fold penalization at V = 2 (pen2F): empirical risk plus the
+    resampled ideal penalty
     pen_VF(m) = (V-1)/V sum_j [P_n gamma(s_m^(-j)) - P_n^(-j) gamma(s_m^(-j))].
 
     The terms come from the fold risks of :func:`fold_fitted`: the
     held-out risk CV_j on the n_h,j held-out points and the training risk
-    R_j on the n_t,j training points. The identity below assumes that the
-    two blocks partition the sample (n_h,j + n_t,j = n), as the blocks of
-    :meth:`FoldScheme.interleaved` do. The fold fit reproduces its
-    training values exactly at the knots, so its full-sample risk is
+    R_j on the n_t,j training points. The even and odd halves of
+    :class:`FoldScheme` partition the sample (n_h,j + n_t,j = n), and the
+    fold fit reproduces its training values exactly at the knots, so its
+    full-sample risk is
     P_n gamma(s_m^(-j)) = (n_h,j CV_j + n_t,j R_j) / n, and
 
         pen_VF(m) = (V-1)/V sum_j (n_h,j / n) (CV_j(m) - R_j(m)).
@@ -528,7 +504,7 @@ def select_penvf(sample: RegressionSample, collection: ModelCollection,
     """
     fits = fits or fit_collection(sample, collection)
     fold_fits = fold_fits or fold_fitted(sample, collection, folds)
-    dims = np.array([f.model.dim for f in fits.fits], dtype=int)
+    dims = collection.dims
     share = np.array([len(folds.heldout(j)) / sample.n for j in range(folds.V)])
     terms = share[:, None] * np.array([fold.heldout_risks - fold.train_risks
                                        for fold in fold_fits])

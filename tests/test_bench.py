@@ -29,6 +29,13 @@ class TestConfig:
         # count (always 2) still load
         assert BenchConfig.from_dict({**cfg.to_dict(), "jobs": 4, "folds": 2}) == cfg
 
+    def test_sh_needs_sixteen_points(self):
+        # wavelet_collection(n) has log2(n) - 1 models and SH needs 3, so
+        # the config fails at load rather than when that size's block runs
+        with pytest.raises(ValueError, match="sample size 8 gives 2 models"):
+            small_config(sizes=(256, 8))
+        assert small_config(sizes=(8,), methods=("cp",)).sizes == (8,)
+
     def test_other_fold_counts_rejected(self):
         with pytest.raises(ValueError, match="folds must be 2"):
             BenchConfig.from_dict({**small_config().to_dict(), "folds": 3})

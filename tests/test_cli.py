@@ -141,6 +141,17 @@ class TestBench:
         doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert doc["error"] == "ValueError" and "folds must be 2" in doc["message"]
 
+    def test_sh_below_sixteen_points_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        # rejected at load, before the n = 256 cells run
+        cfg.write_text(json.dumps({**json.loads(read(self._config(tmp_path))),
+                                   "sizes": [256, 8]}))
+        out = tmp_path / "t.csv"
+        assert run(["bench", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "ValueError" and "sample size 8 gives 2 models" in doc["message"]
+
     @pytest.mark.parametrize("key, value", [("keep_ratios", "false"), ("sizes", [256.9]),
                                             ("replications", 2.7), ("signals", "wave")])
     def test_mistyped_config_value_rejected(self, tmp_path, capsys, key, value):

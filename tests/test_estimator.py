@@ -31,11 +31,16 @@ class TestFitLs:
         assert np.allclose(fit.design_values, y, atol=1e-10)
 
     def test_saturated_model_zero_risk(self):
+        # the risk is (energy - sum of squared coefficients) / n, so a zero
+        # risk is zero up to that difference's rounding: about 2 log2(n)
+        # eps energy at most (measured on constant samples at n = 64..1024,
+        # and under 4 eps energy on 2000 random samples at n = 64); the
+        # bound takes twice that
         n = 64
         model = bases.build_periodized_wavelet(transform.DB8, 5)  # D = 64 = n
-        rng = np.random.default_rng(0)
-        fit = fit_ls(equispaced_sample(rng.standard_normal(n)), model)
-        assert fit.empirical_risk < 1e-18
+        y = np.random.default_rng(0).standard_normal(n)
+        fit = fit_ls(equispaced_sample(y), model)
+        assert fit.empirical_risk <= 4 * np.log2(n) * np.finfo(float).eps * np.dot(y, y) / n
 
     def test_nested_risk_decreases(self):
         sample = generate(get_signal("wave"), get_noise("l1"), 1024, 3)

@@ -1,5 +1,7 @@
 """Golden decisions: the dimensions every method chose, and its ratio to
 the oracle, on a fixed grid of bench samples and on the criterion-8 sample.
+A second section holds a smaller grid at n = 4096, the only size where the
+fold fits run several replications per block.
 
 The record in ``tests/data/golden_decisions.json`` was written by an
 earlier version of the code; this test recomputes it. Dimensions must
@@ -29,13 +31,16 @@ CONFIG = BenchConfig(signals=("wave", "heavisine", "doppler", "spikes"),
                      noises=("l1", "l2", "h1", "h2"), sizes=(256, 1024),
                      methods=METHOD_ORDER, replications=8, base_seed=2015,
                      keep_ratios=True)
+CONFIG_N4096 = BenchConfig(signals=CONFIG.signals, noises=CONFIG.noises, sizes=(4096,),
+                           methods=METHOD_ORDER, replications=2, base_seed=2015,
+                           keep_ratios=True)
 # the criterion-8 sample of tests/test_acceptance.py
 SELECT_TRUTH = ["--signal", "spikes", "--noise", "h2", "--n", "256", "--seed", "9"]
 RTOL = 1e-12
 
 
-def bench_decisions(monkeypatch) -> list:
-    """One entry per replication of CONFIG, in cell then replication order:
+def bench_decisions(monkeypatch, config) -> list:
+    """One entry per replication of config, in cell then replication order:
     the chosen dimensions read from the bench's own selector outcomes, and
     the ratios of its raw report."""
     dims = {}  # (signal, noise, n, seed) -> {method: dim}
@@ -50,19 +55,19 @@ def bench_decisions(monkeypatch) -> list:
         return outcomes
 
     monkeypatch.setattr(bench, "select_methods", spy)
-    report = run_bench(CONFIG)
+    report = run_bench(config)
     by_cell = {}
     for key, d in dims.items():
         by_cell.setdefault(key[:3], []).append((key[3], d))
     out = []
-    for sig, noi, n in CONFIG.cells:
+    for sig, noi, n in config.cells:
         reps = by_cell[(sig, noi, n)]
-        assert len(reps) == CONFIG.replications
-        ratios = {m: report.cell(sig, noi, n, m).ratios for m in CONFIG.methods}
+        assert len(reps) == config.replications
+        ratios = {m: report.cell(sig, noi, n, m).ratios for m in config.methods}
         for r, (seed, d) in enumerate(reps):
             out.append({"sample": f"{sig}/{noi}/n={n}/rep={r}/seed={seed}",
                         "dims": d,
-                        "ratios": {m: ratios[m][r] for m in CONFIG.methods}})
+                        "ratios": {m: ratios[m][r] for m in config.methods}})
     return out
 
 
@@ -96,30 +101,45 @@ def _mismatches(want: dict, got: dict) -> list:
     return out
 
 
-def test_golden_decisions(monkeypatch, tmp_path):
-    with open(RECORD, encoding="utf-8") as fh:
-        record = json.load(fh)
-    assert record["config"] == CONFIG.to_dict()
-    got = bench_decisions(monkeypatch) + [select_truth_decision(str(tmp_path))]
-    want = record["bench"] + [record["select_truth"]]
+def _assert_same(want: list, got: list) -> None:
     assert [g["sample"] for g in got] == [w["sample"] for w in want]
     bad = [line for w, g in zip(want, got) for line in _mismatches(w, g)]
     assert not bad, f"{len(bad)} decisions moved:\n" + "\n".join(bad[:20])
+
+
+def _record() -> dict:
+    with open(RECORD, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_golden_decisions(monkeypatch, tmp_path):
+    record = _record()
+    assert record["config"] == CONFIG.to_dict()
+    got = bench_decisions(monkeypatch, CONFIG) + [select_truth_decision(str(tmp_path))]
+    _assert_same(record["bench"] + [record["select_truth"]], got)
+
+
+def test_golden_decisions_n4096(monkeypatch):
+    section = _record()["n4096"]
+    assert section["config"] == CONFIG_N4096.to_dict()
+    _assert_same(section["bench"], bench_decisions(monkeypatch, CONFIG_N4096))
 
 
 def _write_record() -> None:
     import tempfile
 
     with pytest.MonkeyPatch.context() as mp:
-        entries = bench_decisions(mp)
+        entries = bench_decisions(mp, CONFIG)
+        entries_n4096 = bench_decisions(mp, CONFIG_N4096)
     with tempfile.TemporaryDirectory() as tmp:
         truth = select_truth_decision(tmp)
-    doc = {"config": CONFIG.to_dict(), "bench": entries, "select_truth": truth}
+    doc = {"config": CONFIG.to_dict(), "bench": entries, "select_truth": truth,
+           "n4096": {"config": CONFIG_N4096.to_dict(), "bench": entries_n4096}}
     os.makedirs(os.path.dirname(RECORD), exist_ok=True)
     with open(RECORD, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(entries) + 1} decisions to {RECORD}")
+    print(f"wrote {len(entries) + len(entries_n4096) + 1} decisions to {RECORD}")
 
 
 if __name__ == "__main__":

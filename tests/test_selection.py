@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavesel import bases, selection, transform
-from wavesel.estimator import NestedPyramid, SingularDesignError
-from wavesel.selection import (FoldDegeneracyError, FoldFit, FoldScheme, ModelCollection,
+from wavesel.estimator import NestedPyramid
+from wavesel.selection import (FoldFit, FoldScheme, ModelCollection,
                                PathSegment, PenaltyPath, dimension_jump, fit_collection,
                                fold_fitted, in_sample_losses, oracle_select, penalty_path,
                                select_cp, select_methods, select_penvf, select_sh, select_vfcv,
@@ -205,7 +205,13 @@ class TestSelectCp:
         sample = generate(member, ZERO_NOISE, 256, 6)
         coll = wavelet_collection(256, transform.DB8)
         out = select_cp(sample, coll)
-        assert out.diagnostics["sigma2"] < 1e-20
+        # the saturated model's risk is zero up to the rounding of
+        # energy - sum of squared coefficients, at most about 2 log2(n) eps
+        # energy / n (see test_saturated_model_zero_risk); sigma2 is twice
+        # that risk, and the bound takes twice the rounding scale
+        energy = np.dot(sample.y, sample.y)
+        bound = 2 * 4 * np.log2(sample.n) * np.finfo(float).eps * energy / sample.n
+        assert out.diagnostics["sigma2"] <= bound
         assert out.chosen_dim == 2  # smallest adequate model, ties to smaller dim
 
     def test_requires_saturated_model(self):
@@ -218,25 +224,14 @@ class TestSelectCp:
 class TestFoldScheme:
     def test_interleaved_even_odd(self):
         s = FoldScheme.interleaved(8, 2)
-        # first block holds the even ranks (1-based), i.e. odd 0-based indices
-        assert np.array_equal(s.blocks[0], [1, 3, 5, 7])
-        assert np.array_equal(s.blocks[1], [0, 2, 4, 6])
-
-    def test_general_v_partition_balance(self):
-        for v in (2, 3, 4, 5):
-            s = FoldScheme.interleaved(103, v)
-            s.validate(103)
-
-    def test_bad_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            FoldScheme(2, (np.array([0, 1]), np.array([1, 2]))).validate(4)
-
-    def test_empty_fold_raises(self):
-        sample = generate(get_signal("wave"), get_noise("l1"), 64, 2)
-        coll = wavelet_collection(64, transform.DB8)
-        scheme = FoldScheme(2, (np.array([], dtype=int), np.arange(64)))
-        with pytest.raises(FoldDegeneracyError):
-            fold_fitted(sample, coll, scheme)
+        # fold 0 holds out the even ranks (1-based), i.e. odd 0-based indices
+        assert np.array_equal(s.heldout(0), [1, 3, 5, 7])
+        assert np.array_equal(s.heldout(1), [0, 2, 4, 6])
+        assert np.array_equal(s.train(0, 8), [0, 2, 4, 6])
+        # a scheme built for another sample size must not split this one
+        sample = generate(get_signal("wave"), get_noise("h1"), 16, 3)
+        with pytest.raises(ValueError, match="fold scheme for 8 points cannot split 16"):
+            fold_fitted(sample, wavelet_collection(16, transform.DB8), s)
 
 
 class TestVfold:
@@ -296,16 +291,11 @@ class TestVfold:
                 values = transform.synthesize(tree, transform.DB8)
                 assert risk == float(np.mean((y_h - np.interp(x_h, x_t, values)) ** 2))
 
-    def test_vfold_v4_gram_path(self):
-        # V = 4 gives training blocks of 48 points, which no pyramid fits:
-        # the fold fits refuse them rather than switch to a Gram solve
-        sample = generate(get_signal("wave"), get_noise("h1"), 64, 3)
-        coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in (0, 1, 2)))
-        folds = FoldScheme.interleaved(64, 4)
-        with pytest.raises(ValueError, match="48 training points"):
-            fold_fitted(sample, coll, folds)
-        with pytest.raises(ValueError, match="48 training points"):
-            select_vfcv(sample, coll, folds)
+    def test_vfold_v4_refused(self):
+        # V = 4 would give training blocks of 48 points, which no pyramid
+        # fits: the fold scheme refuses every V but 2
+        with pytest.raises(ValueError, match="pyramid of the half sample"):
+            FoldScheme.interleaved(64, 4)
 
     def test_penvf_mean_penalty_scale(self):
         # pen_VF estimates twice the excess-risk scale C_m at the training
@@ -375,16 +365,6 @@ class TestInSampleLosses:
         fits = fit_collection(sample, wavelet_collection(64, transform.DB8))
         with pytest.raises(ValueError, match="signal values"):
             in_sample_losses(fits, sig(sample.x))
-
-    def test_gram_route_is_design_value_formula(self):
-        sig = get_signal("wave")
-        sample = generate(sig, get_noise("h1"), 48, 9)
-        coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in (0, 1, 2)))
-        fits = fit_collection(sample, coll)
-        assert fits.pyramid is None
-        s = sig(sample.x)
-        want = np.array([np.mean((f.design_values - s) ** 2) for f in fits.fits])
-        assert np.array_equal(in_sample_losses(fits, s), want)
 
 
 class TestSelectMethods:
@@ -459,12 +439,25 @@ def test_collection_requires_increasing_dims():
 
 
 def test_fit_collection_raises_on_unfittable_model():
-    # 12 points cannot fit the 16-dimensional model: the whole collection
-    # fails, rather than dropping that model and selecting among the rest
+    # no pyramid fits 12 points (nor the 16-dimensional model on them): the
+    # whole collection fails, rather than dropping a model or fitting it
+    # another way
     sample = generate(get_signal("wave"), get_noise("h1"), 12, 5)
     coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in range(4)))
-    with pytest.raises(SingularDesignError, match="dimension 16"):
+    with pytest.raises(ValueError, match="one pyramid cannot fit the collection on 12 points"):
         fit_collection(sample, coll)
+
+
+def test_non_dyadic_sample_refused():
+    # 48 points fit every model of this collection by a Gram solve, but
+    # no pyramid fits them: both the fit and the selection refuse
+    sig = get_signal("wave")
+    sample = generate(sig, get_noise("h1"), 48, 9)
+    coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in (0, 1, 2)))
+    with pytest.raises(ValueError, match="one pyramid cannot fit the collection on 48 points"):
+        fit_collection(sample, coll)
+    with pytest.raises(ValueError, match="one pyramid cannot fit the collection on 48 points"):
+        select_methods([sample], coll, ("oracle", "sh", "cp"), signal_values=[sig(sample.x)])
 
 
 def test_wavelet_collection_dimensions():
