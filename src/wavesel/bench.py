@@ -68,15 +68,21 @@ class BenchConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        for n in self.sizes:
-            if n < 4 or (n & (n - 1)) != 0:
-                raise ValueError(f"sample size {n} is not a power of two >= 4")
-            if n < 16 and "sh" in self.methods:
-                raise ValueError(f"sample size {n} gives {n.bit_length() - 2} models; the "
-                                 "slope heuristics needs at least 3 (n >= 16)")
+        for key in ("signals", "noises", "sizes", "methods"):
+            values = getattr(self, key)
+            if not values:
+                raise ValueError(f"config key {key!r} is empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"config key {key!r} repeats an entry: {list(values)}")
         unknown = set(self.methods) - set(METHOD_ORDER)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; use {METHOD_ORDER}")
+        filt = transform.get_filter(self.basis)
+        for n in self.sizes:
+            models = len(wavelet_collection(n, filt))
+            if models < 3 and "sh" in self.methods:
+                raise ValueError(f"sample size {n} gives {models} models; the "
+                                 "slope heuristics needs at least 3 (n >= 16)")
 
     @property
     def cells(self) -> list:
@@ -286,7 +292,7 @@ def emit_table(report: BenchReport, fmt: str = "markdown") -> str:
         rows.append(((sig, noi, n), cells))
 
     if fmt == "json":
-        return report.to_json()
+        return report.to_json() + "\n"
     if fmt == "csv":
         lines = ["# wavesel-bench schema=1", ",".join(header)]
         for (sig, noi, n), cells in rows:

@@ -166,7 +166,7 @@ def _cmd_bench(args) -> int:
                           "markdown" if args.out.endswith(".md") else "csv")
     _write(args.out, bench.emit_table(report, fmt))
     if args.raw:
-        _write(args.raw, report.to_json() + "\n")
+        _write(args.raw, bench.emit_table(report, "json"))
     print(f"bench complete: {len(report.cells)} cells to {args.out}")
     return 0
 

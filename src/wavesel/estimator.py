@@ -57,7 +57,6 @@ class FitResult:
     beta: np.ndarray
     empirical_risk: float
     method: str
-    design_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,53 +84,48 @@ def pyramid_filter(models, n: int) -> Optional[np.ndarray]:
 
 @dataclass(frozen=True)
 class NestedPyramid:
-    """The pyramid of one dyadic vector y, shared by its nested models.
+    """The pyramids of one dyadic vector, or of a block of them along the
+    last axis, shared by their nested models.
 
     A model of dimension D is spanned by the first D discrete atoms, so
     its coefficients are the first D pyramid coefficients and, by
-    Parseval, its residual energy is the energy of the rest.
+    Parseval, its residual energy is the energy of the rest. ``coeffs``
+    and ``csum`` have the shape ``(..., n)`` of the vectors and ``energy``
+    their leading shape; ``pyr[i]`` is row i's record. The analysis is
+    batch-invariant and each row's energy is the dot product of that row,
+    so a row of a block holds the floats of its vector's own pyramid.
     """
     h: np.ndarray
     coeffs: np.ndarray
     csum: np.ndarray
-    energy: float
+    energy: np.ndarray
 
     @classmethod
-    def of(cls, y: np.ndarray, h: np.ndarray) -> "NestedPyramid":
-        return cls.stack((y,), h)[0]
+    def of(cls, ys, h: np.ndarray) -> "NestedPyramid":
+        ys = np.asarray(ys, dtype=float)
+        energy = np.array([np.dot(y, y) for y in ys.reshape(-1, ys.shape[-1])])
+        coeffs = transform.analyze_flat(ys, h)
+        csum = np.square(coeffs)
+        np.cumsum(csum, axis=-1, out=csum)
+        return cls(h, coeffs, csum, energy.reshape(ys.shape[:-1]))
 
-    @classmethod
-    def stack(cls, ys, h: np.ndarray) -> tuple:
-        """The pyramids of equal-length vectors ys, from one batched analysis.
-
-        The analysis is batch-invariant and each row keeps its own
-        cumulative sum and energy, so every pyramid holds the floats that
-        :meth:`of` gives for its vector alone.
-        """
-        coeffs = transform.analyze_flat(np.stack(ys), h)
-        return tuple(cls(h, c, np.cumsum(c ** 2), float(np.dot(y, y)))
-                     for y, c in zip(ys, coeffs))
+    def __getitem__(self, index) -> "NestedPyramid":
+        return NestedPyramid(self.h, self.coeffs[index], self.csum[index], self.energy[index])
 
     def beta(self, dim: int) -> np.ndarray:
         """Coefficients of the dimension-dim fit, in function units."""
-        return self.coeffs[:dim] / np.sqrt(len(self.coeffs))
+        return self.coeffs[..., :dim] / np.sqrt(self.coeffs.shape[-1])
 
-    def risk(self, dim: int) -> float:
-        """Empirical risk of the dimension-dim fit."""
-        n = len(self.coeffs)
-        return max(float(self.energy - self.csum[dim - 1]) / n, 0.0)
+    def risks(self, dims) -> np.ndarray:
+        """``(..., len(dims))`` empirical risks of the fits of dimensions dims."""
+        n = self.coeffs.shape[-1]
+        dims = np.asarray(dims, dtype=int)
+        return np.maximum((self.energy[..., None] - self.csum[..., dims - 1]) / n, 0.0)
 
     def fitted(self, dims) -> np.ndarray:
-        """Fitted values for each of dims, one row each, from one synthesis."""
-        return NestedPyramid.fitted_stack((self,), dims)[0]
-
-    @staticmethod
-    def fitted_stack(pyramids, dims) -> np.ndarray:
-        """(len(pyramids), len(dims), n) fitted values of pyramids of one
-        filter and length, from one prefix synthesis of their stacked
-        coefficients (dims are increasing powers of two)."""
-        coeffs = np.stack([p.coeffs for p in pyramids])
-        return transform.synthesize_prefixes(coeffs, dims, pyramids[0].h)
+        """``(..., len(dims), n)`` fitted values of the fits of dimensions
+        dims (increasing powers of two), from one prefix synthesis."""
+        return transform.synthesize_prefixes(self.coeffs, dims, self.h)
 
 
 def design_matrix(sample: RegressionSample, model) -> np.ndarray:
@@ -163,9 +157,8 @@ def _fit_gram(sample: RegressionSample, model) -> FitResult:
         beta = scipy.linalg.cho_solve(cho, rhs)
     except scipy.linalg.LinAlgError as exc:
         raise SingularDesignError(str(exc)) from exc
-    values = phi @ beta
-    resid = sample.y - values
-    return FitResult(model, beta, float(np.dot(resid, resid) / n), "gram_exact", values)
+    resid = sample.y - phi @ beta
+    return FitResult(model, beta, float(np.dot(resid, resid) / n), "gram_exact")
 
 
 def fit_ls(sample: RegressionSample, model, method: str = "auto") -> FitResult:
@@ -183,8 +176,8 @@ def fit_ls(sample: RegressionSample, model, method: str = "auto") -> FitResult:
             return _fit_gram(sample, model)
         raise ValueError("pyramid path needs a wavelet model and dyadic n >= dim")
     pyramid = NestedPyramid.of(sample.y, h)
-    return FitResult(model, pyramid.beta(model.dim), pyramid.risk(model.dim),
-                     "pyramid_fast", pyramid.fitted([model.dim])[0])
+    return FitResult(model, pyramid.beta(model.dim), float(pyramid.risks([model.dim])[0]),
+                     "pyramid_fast")
 
 
 def signal_grid_values(signal: TestSignal) -> np.ndarray:

@@ -81,32 +81,30 @@ def wavelet_collection(n: int, filt) -> ModelCollection:
 
 @dataclass(frozen=True)
 class FittedCollection:
-    fits: tuple
+    """One sample's fit of the collection: its row of the block pyramid,
+    its per-model empirical risks and, when fitted with the truth's
+    values, the truth's row."""
+    collection: ModelCollection
+    pyramid: NestedPyramid
     emp_risks: np.ndarray
-    pyramid: Optional[NestedPyramid] = None  # the sample's, set by fit_collection
-    signal: Optional[NestedPyramid] = None   # the truth's, when fitted with its values
+    signal: Optional[NestedPyramid] = None
 
-    def __len__(self) -> int:
-        return len(self.fits)
+    @property
+    def fits(self) -> tuple:
+        """The :class:`FitResult` of each model, built from the pyramid."""
+        return tuple(FitResult(m, self.pyramid.beta(m.dim), float(r), "pyramid_fast")
+                     for m, r in zip(self.collection.models, self.emp_risks))
 
 
-def _analyze(ys, collection: ModelCollection, truths=()) -> tuple:
-    """Pyramids and per-model empirical risks of equal-length responses ys.
-
-    The responses, and the truth's values ``truths`` when given, go
-    through one batched analysis. Returns the responses' pyramids, their
-    risk arrays and the truths' pyramids. Raises ``ValueError`` when one
-    pyramid cannot fit the collection at that length.
-    """
-    n = len(ys[0])
+def _analyze(ys: np.ndarray, collection: ModelCollection) -> NestedPyramid:
+    """The block pyramid of the rows of ys, from one batched analysis.
+    Raises ``ValueError`` when one pyramid cannot fit the collection at
+    that length."""
+    n = ys.shape[-1]
     h = pyramid_filter(collection.models, n)
     if h is None:
         raise ValueError(f"one pyramid cannot fit the collection on {n} points")
-    pyramids = NestedPyramid.stack([*ys, *truths], h)
-    fitted = pyramids[:len(ys)]
-    dims = collection.dims
-    risks = [np.array([p.risk(d) for d in dims]) for p in fitted]
-    return fitted, risks, pyramids[len(ys):]
+    return NestedPyramid.of(ys, h)
 
 
 def fit_collection(samples, collection: ModelCollection, signal_values=None):
@@ -116,9 +114,10 @@ def fit_collection(samples, collection: ModelCollection, signal_values=None):
     ``samples`` is one sample, which gives one :class:`FittedCollection`,
     or a block of samples of one size, which gives a tuple of them. The
     block's responses, and the truth's values at each sample's design
-    points when ``signal_values`` gives them (an array per sample), go
-    through one batched analysis. Raises ``ValueError`` when one pyramid
-    cannot fit the collection on the sample size.
+    points when ``signal_values`` gives them (an array per sample), are
+    stacked into one block pyramid; each sample's collection reads its
+    rows. Raises ``ValueError`` when one pyramid cannot fit the
+    collection on the sample size.
     """
     if isinstance(samples, RegressionSample):
         truths = None if signal_values is None else (signal_values,)
@@ -127,31 +126,29 @@ def fit_collection(samples, collection: ModelCollection, signal_values=None):
     truths = () if signal_values is None else tuple(signal_values)
     if truths and len(truths) != len(samples):
         raise ValueError(f"{len(truths)} signal value arrays for {len(samples)} samples")
-    pyramids, risks, signals = _analyze([s.y for s in samples], collection, truths)
-    return tuple(
-        FittedCollection(tuple(FitResult(m, pyramid.beta(m.dim), float(r), "pyramid_fast", None)
-                               for m, r in zip(collection.models, emp_risks)),
-                         emp_risks, pyramid=pyramid, signal=signal)
-        for pyramid, emp_risks, signal in zip(pyramids, risks,
-                                              signals or (None,) * len(samples)))
+    block = _analyze(np.stack([*(s.y for s in samples), *truths]), collection)
+    r = len(samples)
+    risks = block[:r].risks(collection.dims)
+    return tuple(FittedCollection(collection, block[i], risks[i],
+                                  block[r + i] if truths else None)
+                 for i in range(r))
 
 
-def in_sample_losses(fits: FittedCollection, signal_values: np.ndarray) -> np.ndarray:
+def in_sample_losses(fits: FittedCollection) -> np.ndarray:
     """Per-model loss (1/n) sum_i (s_hat_m(x_i) - s*(x_i))^2 at the design points.
 
     This is the oracle's loss: the sample estimate of the L2(P^X) loss,
-    given the truth's values ``signal_values`` at the design points. The
-    sample's pyramid splits it by Parseval into the noise energy a model
-    keeps plus the signal energy it drops, and reads the truth's
-    coefficients from the analysis :func:`fit_collection` made with the
-    signal values.
+    for a collection that :func:`fit_collection` fitted with the truth's
+    values. The sample's pyramid splits it by Parseval into the noise
+    energy a model keeps plus the signal energy it drops, and reads the
+    truth's coefficients from its row of the same block pyramid.
     """
-    if fits.pyramid is None or fits.signal is None:
+    if fits.signal is None:
         raise ValueError("the in-sample loss needs the collection fitted with the signal values")
     n = len(fits.pyramid.coeffs)
     cum_noise = np.cumsum((fits.pyramid.coeffs - fits.signal.coeffs) ** 2)
     cum_signal = fits.signal.csum
-    dims = np.array([f.model.dim for f in fits.fits])
+    dims = fits.collection.dims
     return (cum_noise[dims - 1] + (cum_signal[-1] - cum_signal[dims - 1])) / n
 
 
@@ -223,9 +220,10 @@ def _fold_fits(samples, collection: ModelCollection, tr: np.ndarray,
     and one prefix synthesis of the block's training responses. The fitted
     values live only for the call, so one fold's are freed before the next
     fold's synthesis (the bench sizes its blocks by that peak)."""
-    pyramids, risks, _ = _analyze([s.y[tr] for s in samples], collection)
+    block = _analyze(np.stack([s.y[tr] for s in samples]), collection)
     k = np.searchsorted(tr, held) - 1
-    fitted = NestedPyramid.fitted_stack(pyramids, collection.dims)
+    risks = block.risks(collection.dims)
+    fitted = block.fitted(collection.dims)
     return [FoldFit(r, _heldout_risks(f, s.x[tr], s.x[held], s.y[held], k))
             for s, r, f in zip(samples, risks, fitted)]
 
@@ -408,7 +406,7 @@ def oracle_select(sample: RegressionSample, collection: ModelCollection,
     """Minimize the in-sample loss of :func:`in_sample_losses` over the
     collection, given the truth's values at the design points."""
     fits = fits or fit_collection(sample, collection, signal_values)
-    losses = in_sample_losses(fits, signal_values)
+    losses = in_sample_losses(fits)
     dims = collection.dims
     idx = _argmin_tie_smaller(losses, dims)
     trace = tuple(TraceEntry(int(d), float(fits.emp_risks[i]), 0.0, float(losses[i]))
@@ -439,7 +437,7 @@ def select_sh(sample: RegressionSample, collection: ModelCollection,
               shape: Optional[np.ndarray] = None) -> SelectionOutcome:
     """Slope heuristics: pen(m) = 2 alpha_min_hat * D_m / n via the dimension jump."""
     fits = fits or fit_collection(sample, collection)
-    if len(fits) < 3:
+    if len(collection) < 3:
         raise ValueError("slope heuristics needs at least 3 fitted models")
     dims = collection.dims
     shape = dims / sample.n if shape is None else np.asarray(shape, dtype=float)

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from wavesel import bench
+from wavesel import bench, transform
 from wavesel.bench import BenchConfig, BenchReport, CellResult, emit_table, run_bench
+from wavesel.selection import FoldScheme, wavelet_collection
+from wavesel.signals import benchmark_signal, derive_seed, get_noise
 
 
 def small_config(**kw):
@@ -35,6 +39,31 @@ class TestConfig:
         with pytest.raises(ValueError, match="sample size 8 gives 2 models"):
             small_config(sizes=(256, 8))
         assert small_config(sizes=(8,), methods=("cp",)).sizes == (8,)
+
+    def test_sizes_checked_against_the_collection_at_load(self):
+        # every size builds its collection when the config loads, so a size
+        # past the reference grid fails before a smaller size's cells run
+        with pytest.raises(ValueError, match="exceeds the reference grid"):
+            small_config(sizes=(1024, 65536))
+        with pytest.raises(ValueError, match="dyadic"):
+            small_config(sizes=(2,), methods=("cp",))
+        with pytest.raises(KeyError, match="unknown filter"):
+            small_config(basis="db4")
+
+    @pytest.mark.parametrize("key", ["signals", "noises", "sizes", "methods"])
+    def test_empty_entries_rejected(self, key):
+        # an empty list ran nothing and wrote an empty table
+        with pytest.raises(ValueError, match=f"config key '{key}' is empty"):
+            small_config(**{key: ()})
+
+    @pytest.mark.parametrize("key, values", [
+        ("signals", ("wave", "wave")), ("noises", ("h1", "l1", "h1")),
+        ("sizes", (256, 256)), ("methods", ("sh", "cp", "sh"))])
+    def test_repeated_entries_rejected(self, key, values):
+        # a repeated entry ran its cells twice, kept the later in the raw
+        # report and printed its row twice
+        with pytest.raises(ValueError, match=f"config key '{key}' repeats an entry"):
+            small_config(**{key: values})
 
     def test_other_fold_counts_rejected(self):
         with pytest.raises(ValueError, match="folds must be 2"):
@@ -209,3 +238,28 @@ def test_report_bytes_do_not_depend_on_block_size(monkeypatch, n, folds):
         assert run_bench(cfg).to_json() == default
         assert max(sizes) == block
 
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("methods", [("sh", "cp"), bench.METHOD_ORDER], ids=["penalized", "vfold"])
+def test_block_memory_within_its_charge(n, methods):
+    # _block_size charges each replication 13n elements, or with the fold
+    # methods 8n + 5/2 models * n/2 if larger; the traced peak of a full
+    # block must stay within 1.25 times that charge
+    coll = wavelet_collection(n, transform.get_filter("db8"))
+    scheme = FoldScheme.interleaved(n, 2) if "vfcv" in methods else None
+    charge = 13 * n
+    if scheme is not None:
+        charge = max(charge, 8 * n + 5 * len(coll) * (n // 2) // 2)
+    block = bench._block_size(n, coll, scheme)
+    assert block == bench._BLOCK_ELEMENTS // charge
+    signal, noise = benchmark_signal("wave"), get_noise("h1")
+    bench._replicate_block([(signal, noise, 1)], n, coll, methods, scheme)  # warm the caches
+    jobs = [(signal, noise, derive_seed(5, r)) for r in range(block)]
+    tracemalloc.start()
+    try:
+        bench._replicate_block(jobs, n, coll, methods, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * charge * block

@@ -152,6 +152,30 @@ class TestBench:
         doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert doc["error"] == "ValueError" and "sample size 8 gives 2 models" in doc["message"]
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("sizes", [256, 65536], "exceeds the reference grid"),
+        ("methods", [], "'methods' is empty"),
+        ("signals", ["wave", "wave"], "'signals' repeats an entry")])
+    def test_config_that_cannot_run_rejected_at_load(self, tmp_path, capsys, key, value,
+                                                     message):
+        # before, the first ran the n = 256 cells before it failed, and the
+        # others exited 0 with an empty or a doubled table
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(read(self._config(tmp_path))), key: value}))
+        out = tmp_path / "t.csv"
+        assert run(["bench", "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "ValueError" and message in doc["message"]
+
+    def test_json_format_equals_raw_report(self, tmp_path):
+        cfg = self._config(tmp_path)
+        out, raw = tmp_path / "t.json", tmp_path / "raw.json"
+        assert run(["bench", "--config", cfg, "--format", "json", "--out", out,
+                    "--raw", raw]) == 0
+        assert read(out) == read(raw)
+        assert read(out).endswith("}\n")
+
     @pytest.mark.parametrize("key, value", [("keep_ratios", "false"), ("sizes", [256.9]),
                                             ("replications", 2.7), ("signals", "wave")])
     def test_mistyped_config_value_rejected(self, tmp_path, capsys, key, value):

@@ -28,7 +28,6 @@ class TestFitLs:
         y = span_vector(model, np.arange(1.0, model.dim + 1), 256)
         fit = fit_ls(equispaced_sample(y), model)
         assert fit.empirical_risk < 1e-12 * np.mean(y ** 2)
-        assert np.allclose(fit.design_values, y, atol=1e-10)
 
     def test_saturated_model_zero_risk(self):
         # the risk is (energy - sum of squared coefficients) / n, so a zero

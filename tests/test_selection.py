@@ -356,7 +356,7 @@ class TestInSampleLosses:
         assert fits.pyramid is not None
         fitted = NestedPyramid.of(sample.y, fits.pyramid.h).fitted(coll.dims)
         want = np.mean((fitted - sig(sample.x)) ** 2, axis=1)
-        got = in_sample_losses(fits, sig(sample.x))
+        got = in_sample_losses(fits)
         assert np.max(np.abs(got - want) / want) <= 1e-10
 
     def test_pyramid_route_needs_the_signal_analysis(self):
@@ -364,7 +364,7 @@ class TestInSampleLosses:
         sample = generate(sig, get_noise("h1"), 64, 2)
         fits = fit_collection(sample, wavelet_collection(64, transform.DB8))
         with pytest.raises(ValueError, match="signal values"):
-            in_sample_losses(fits, sig(sample.x))
+            in_sample_losses(fits)
 
 
 class TestSelectMethods:

@@ -265,7 +265,7 @@ class TestOrderedDesignFit:
         values = synthesize(unflatten(refit, self.n), DB8)
         assert np.max(np.abs(values - y)) < 1e-10
         assert np.max(np.abs(pyramid.fitted([self.model.dim])[0] - y)) < 1e-10
-        assert pyramid.risk(self.model.dim) < 1e-12 * np.mean(y ** 2)
+        assert pyramid.risks([self.model.dim])[0] < 1e-12 * np.mean(y ** 2)
 
     def test_nested_risk_monotone(self):
         from wavesel.signals import generate, get_noise, get_signal
@@ -274,9 +274,9 @@ class TestOrderedDesignFit:
         coeffs = flatten(analyze(sample.y, DB8))
         energy = np.dot(sample.y, sample.y)
         for dim in (16, 32):
-            assert pyramid.risk(dim) == pytest.approx(
+            assert pyramid.risks([dim])[0] == pytest.approx(
                 (energy - np.sum(coeffs[:dim] ** 2)) / self.n, rel=1e-12)
-        risks = [pyramid.risk(2 ** j) for j in range(11)]
+        risks = [pyramid.risks([2 ** j])[0] for j in range(11)]
         assert np.all(np.diff(risks) <= 0)
 
     def test_constant_y_gives_constant_fit(self):
@@ -306,3 +306,26 @@ class TestOrderedDesignFit:
         assert pyramid_filter((self.model, haar), self.n) is None
         assert pyramid_filter((bases.build_haar_weighted(4),), self.n) is None
         assert np.array_equal(pyramid_filter((haar,), self.n), HAAR)
+
+
+@pytest.mark.parametrize("filt", [HAAR, DB8], ids=["haar", "db8"])
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_block_rows_equal_single_vector_pyramids(filt, n, rows):
+    # a row of a block pyramid holds the floats of its vector's own
+    # pyramid, bit for bit, and so do the block's risks and fitted values
+    ys = [rng(seed).standard_normal(n) for seed in range(rows)]
+    block = NestedPyramid.of(np.stack(ys), filt)
+    dims = 2 ** np.arange(1, n.bit_length() - 1)
+    risks, fitted = block.risks(dims), block.fitted(dims)
+    assert risks.shape == (rows, len(dims)) and fitted.shape == (rows, len(dims), n)
+    for i, y in enumerate(ys):
+        alone, row = NestedPyramid.of(y, filt), block[i]
+        for got in (row, block[:rows][i]):
+            assert np.array_equal(got.coeffs, alone.coeffs)
+            assert np.array_equal(got.csum, alone.csum)
+            assert got.energy == alone.energy == np.dot(y, y)
+        assert np.array_equal(risks[i], alone.risks(dims))
+        assert np.array_equal(row.risks(dims), alone.risks(dims))
+        assert np.array_equal(fitted[i], alone.fitted(dims))
+        assert np.array_equal(row.fitted(dims), alone.fitted(dims))
