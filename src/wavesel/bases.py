@@ -216,6 +216,8 @@ class HaarWeightedModel(Model):
                  c_min: Optional[float] = None):
         if j_max < 0:
             raise ValueError("j_max must be >= 0")
+        if (1 << (j_max + 1)) > N_GRID:
+            raise ValueError("model resolution exceeds the reference grid")
         self.j_max = int(j_max)
         self.dim = 1 << (self.j_max + 1)
         self.density = density

@@ -6,10 +6,10 @@ ratio ||s_hat_selected - s*||^2 / ||s_hat_oracle - s*||^2 is at least 1
 by construction. Replication seeds are derived from (base seed, cell
 index, replication index), so no result depends on the order of the
 runs. The replications of every cell at one sample size share one
-collection and one fold scheme, so they run in blocks: each block makes
-one pyramid analysis of its stacked responses and truths, and one
-analysis and one synthesis per fold, while the selectors run per
-replication. The pyramid kernels are batch-invariant, so a ratio does
+collection and one even/odd fold split, so they run in blocks: each
+block makes one pyramid analysis of its stacked responses and truths,
+and one analysis and one synthesis per fold, while the selectors run
+per replication. The pyramid kernels are batch-invariant, so a ratio does
 not depend on the block it ran in.
 """
 
@@ -23,8 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import transform
-from .selection import (FOLD_METHODS, FoldScheme, ModelCollection, select_methods,
-                        wavelet_collection)
+from .selection import FOLD_METHODS, ModelCollection, select_methods, wavelet_collection
 from .signals import _draw, benchmark_signal, derive_seed, get_noise, get_signal
 
 __all__ = [
@@ -194,15 +193,14 @@ class BenchReport:
 _BLOCK_ELEMENTS = 13 << 15
 
 
-def _block_size(n: int, collection: ModelCollection, scheme: Optional[FoldScheme]) -> int:
+def _block_size(n: int, collection: ModelCollection, methods) -> int:
     held = 13 * n
-    if scheme is not None:  # each fold fits on n_t = n/2 training points
+    if any(m in FOLD_METHODS for m in methods):  # each fold fits on n/2 points
         held = max(held, 8 * n + 5 * len(collection) * (n // 2) // 2)
     return max(1, _BLOCK_ELEMENTS // held)
 
 
-def _replicate_block(jobs, n: int, collection: ModelCollection, methods,
-                     scheme: Optional[FoldScheme]) -> list:
+def _replicate_block(jobs, n: int, collection: ModelCollection, methods) -> list:
     """Replications at sample size n, one per (signal, noise, seed) job:
     shared fits, one oracle and one ratio per method each.
 
@@ -213,7 +211,7 @@ def _replicate_block(jobs, n: int, collection: ModelCollection, methods,
     samples, truths = zip(*(_draw(signal, noise, n, seed) for signal, noise, seed in jobs))
     out = []
     for outcomes in select_methods(samples, collection, ("oracle", *methods),
-                                   folds=scheme, signal_values=truths):
+                                   signal_values=truths):
         oracle = outcomes.pop("oracle")
         losses = oracle.diagnostics["losses"]
         oracle_loss = float(losses[oracle.chosen_index])
@@ -231,8 +229,6 @@ def _replicate_block(jobs, n: int, collection: ModelCollection, methods,
 def run_bench(config: BenchConfig) -> BenchReport:
     """Run every cell of the config, in blocks of replications per sample size."""
     filt = transform.get_filter(config.basis)
-    # the even/odd fold scheme depends only on n, and only the fold methods use it
-    uses_folds = any(m in FOLD_METHODS for m in config.methods)
     jobs = {}  # n -> [(cell index, (signal, noise, seed))]
     for cell_index, (sig_name, noi_name, n) in enumerate(config.cells):
         signal = benchmark_signal(sig_name) if config.normalize else get_signal(sig_name)
@@ -245,12 +241,11 @@ def run_bench(config: BenchConfig) -> BenchReport:
     results = {}  # cell index -> per-replication ratios
     for n, todo in jobs.items():
         collection = wavelet_collection(n, filt)
-        scheme = FoldScheme.interleaved(n, 2) if uses_folds else None
-        size = _block_size(n, collection, scheme)
+        size = _block_size(n, collection, config.methods)
         for start in range(0, len(todo), size):
             block = todo[start:start + size]
             ratios = _replicate_block([job for _, job in block], n, collection,
-                                      config.methods, scheme)
+                                      config.methods)
             for (cell_index, _), r in zip(block, ratios):
                 results.setdefault(cell_index, []).append(r)
 

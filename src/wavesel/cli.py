@@ -81,7 +81,7 @@ def _cmd_fit(args) -> int:
         rows.append((fit.model.dim, rep))
     _write(args.out, "\n".join(lines) + "\n")
     if args.dump_coefficients:
-        tree = transform.analyze(sample.y, transform.get_filter(args.basis))
+        tree = transform.unflatten(fits.pyramid.coeffs, sample.n)
         _write(args.dump_coefficients, _doc("coefficient_tree", tree.to_dict()) + "\n")
     best = min(rows, key=lambda r: r[1].total)
     print(f"fitted {len(rows)} models; smallest total loss {best[1].total:.3e} at dim {best[0]}")
@@ -99,10 +99,7 @@ def _cmd_select(args) -> int:
         if not args.truth:
             raise ValueError("oracle selection needs --truth")
         truths = [_resolve_signal(args.truth, args.normalize)(sample.x)]
-    folds = (selection.FoldScheme.interleaved(sample.n, 2)
-             if any(m in selection.FOLD_METHODS for m in methods) else None)
-    outcomes, = selection.select_methods([sample], collection, methods, folds=folds,
-                                         signal_values=truths)
+    outcomes, = selection.select_methods([sample], collection, methods, signal_values=truths)
     payload = {"schema_version": 2, "n": sample.n, "basis": args.basis,
                "outcomes": {m: o.to_dict() for m, o in outcomes.items()}}
     _write(args.out, _doc("selection", payload) + "\n")

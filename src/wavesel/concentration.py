@@ -119,6 +119,9 @@ def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
         rep = estimator.fit_risks(sample, fit, truth)
         r_true.append(n * rep.excess / cm)
         r_emp.append(n * rep.empirical_excess / cm)
+    if len(r_true) < 2:
+        raise ValueError(f"{failures} of {N} replications had a singular design; the "
+                         "mean, spread and coverage need at least 2 fits")
     r_true = np.array(r_true)
     r_emp = np.array(r_emp)
 

@@ -192,7 +192,11 @@ def project_truth(signal: TestSignal, model) -> np.ndarray:
     two routes agree because the fine pyramid is the grid quadrature in
     the discrete atom basis.
     """
-    s = signal_grid_values(signal)
+    return _project(signal_grid_values(signal), model)
+
+
+def _project(s: np.ndarray, model) -> np.ndarray:
+    """:func:`project_truth` of the signal's reference-grid values s."""
     if isinstance(model, bases.WaveletModel):
         coeffs = transform.analyze_flat(s, model.h)
         return coeffs[: model.dim] / np.sqrt(N_GRID)
@@ -236,8 +240,8 @@ class TruthTerms:
 
 def truth_terms(signal: TestSignal, model) -> TruthTerms:
     """Compute the sample-free terms once, for any number of fits."""
-    beta_m = project_truth(signal, model)
     s = signal_grid_values(signal)
+    beta_m = _project(s, model)
     w = model.density_on_grid()
     weights = np.ones(N_GRID) if w is None else w
     s_m = _grid_function(model, beta_m)

@@ -8,9 +8,11 @@ convex hull of the (shape, risk) cloud, and places the minimal level at
 the breakpoint with the largest drop in selected dimension (ties going
 to the largest alpha).
 
-Every fit, of the whole sample and of each even/odd training half, reads
-the nested pyramid of its responses, so a collection is a nested wavelet
-collection on a dyadic n.
+Every selector reads one sample's :class:`FittedCollection`, and 2FCV
+and pen2F also its fold fits. Every fit, of the whole sample and of each
+even/odd training half (the two folds, derived from the sample's ranks),
+reads the nested pyramid of its responses, so a collection is a nested
+wavelet collection on a dyadic n.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "FittedCollection",
     "fit_collection",
     "in_sample_losses",
-    "FoldScheme",
     "PathSegment",
     "PenaltyPath",
     "penalty_path",
@@ -153,33 +154,8 @@ def in_sample_losses(fits: FittedCollection) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fold schemes
+# folds
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FoldScheme:
-    """The even/odd split of the rank-ordered sample of size n: fold j
-    fits on ranks j, j + 2, ... (0-based) and holds out the others."""
-
-    n: int
-    V = 2
-
-    @classmethod
-    def interleaved(cls, n: int, V: int) -> "FoldScheme":
-        """The even/odd split; only V = 2 is supported."""
-        if V != 2:
-            raise ValueError(f"V must be 2, got {V}: 2FCV and pen2F fit their folds "
-                             "with the pyramid of the half sample")
-        return cls(n)
-
-    def heldout(self, j: int) -> np.ndarray:
-        return np.arange(1 - j, self.n, 2)
-
-    def train(self, j: int, n: int) -> np.ndarray:
-        if n != self.n:
-            raise ValueError(f"a fold scheme for {self.n} points cannot split {n}")
-        return np.arange(j, n, 2)
-
 
 @dataclass(frozen=True)
 class FoldFit:
@@ -228,28 +204,27 @@ def _fold_fits(samples, collection: ModelCollection, tr: np.ndarray,
             for s, r, f in zip(samples, risks, fitted)]
 
 
-def fold_fitted(samples, collection: ModelCollection, folds: FoldScheme) -> tuple:
+def fold_fitted(samples, collection: ModelCollection) -> tuple:
     """Per-fold training and held-out risks of every model (shared by
-    2FCV and pen2F).
+    2FCV and pen2F): one tuple of :class:`FoldFit` (one per fold) for
+    each sample of a block of samples of one size.
 
-    ``samples`` is one sample, which gives its tuple of :class:`FoldFit`
-    (one per fold), or a block of samples of one size, which gives one
-    such tuple per sample. A fold fit is the full-sample estimator on the
-    training half: each fold analyses the whole block's training
-    responses in one pyramid call, as :func:`fit_collection` does for the
-    whole sample, and synthesizes every model of every sample in another.
-    A fold fit predicts off its training points by linear interpolation
-    in x between its fitted values, with constant extrapolation at the
-    boundary. Since x strictly increases, a held-out point's bracket of
-    training points is fixed by the ranks alone, once per fold for every
-    sample.
+    The folds are the even/odd split of the rank-ordered sample: fold j
+    fits on ranks j, j + 2, ... (0-based) and holds out the others. A
+    fold fit is the full-sample estimator on the training half: each fold
+    analyses the whole block's training responses in one pyramid call, as
+    :func:`fit_collection` does for the whole sample, and synthesizes
+    every model of every sample in another. A fold fit predicts off its
+    training points by linear interpolation in x between its fitted
+    values, with constant extrapolation at the boundary. Since x strictly
+    increases, a held-out point's bracket of training points is fixed by
+    the ranks alone, once per fold for every sample.
     """
-    if isinstance(samples, RegressionSample):
-        return fold_fitted((samples,), collection, folds)[0]
     samples = tuple(samples)
     n = samples[0].n
-    return tuple(zip(*(_fold_fits(samples, collection, folds.train(j, n), folds.heldout(j))
-                       for j in range(folds.V))))
+    return tuple(zip(*(_fold_fits(samples, collection, np.arange(j, n, 2),
+                                  np.arange(1 - j, n, 2))
+                       for j in (0, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +375,11 @@ def _outcome(method: str, dims, emp_risks, penalties, diagnostics) -> SelectionO
     return SelectionOutcome(method, idx, int(dims[idx]), trace, diagnostics)
 
 
-def oracle_select(sample: RegressionSample, collection: ModelCollection,
-                  signal_values: np.ndarray,
-                  fits: Optional[FittedCollection] = None) -> SelectionOutcome:
+def oracle_select(fits: FittedCollection) -> SelectionOutcome:
     """Minimize the in-sample loss of :func:`in_sample_losses` over the
-    collection, given the truth's values at the design points."""
-    fits = fits or fit_collection(sample, collection, signal_values)
+    collection, which ``fits`` was fitted on with the truth's values."""
     losses = in_sample_losses(fits)
-    dims = collection.dims
+    dims = fits.collection.dims
     idx = _argmin_tie_smaller(losses, dims)
     trace = tuple(TraceEntry(int(d), float(fits.emp_risks[i]), 0.0, float(losses[i]))
                   for i, d in enumerate(dims))
@@ -432,15 +404,13 @@ def dimension_jump(path: PenaltyPath):
     return float(alpha_min), jumps, bool(ratio < 2.0)
 
 
-def select_sh(sample: RegressionSample, collection: ModelCollection,
-              fits: Optional[FittedCollection] = None,
+def select_sh(fits: FittedCollection,
               shape: Optional[np.ndarray] = None) -> SelectionOutcome:
     """Slope heuristics: pen(m) = 2 alpha_min_hat * D_m / n via the dimension jump."""
-    fits = fits or fit_collection(sample, collection)
-    if len(collection) < 3:
+    if len(fits.collection) < 3:
         raise ValueError("slope heuristics needs at least 3 fitted models")
-    dims = collection.dims
-    shape = dims / sample.n if shape is None else np.asarray(shape, dtype=float)
+    dims = fits.collection.dims
+    shape = dims / len(fits.pyramid.coeffs) if shape is None else np.asarray(shape, dtype=float)
     path = penalty_path(shape, fits.emp_risks, dims)
     alpha_min, jumps, no_jump = dimension_jump(path)
     penalties = 2.0 * alpha_min * shape
@@ -452,13 +422,11 @@ def select_sh(sample: RegressionSample, collection: ModelCollection,
     })
 
 
-def select_cp(sample: RegressionSample, collection: ModelCollection,
-              fits: Optional[FittedCollection] = None) -> SelectionOutcome:
+def select_cp(fits: FittedCollection) -> SelectionOutcome:
     """Mallows' Cp: pen(m) = 2 sigma2_hat D_m / n with the saturated-model
     variance estimator sigma2_hat = d^2(Y, m_{n/2}) / (n - n/2)."""
-    fits = fits or fit_collection(sample, collection)
-    dims = collection.dims
-    n = sample.n
+    dims = fits.collection.dims
+    n = len(fits.pyramid.coeffs)
     if dims.max() != n // 2:
         raise ValueError("Cp needs the saturated model of dimension n/2 in the collection")
     largest = int(np.argmax(dims))
@@ -467,47 +435,36 @@ def select_cp(sample: RegressionSample, collection: ModelCollection,
     return _outcome("cp", dims, fits.emp_risks, penalties, {"sigma2": float(sigma2)})
 
 
-def select_vfcv(sample: RegressionSample, collection: ModelCollection,
-                folds: FoldScheme, fits: Optional[FittedCollection] = None,
-                fold_fits: Optional[tuple] = None) -> SelectionOutcome:
-    """V-fold cross-validation: the mean over folds of the held-out risks."""
-    fits = fits or fit_collection(sample, collection)
-    fold_fits = fold_fits or fold_fitted(sample, collection, folds)
-    dims = collection.dims
+def select_vfcv(fits: FittedCollection, fold_fits: tuple) -> SelectionOutcome:
+    """V-fold cross-validation at V = 2 (2FCV): the mean over the two
+    folds of :func:`fold_fitted` of the held-out risks."""
     per_fold = np.array([fold.heldout_risks for fold in fold_fits])
     crit = per_fold.mean(axis=0)
     penalties = crit - fits.emp_risks  # implied penalty, for the trace
-    return _outcome("vfcv", dims, fits.emp_risks, penalties,
+    return _outcome("vfcv", fits.collection.dims, fits.emp_risks, penalties,
                     {"per_fold_risks": per_fold})
 
 
-def select_penvf(sample: RegressionSample, collection: ModelCollection,
-                 folds: FoldScheme, fits: Optional[FittedCollection] = None,
-                 fold_fits: Optional[tuple] = None) -> SelectionOutcome:
+def select_penvf(fits: FittedCollection, fold_fits: tuple) -> SelectionOutcome:
     """V-fold penalization at V = 2 (pen2F): empirical risk plus the
     resampled ideal penalty
     pen_VF(m) = (V-1)/V sum_j [P_n gamma(s_m^(-j)) - P_n^(-j) gamma(s_m^(-j))].
 
     The terms come from the fold risks of :func:`fold_fitted`: the
-    held-out risk CV_j on the n_h,j held-out points and the training risk
-    R_j on the n_t,j training points. The even and odd halves of
-    :class:`FoldScheme` partition the sample (n_h,j + n_t,j = n), and the
-    fold fit reproduces its training values exactly at the knots, so its
-    full-sample risk is
-    P_n gamma(s_m^(-j)) = (n_h,j CV_j + n_t,j R_j) / n, and
+    held-out risk CV_j on the n_h = n/2 held-out points and the training
+    risk R_j on the n/2 training points. The even and odd halves
+    partition the sample, and the fold fit reproduces its training values
+    exactly at the knots, so its full-sample risk is
+    P_n gamma(s_m^(-j)) = (CV_j + R_j) / 2, and
 
-        pen_VF(m) = (V-1)/V sum_j (n_h,j / n) (CV_j(m) - R_j(m)).
+        pen_VF(m) = (V-1)/V sum_j (n_h / n) (CV_j(m) - R_j(m))
+                  = 1/2 sum_j 1/2 (CV_j(m) - R_j(m)).
 
     2FCV minimizes mean_j CV_j over the same quantities.
     """
-    fits = fits or fit_collection(sample, collection)
-    fold_fits = fold_fits or fold_fitted(sample, collection, folds)
-    dims = collection.dims
-    share = np.array([len(folds.heldout(j)) / sample.n for j in range(folds.V)])
-    terms = share[:, None] * np.array([fold.heldout_risks - fold.train_risks
-                                       for fold in fold_fits])
-    pen = (folds.V - 1) / folds.V * terms.sum(axis=0)
-    return _outcome("penvf", dims, fits.emp_risks, pen,
+    terms = 0.5 * np.array([fold.heldout_risks - fold.train_risks for fold in fold_fits])
+    pen = 0.5 * terms.sum(axis=0)
+    return _outcome("penvf", fits.collection.dims, fits.emp_risks, pen,
                     {"per_fold_terms": terms})
 
 
@@ -515,43 +472,34 @@ FOLD_METHODS = ("vfcv", "penvf")
 
 
 def select_methods(samples, collection: ModelCollection, methods,
-                   folds: Optional[FoldScheme] = None, signal_values=None) -> list:
+                   signal_values=None) -> list:
     """Run the named methods on a block of samples of one size: one
     {method: outcome} dict per sample, in the order asked.
 
     Methods are "oracle" (needs ``signal_values``, the truth's values at
-    each sample's design points), "sh", "cp", "vfcv" and "penvf" (these
-    two need ``folds``). The block's collection is fitted once, and its
-    fold fits are built once, only when a fold method is asked; the
-    selectors then run per sample.
+    each sample's design points), "sh", "cp", "vfcv" and "penvf". The
+    block's collection is fitted once, and its even/odd fold fits are
+    built once, only when a fold method is asked; the selectors then run
+    per sample on its fitted collection.
     """
     samples = tuple(samples)
-    truths = None if signal_values is None else tuple(signal_values)
-    fits = fit_collection(samples, collection, truths)
-    fold_fits = (None,) * len(samples)
-    if any(m in FOLD_METHODS for m in methods):
-        if folds is None:
-            raise ValueError("2FCV and pen2F need a fold scheme")
-        fold_fits = fold_fitted(samples, collection, folds)
+    fits = fit_collection(samples, collection, signal_values)
+    fold_fits = (fold_fitted(samples, collection) if any(m in FOLD_METHODS for m in methods)
+                 else (None,) * len(samples))
     out = []
-    for sample, sample_fits, sample_folds, truth in zip(samples, fits, fold_fits,
-                                                        truths or (None,) * len(samples)):
+    for sample_fits, sample_folds in zip(fits, fold_fits):
         outcomes = {}
         for method in methods:
             if method == "oracle":
-                if truth is None:
-                    raise ValueError("oracle selection needs the true signal")
-                outcomes[method] = oracle_select(sample, collection, truth, fits=sample_fits)
+                outcomes[method] = oracle_select(sample_fits)
             elif method == "sh":
-                outcomes[method] = select_sh(sample, collection, fits=sample_fits)
+                outcomes[method] = select_sh(sample_fits)
             elif method == "cp":
-                outcomes[method] = select_cp(sample, collection, fits=sample_fits)
+                outcomes[method] = select_cp(sample_fits)
             elif method == "vfcv":
-                outcomes[method] = select_vfcv(sample, collection, folds, fits=sample_fits,
-                                               fold_fits=sample_folds)
+                outcomes[method] = select_vfcv(sample_fits, sample_folds)
             elif method == "penvf":
-                outcomes[method] = select_penvf(sample, collection, folds, fits=sample_fits,
-                                                fold_fits=sample_folds)
+                outcomes[method] = select_penvf(sample_fits, sample_folds)
             else:
                 raise ValueError(f"unknown method {method!r}")
         out.append(outcomes)

@@ -242,12 +242,11 @@ def test_criterion_6_selection_invariants():
             direct = dims[int(np.lexsort((dims, fits.emp_risks + a * shapes))[0])]
             assert path.segment_at(a).dim == direct
         # SH argmin invariance under penalty-shape rescaling
-        a_out = selection.select_sh(sample, coll, fits=fits, shape=shapes)
-        b_out = selection.select_sh(sample, coll, fits=fits, shape=3.5 * shapes)
+        a_out = selection.select_sh(fits, shape=shapes)
+        b_out = selection.select_sh(fits, shape=3.5 * shapes)
         assert a_out.chosen_dim == b_out.chosen_dim
         # VFCV argmin invariance under model-independent criterion shifts
-        folds = selection.FoldScheme.interleaved(n, 2)
-        v_out = selection.select_vfcv(sample, coll, folds, fits=fits)
+        v_out = selection.select_vfcv(fits, selection.fold_fitted([sample], coll)[0])
         crit = np.array([t.criterion for t in v_out.trace])
         shifted = crit + 42.0
         assert dims[int(np.lexsort((dims, shifted))[0])] == v_out.chosen_dim

@@ -66,6 +66,12 @@ class TestHaarWeighted:
         assert got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous
 
+    def test_resolution_beyond_reference_grid_refused(self):
+        # at j_max = 14 every grid midpoint lies in the right half of its
+        # level-14 cell, so the grid Gram could not be orthonormal
+        with pytest.raises(ValueError, match="exceeds the reference grid"):
+            build_haar_weighted(14)
+
     def test_uniform_atom_is_standard_haar(self):
         m = build_haar_weighted(3)
         assert m.dim == 16

@@ -5,7 +5,7 @@ import pytest
 
 from wavesel import bench, transform
 from wavesel.bench import BenchConfig, BenchReport, CellResult, emit_table, run_bench
-from wavesel.selection import FoldScheme, wavelet_collection
+from wavesel.selection import wavelet_collection
 from wavesel.signals import benchmark_signal, derive_seed, get_noise
 
 
@@ -96,8 +96,7 @@ class TestRunBench:
         member = signals.TestSignal("Custom", lambda x: np.full_like(np.asarray(x, float), 0.4))
         zero = signals.NoiseScenario("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
         out, = bench._replicate_block([(member, zero, 5)], 64, coll,
-                                      ("sh", "cp", "vfcv", "penvf"),
-                                      selection.FoldScheme.interleaved(64, 2))
+                                      ("sh", "cp", "vfcv", "penvf"))
         assert all(v == 1.0 for v in out.values())
 
     def test_report_structure_and_determinism(self):
@@ -247,18 +246,17 @@ def test_block_memory_within_its_charge(n, methods):
     # methods 8n + 5/2 models * n/2 if larger; the traced peak of a full
     # block must stay within 1.25 times that charge
     coll = wavelet_collection(n, transform.get_filter("db8"))
-    scheme = FoldScheme.interleaved(n, 2) if "vfcv" in methods else None
     charge = 13 * n
-    if scheme is not None:
+    if "vfcv" in methods:
         charge = max(charge, 8 * n + 5 * len(coll) * (n // 2) // 2)
-    block = bench._block_size(n, coll, scheme)
+    block = bench._block_size(n, coll, methods)
     assert block == bench._BLOCK_ELEMENTS // charge
     signal, noise = benchmark_signal("wave"), get_noise("h1")
-    bench._replicate_block([(signal, noise, 1)], n, coll, methods, scheme)  # warm the caches
+    bench._replicate_block([(signal, noise, 1)], n, coll, methods)  # warm the caches
     jobs = [(signal, noise, derive_seed(5, r)) for r in range(block)]
     tracemalloc.start()
     try:
-        bench._replicate_block(jobs, n, coll, methods, scheme)
+        bench._replicate_block(jobs, n, coll, methods)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

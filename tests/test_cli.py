@@ -288,6 +288,18 @@ class TestErrors:
         doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert doc["error"] == "ValueError" and f"--dim {dim}" in doc["message"]
 
+    @pytest.mark.parametrize("n, dim, message", [
+        (16, 32, "100 of 100 replications"),  # every fit singular: no ratios
+        (256, 32768, "exceeds the reference grid"),  # refused before any allocation
+    ])
+    def test_conc_without_ratios_exit_1(self, tmp_path, capsys, n, dim, message):
+        out = tmp_path / "conc.json"
+        assert run(["conc", "--n", n, "--dim", dim, "--reps", 100, "--n-mc", 10_000,
+                    "--out", out]) == 1
+        assert not out.exists()
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "ValueError" and message in doc["message"]
+
     def test_runtime_error_exit_1_json_stderr(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         code = cli.main(["select", "--method", "cp", "--in", str(missing),

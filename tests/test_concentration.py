@@ -155,6 +155,15 @@ class TestRunConcentration:
         with pytest.warns(ConcentrationRangeWarning):
             run_concentration(sig, noi, model, 1024, 100, seed=1, n_mc=20_000)
 
+    def test_every_replication_singular_refused(self):
+        # a 32-dimensional model on 16 points is singular in every
+        # replication, so no mean, spread or coverage exists
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConcentrationRangeWarning)
+            with pytest.raises(ValueError, match="100 of 100 replications"):
+                run_concentration(get_signal("wave"), get_noise("h1"),
+                                  bases.build_haar_weighted(4), 16, 100, seed=0, n_mc=10_000)
+
     def test_requires_hundred_replications(self):
         with pytest.raises(ValueError):
             run_concentration(get_signal("wave"), get_noise("h1"),

@@ -135,6 +135,18 @@ class TestExcessRisks:
         rep = excess_risks(sample, model, get_signal("heavisine"))
         assert rep.total == pytest.approx(rep.bias + rep.excess, abs=1e-8)
 
+    def test_truth_terms_evaluate_the_truth_once(self, monkeypatch):
+        sig = get_signal("wave")
+        model = bases.build_periodized_wavelet(transform.DB8, 4)
+        want = project_truth(sig, model)
+        calls = []
+        real = estimator.signal_grid_values
+        monkeypatch.setattr(estimator, "signal_grid_values",
+                            lambda s: calls.append(s) or real(s))
+        terms = estimator.truth_terms(sig, model)
+        assert len(calls) == 1
+        assert np.array_equal(terms.beta_m, want)
+
     def test_empirical_excess_nonnegative(self):
         for seed in range(5):
             sample = generate(get_signal("spikes"), get_noise("h2"), 256, seed)

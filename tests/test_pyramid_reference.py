@@ -10,7 +10,9 @@ arithmetic and method dispatch from before both moved into
 references are the per-model interpolation loops the two selectors ran
 before both read the fold risks of ``fold_fitted``: 2FCV must match bit
 for bit, and pen2F, now computed from an identity, to rounding. They read
-the training indices and fitted values of ``ref_fold_fitted``.
+the training indices and fitted values of ``ref_fold_fitted``, and take
+the split as explicit index arrays: fold j trains on the ranks j, j + 2,
+... (0-based) and holds out the others.
 """
 
 from dataclasses import dataclass
@@ -20,11 +22,20 @@ import pytest
 
 from wavesel import bench, transform
 from wavesel.estimator import FitResult, NestedPyramid, fit_ls
-from wavesel.selection import (FoldScheme, fit_collection, fold_fitted, select_cp,
+from wavesel.selection import (FittedCollection, fit_collection, fold_fitted, select_cp,
                                select_penvf, select_sh, select_vfcv, wavelet_collection)
 from wavesel.signals import benchmark_signal, derive_seed, generate, get_noise
 
 CASES = [(name, n) for name in ("haar", "db8") for n in (256, 1024)]
+V = 2  # the even/odd split
+
+
+def train_idx(j, n):
+    return np.arange(j, n, 2)
+
+
+def heldout_idx(j, n):
+    return np.arange(1 - j, n, 2)
 
 
 @dataclass(frozen=True)
@@ -63,10 +74,10 @@ class RefFoldFit:
     heldout_risks: np.ndarray
 
 
-def ref_fold_fitted(sample, collection, folds):
+def ref_fold_fitted(sample, collection):
     out = []
-    for j in range(folds.V):
-        tr = folds.train(j, sample.n)
+    for j in range(V):
+        tr = train_idx(j, sample.n)
         x_t = sample.x[tr]
         y_t = sample.y[tr]
         n_t = len(tr)
@@ -78,7 +89,7 @@ def ref_fold_fitted(sample, collection, folds):
         kept = np.where(np.arange(n_t) < dims[:, None], coeffs, 0.0)
         fitted = list(transform.synthesize_flat(kept, h))
         risks = [max((energy - csum[d - 1]) / n_t, 0.0) for d in dims]
-        held = folds.heldout(j)
+        held = heldout_idx(j, sample.n)
         x_h = sample.x[held]
         y_h = sample.y[held]
         cv = [float(np.mean((y_h - np.interp(x_h, x_t, f)) ** 2)) for f in fitted]
@@ -86,13 +97,13 @@ def ref_fold_fitted(sample, collection, folds):
     return tuple(out)
 
 
-def ref_select_vfcv(sample, folds, fits, fold_fits):
+def ref_select_vfcv(sample, fits, fold_fits):
     """The per-model held-out interpolation loop of 2FCV before the fold
     risks moved into ``fold_fitted``; returns (criterion, chosen index)."""
     dims = np.array([f.model.dim for f in fits.fits], dtype=int)
-    per_fold = np.zeros((folds.V, len(dims)))
+    per_fold = np.zeros((V, len(dims)))
     for j, fold in enumerate(fold_fits):
-        held = folds.heldout(j)
+        held = heldout_idx(j, sample.n)
         x_h = sample.x[held]
         y_h = sample.y[held]
         x_t = sample.x[fold.train_idx]
@@ -103,46 +114,49 @@ def ref_select_vfcv(sample, folds, fits, fold_fits):
     return crit, int(np.lexsort((dims, crit))[0])
 
 
-def ref_select_penvf(sample, folds, fits, fold_fits):
+def ref_select_penvf(sample, fits, fold_fits):
     """The full-sample interpolation loop of pen2F before it read the fold
     risks; returns (penalties, chosen index)."""
     dims = np.array([f.model.dim for f in fits.fits], dtype=int)
-    terms = np.zeros((folds.V, len(dims)))
+    terms = np.zeros((V, len(dims)))
     for j, fold in enumerate(fold_fits):
         x_t = sample.x[fold.train_idx]
         for i in range(len(dims)):
             pred_all = np.interp(sample.x, x_t, fold.fitted[i])
             full_risk = float(np.mean((sample.y - pred_all) ** 2))
             terms[j, i] = full_risk - fold.train_risks[i]
-    pen = (folds.V - 1) / folds.V * terms.sum(axis=0)
+    pen = (V - 1) / V * terms.sum(axis=0)
     crit = fits.emp_risks + pen
     return pen, int(np.lexsort((dims, crit))[0])
 
 
-def ref_replicate(signal, noise, n, seed, collection, methods, scheme):
+def ref_replicate(signal, noise, n, seed, collection, methods):
     sample = generate(signal, noise, n, seed)
-    fits = ref_fit_collection(sample, collection)
+    ref = ref_fit_collection(sample, collection)
     filt = collection.models[0].h
     c_signal, c_y = transform.analyze_flat(np.stack([signal(sample.x), sample.y]), filt)
+    # the selectors read the reference's risks from a fitted collection
+    pyramid = NestedPyramid(filt, c_y, np.cumsum(c_y ** 2), np.dot(sample.y, sample.y))
+    fits = FittedCollection(collection, pyramid, ref.emp_risks)
     c_noise = c_y - c_signal
     cum_noise = np.cumsum(c_noise ** 2)
     cum_signal = np.cumsum(c_signal ** 2)
     total_signal = cum_signal[-1]
-    dims = np.array([f.model.dim for f in fits.fits])
+    dims = np.array([f.model.dim for f in ref.fits])
     losses = np.array([(cum_noise[d - 1] + (total_signal - cum_signal[d - 1])) / n
                        for d in dims])
     oracle_loss = float(losses[np.lexsort((dims, losses))[0]])
-    fold_fits = ref_fold_fitted(sample, collection, scheme)
+    fold_fits = ref_fold_fitted(sample, collection)
     out = {}
     for method in methods:
         if method == "sh":
-            sel = select_sh(sample, collection, fits=fits)
+            sel = select_sh(fits)
         elif method == "cp":
-            sel = select_cp(sample, collection, fits=fits)
+            sel = select_cp(fits)
         elif method == "vfcv":
-            sel = select_vfcv(sample, collection, scheme, fits=fits, fold_fits=fold_fits)
+            sel = select_vfcv(fits, fold_fits)
         else:
-            sel = select_penvf(sample, collection, scheme, fits=fits, fold_fits=fold_fits)
+            sel = select_penvf(fits, fold_fits)
         loss = float(losses[sel.chosen_index])
         if oracle_loss > 0.0:
             out[method] = loss / oracle_loss
@@ -179,8 +193,7 @@ def test_fit_collection_matches_reference(name, n):
 @pytest.mark.parametrize("name, n", CASES)
 def test_fold_fitted_matches_reference(name, n):
     _, sample, coll = _setup(name, n)
-    folds = FoldScheme.interleaved(n, 2)
-    for g, w in zip(fold_fitted(sample, coll, folds), ref_fold_fitted(sample, coll, folds),
+    for g, w in zip(fold_fitted([sample], coll)[0], ref_fold_fitted(sample, coll),
                     strict=True):
         assert np.array_equal(g.train_risks, w.train_risks)
         assert np.array_equal(g.heldout_risks, w.heldout_risks)
@@ -189,16 +202,15 @@ def test_fold_fitted_matches_reference(name, n):
 @pytest.mark.parametrize("name, n", CASES)
 def test_fold_selectors_match_reference(name, n):
     _, sample, coll = _setup(name, n)
-    folds = FoldScheme.interleaved(n, 2)
     fits = fit_collection(sample, coll)
-    fold_fits = fold_fitted(sample, coll, folds)
-    ref_fold_fits = ref_fold_fitted(sample, coll, folds)
-    crit, idx = ref_select_vfcv(sample, folds, fits, ref_fold_fits)
-    got = select_vfcv(sample, coll, folds, fits=fits, fold_fits=fold_fits)
+    fold_fits, = fold_fitted([sample], coll)
+    ref_fold_fits = ref_fold_fitted(sample, coll)
+    crit, idx = ref_select_vfcv(sample, fits, ref_fold_fits)
+    got = select_vfcv(fits, fold_fits)
     assert np.array_equal([t.criterion for t in got.trace], crit)
     assert got.chosen_index == idx
-    pen, idx = ref_select_penvf(sample, folds, fits, ref_fold_fits)
-    got = select_penvf(sample, coll, folds, fits=fits, fold_fits=fold_fits)
+    pen, idx = ref_select_penvf(sample, fits, ref_fold_fits)
+    got = select_penvf(fits, fold_fits)
     assert np.max(np.abs(np.array([t.penalty for t in got.trace]) - pen)) <= 1e-10 * np.max(np.abs(pen))
     assert got.chosen_index == idx
 
@@ -207,12 +219,11 @@ def test_fold_selectors_match_reference(name, n):
 def test_replicate_matches_reference(name, n):
     signal, _, coll = _setup(name, n)
     methods = ("sh", "cp", "vfcv", "penvf")
-    scheme = FoldScheme.interleaved(n, 2)
     seeds = [derive_seed(11, r) for r in range(3)]
     block = bench._replicate_block([(signal, get_noise("h1"), seed) for seed in seeds],
-                                   n, coll, methods, scheme)
+                                   n, coll, methods)
     for seed, got in zip(seeds, block, strict=True):
-        want = ref_replicate(signal, get_noise("h1"), n, seed, coll, methods, scheme)
+        want = ref_replicate(signal, get_noise("h1"), n, seed, coll, methods)
         assert got == want
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from wavesel import bases, selection, transform
 from wavesel.estimator import NestedPyramid
-from wavesel.selection import (FoldFit, FoldScheme, ModelCollection,
+from wavesel.selection import (FoldFit, ModelCollection,
                                PathSegment, PenaltyPath, dimension_jump, fit_collection,
                                fold_fitted, in_sample_losses, oracle_select, penalty_path,
                                select_cp, select_methods, select_penvf, select_sh, select_vfcv,
@@ -166,8 +166,8 @@ class TestSelectSh:
         coll = wavelet_collection(512, transform.DB8)
         fits = fit_collection(sample, coll)
         base_shape = coll.dims / sample.n
-        a = select_sh(sample, coll, fits=fits, shape=base_shape)
-        b = select_sh(sample, coll, fits=fits, shape=7.0 * base_shape)
+        a = select_sh(fits, shape=base_shape)
+        b = select_sh(fits, shape=7.0 * base_shape)
         assert a.chosen_dim == b.chosen_dim
         assert b.diagnostics["alpha_min"] == pytest.approx(a.diagnostics["alpha_min"] / 7.0)
 
@@ -175,12 +175,12 @@ class TestSelectSh:
         sample = generate(get_signal("wave"), get_noise("h1"), 512, 3)
         coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in (0, 1)))
         with pytest.raises(ValueError):
-            select_sh(sample, coll)
+            select_sh(fit_collection(sample, coll))
 
     def test_chosen_attains_trace_minimum(self):
         sample = generate(get_signal("spikes"), get_noise("l2"), 1024, 5)
         coll = wavelet_collection(1024, transform.DB8)
-        out = select_sh(sample, coll)
+        out = select_sh(fit_collection(sample, coll))
         crit = np.array([t.criterion for t in out.trace])
         dims = np.array([t.dim for t in out.trace])
         assert out.chosen_dim == dims[np.lexsort((dims, crit))[0]]
@@ -194,7 +194,7 @@ class TestSelectCp:
         vals = []
         for r in range(500):
             sample = generate(ZERO_SIGNAL, CONST_NOISE, n, derive_seed(404, r))
-            out = select_cp(sample, coll)
+            out = select_cp(fit_collection(sample, coll))
             vals.append(out.diagnostics["sigma2"])
         mean = np.mean(vals)
         se = np.std(vals, ddof=1) / np.sqrt(len(vals))
@@ -204,7 +204,7 @@ class TestSelectCp:
         member = TestSignal("Custom", lambda x: np.full_like(np.asarray(x, float), 0.9))
         sample = generate(member, ZERO_NOISE, 256, 6)
         coll = wavelet_collection(256, transform.DB8)
-        out = select_cp(sample, coll)
+        out = select_cp(fit_collection(sample, coll))
         # the saturated model's risk is zero up to the rounding of
         # energy - sum of squared coefficients, at most about 2 log2(n) eps
         # energy / n (see test_saturated_model_zero_risk); sigma2 is twice
@@ -218,20 +218,7 @@ class TestSelectCp:
         sample = generate(get_signal("wave"), get_noise("l1"), 512, 1)
         coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in (0, 1, 2)))
         with pytest.raises(ValueError):
-            select_cp(sample, coll)
-
-
-class TestFoldScheme:
-    def test_interleaved_even_odd(self):
-        s = FoldScheme.interleaved(8, 2)
-        # fold 0 holds out the even ranks (1-based), i.e. odd 0-based indices
-        assert np.array_equal(s.heldout(0), [1, 3, 5, 7])
-        assert np.array_equal(s.heldout(1), [0, 2, 4, 6])
-        assert np.array_equal(s.train(0, 8), [0, 2, 4, 6])
-        # a scheme built for another sample size must not split this one
-        sample = generate(get_signal("wave"), get_noise("h1"), 16, 3)
-        with pytest.raises(ValueError, match="fold scheme for 8 points cannot split 16"):
-            fold_fitted(sample, wavelet_collection(16, transform.DB8), s)
+            select_cp(fit_collection(sample, coll))
 
 
 class TestVfold:
@@ -243,8 +230,7 @@ class TestVfold:
         coll = wavelet_collection(n, transform.DB8)
         fits = fit_collection(sample, coll)
         double = (FoldFit(fits.emp_risks, fits.emp_risks),) * 2
-        out = select_vfcv(sample, coll, FoldScheme.interleaved(n, 2), fits=fits,
-                          fold_fits=double)
+        out = select_vfcv(fits, double)
         crit = np.array([t.criterion for t in out.trace])
         assert np.allclose(crit, fits.emp_risks, atol=1e-12)
         assert out.chosen_dim == coll.dims[-1]
@@ -255,8 +241,7 @@ class TestVfold:
         coll = wavelet_collection(n, transform.DB8)
         fits = fit_collection(sample, coll)
         double = (FoldFit(fits.emp_risks, fits.emp_risks),) * 2
-        out = select_penvf(sample, coll, FoldScheme.interleaved(n, 2), fits=fits,
-                           fold_fits=double)
+        out = select_penvf(fits, double)
         pens = np.array([t.penalty for t in out.trace])
         assert np.allclose(pens, 0.0, atol=1e-12)
         assert out.chosen_dim == coll.dims[-1]
@@ -266,8 +251,7 @@ class TestVfold:
         # the argmin (the crit0 device)
         sample = generate(get_signal("heavisine"), get_noise("h1"), 512, 12)
         coll = wavelet_collection(512, transform.DB8)
-        folds = FoldScheme.interleaved(512, 2)
-        out = select_vfcv(sample, coll, folds)
+        out = select_vfcv(fit_collection(sample, coll), fold_fitted([sample], coll)[0])
         crit = np.array([t.criterion for t in out.trace])
         dims = np.array([t.dim for t in out.trace])
         shifted = crit + 123.456
@@ -279,23 +263,17 @@ class TestVfold:
         # its held-out risks are those of one synthesis per model
         sample = generate(get_signal("doppler"), get_noise("h1"), n, 17)
         coll = wavelet_collection(n, transform.DB8)
-        folds = FoldScheme.interleaved(n, 2)
-        for j, fold in enumerate(fold_fitted(sample, coll, folds)):
-            train = folds.train(j, n)
+        # fold 0 trains on the even 0-based ranks and holds out the odd ones
+        for j, fold in enumerate(fold_fitted([sample], coll)[0]):
+            train, held = np.arange(j, n, 2), np.arange(1 - j, n, 2)
             x_t, y_t = sample.x[train], sample.y[train]
-            x_h, y_h = sample.x[folds.heldout(j)], sample.y[folds.heldout(j)]
+            x_h, y_h = sample.x[held], sample.y[held]
             coeffs = transform.flatten(transform.analyze(y_t, transform.DB8))
             assert len(fold.heldout_risks) == len(coll)
             for risk, dim in zip(fold.heldout_risks, coll.dims):
                 tree = transform.unflatten(transform.truncate_flat(coeffs, dim), len(train))
                 values = transform.synthesize(tree, transform.DB8)
                 assert risk == float(np.mean((y_h - np.interp(x_h, x_t, values)) ** 2))
-
-    def test_vfold_v4_refused(self):
-        # V = 4 would give training blocks of 48 points, which no pyramid
-        # fits: the fold scheme refuses every V but 2
-        with pytest.raises(ValueError, match="pyramid of the half sample"):
-            FoldScheme.interleaved(64, 4)
 
     def test_penvf_mean_penalty_scale(self):
         # pen_VF estimates twice the excess-risk scale C_m at the training
@@ -307,11 +285,10 @@ class TestVfold:
         sig, noi = get_signal("wave"), get_noise("h1")
         coll = wavelet_collection(n, transform.DB8)
         model_idx = 5  # D = 64, bias below 1e-7
-        folds = FoldScheme.interleaved(n, 2)
         pens = []
         for r in range(reps):
             sample = generate(sig, noi, n, derive_seed(777, r))
-            out = select_penvf(sample, coll, folds)
+            out = select_penvf(fit_collection(sample, coll), fold_fitted([sample], coll)[0])
             pens.append(out.trace[model_idx].penalty)
         cm = compute_Cm(sig, noi, coll.models[model_idx], n_mc=100_000, seed=1).value
         # the (V-1)/V prefactor turns the training-scale excesses into an
@@ -325,13 +302,13 @@ class TestOracle:
         member = TestSignal("Custom", lambda x: np.full_like(np.asarray(x, float), 0.33))
         sample = generate(member, ZERO_NOISE, 256, 4)
         coll = wavelet_collection(256, transform.DB8)
-        out = oracle_select(sample, coll, member(sample.x))
+        out = oracle_select(fit_collection(sample, coll, member(sample.x)))
         assert out.chosen_dim == 2
 
     def test_single_model_collection(self):
         coll = ModelCollection((bases.WaveletModel(transform.DB8, 2),))
         sample = generate(get_signal("wave"), get_noise("l1"), 64, 1)
-        out = oracle_select(sample, coll, get_signal("wave")(sample.x))
+        out = oracle_select(fit_collection(sample, coll, get_signal("wave")(sample.x)))
         assert out.chosen_dim == 8
 
     def test_oracle_concentrates_below_half_n(self):
@@ -340,7 +317,7 @@ class TestOracle:
         dims = []
         for r in range(20):
             sample = generate(sig, noi, 1024, derive_seed(31, r))
-            out = oracle_select(sample, coll, sig(sample.x))
+            out = oracle_select(fit_collection(sample, coll, sig(sample.x)))
             dims.append(out.chosen_dim)
         assert np.median(dims) < 512
 
@@ -372,17 +349,16 @@ class TestSelectMethods:
         sig = get_signal("heavisine")
         sample = generate(sig, get_noise("l2"), 256, 5)
         coll = wavelet_collection(256, transform.DB8)
-        folds = FoldScheme.interleaved(256, 2)
         fits = fit_collection(sample, coll, sig(sample.x))
+        fold_fits, = fold_fitted([sample], coll)
         direct = {
-            "penvf": select_penvf(sample, coll, folds, fits=fits),
-            "oracle": oracle_select(sample, coll, sig(sample.x), fits=fits),
-            "sh": select_sh(sample, coll, fits=fits),
-            "vfcv": select_vfcv(sample, coll, folds, fits=fits),
-            "cp": select_cp(sample, coll, fits=fits),
+            "penvf": select_penvf(fits, fold_fits),
+            "oracle": oracle_select(fits),
+            "sh": select_sh(fits),
+            "vfcv": select_vfcv(fits, fold_fits),
+            "cp": select_cp(fits),
         }
-        got, = select_methods([sample], coll, tuple(direct), folds=folds,
-                              signal_values=[sig(sample.x)])
+        got, = select_methods([sample], coll, tuple(direct), signal_values=[sig(sample.x)])
         assert list(got) == list(direct)
         for method, outcome in direct.items():
             assert got[method].trace == outcome.trace
@@ -394,9 +370,7 @@ class TestSelectMethods:
         coll = wavelet_collection(64, transform.DB8)
         got, = select_methods([sample], coll, ("sh", "cp"))
         assert list(got) == ["sh", "cp"]
-        with pytest.raises(ValueError, match="fold scheme"):
-            select_methods([sample], coll, ("vfcv",))
-        with pytest.raises(ValueError, match="true signal"):
+        with pytest.raises(ValueError, match="signal values"):
             select_methods([sample], coll, ("oracle",))
         with pytest.raises(ValueError, match="unknown method"):
             select_methods([sample], coll, ("nope",))
@@ -408,15 +382,14 @@ class TestSelectMethods:
         # a block of samples gives each sample the outcomes of a block of
         # one, bit for bit
         coll = wavelet_collection(n, transform.DB8)
-        folds = FoldScheme.interleaved(n, V)
         cases = [(get_signal(name), get_noise(noise), seed) for name, noise, seed in
                  (("wave", "h1", 1), ("doppler", "l1", 2), ("spikes", "l2", 3))]
         samples = [generate(sig, noi, n, seed) for sig, noi, seed in cases]
         truths = [sig(s.x) for (sig, _, _), s in zip(cases, samples)]
-        block = select_methods(samples, coll, methods, folds=folds, signal_values=truths)
+        block = select_methods(samples, coll, methods, signal_values=truths)
         for sample, truth, got in zip(samples, truths, block, strict=True):
-            alone, = select_methods([sample], coll, methods, folds=folds,
-                                    signal_values=[truth])
+            alone, = select_methods([sample], coll, methods, signal_values=[truth])
+            assert len(got["vfcv"].diagnostics["per_fold_risks"]) == V
             for method in methods:
                 assert got[method].to_json() == alone[method].to_json()
 
@@ -424,7 +397,7 @@ class TestSelectMethods:
 def test_outcome_serialization():
     sample = generate(get_signal("wave"), get_noise("h1"), 256, 2)
     coll = wavelet_collection(256, transform.DB8)
-    out = select_cp(sample, coll)
+    out = select_cp(fit_collection(sample, coll))
     import json
     doc = json.loads(out.to_json())
     assert doc["method"] == "cp"
