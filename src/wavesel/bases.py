@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -252,28 +252,42 @@ class HaarWeightedModel(Model):
                 p_plus.append(pp)
         self._cl = np.array(cl)
         self._cr = np.array(cr)
-        # entry 2k + 1 holds atom k's value on the right half of its cell, so
-        # half-cell h of level j (h < 2^(j+1)) reads entry 2^(j+1) + h
-        self._halves = np.stack([self._cl, self._cr], axis=1).ravel()
         self.p_plus = np.array(p_plus)
         self.p_minus = np.array(p_minus)
         self._atoms: Optional[np.ndarray] = None
 
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """Index of the finest dyadic cell holding each point of [0, 1].
+
+        Scaling by D is exact, so the floor is the exact cell, the finest
+        half-cell of level j_max; x = 1 belongs to the last cell.
+        """
+        x = np.asarray(x, dtype=float)
+        return np.minimum((x * self.dim).astype(np.intp), self.dim - 1)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """(D, D) atom values on each finest cell: every atom is constant
+        there, so row ``cells(x)`` is the design row of x."""
+        out = np.zeros((self.dim, self.dim))
+        out[:, 0] = self._cl[0]
+        cell = np.arange(self.dim)
+        halves = np.stack([self._cl, self._cr], axis=1).ravel()
+        for j in range(self.j_max + 1):
+            # one atom per level meets each cell; entry 2k + 1 of halves
+            # holds atom k's value on the right half of its support, so
+            # half-cell h of level j reads entry 2^(j+1) + h
+            half = cell >> (self.j_max - j)
+            out[cell, (1 << j) + (half >> 1)] = halves[(2 << j) + half]
+        out.setflags(write=False)
+        return out
+
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.zeros((len(x), self.dim))
         # points outside [0, 1], and NaN, meet no atom: their rows stay zero
-        rows = np.flatnonzero((x >= 0.0) & (x <= 1.0))
-        xs = x[rows]
-        flat = out.reshape(-1)
-        start = rows * self.dim
-        flat[start] = self._cl[0]
-        for j in range(self.j_max + 1):
-            # one atom per level meets each point. Scaling by 2^(j+1) is
-            # exact, so the floor is the exact dyadic half-cell; x = 1
-            # belongs to the last right half
-            half = np.minimum((xs * (2 << j)).astype(np.intp), (2 << j) - 1)
-            flat[start + (1 << j) + (half >> 1)] = self._halves[(2 << j) + half]
+        outside = ~((x >= 0.0) & (x <= 1.0))
+        out = self.table[self.cells(np.where(outside, 0.0, x))]
+        out[outside] = 0.0
         return out
 
     def grid_atoms(self) -> np.ndarray:

@@ -74,8 +74,9 @@ def _cmd_fit(args) -> int:
     signal = _resolve_signal(args.truth, args.normalize)
     lines = ["# wavesel-fit schema=1", "dim,empirical_risk,bias,excess,total"]
     rows = []
-    for fit in fits.fits:
-        rep = estimator.excess_risks(sample, fit.model, signal, fit=fit)
+    truths = estimator.nested_truth_terms(signal, collection.models)
+    for fit, truth in zip(fits.fits, truths):
+        rep = estimator.fit_risks(sample, fit, truth)
         lines.append(f"{fit.model.dim},{fit.empirical_risk!r},{rep.bias!r},"
                      f"{rep.excess!r},{rep.total!r}")
         rows.append((fit.model.dim, rep))
@@ -91,6 +92,9 @@ def _cmd_fit(args) -> int:
 def _cmd_select(args) -> int:
     sample = _load_sample(args.input)
     collection = _build_collection(sample.n, args.basis)
+    if args.truth and args.method not in ("all", "oracle"):
+        raise ValueError("--truth is used only with --method all or --method oracle, "
+                         f"not with --method {args.method}")
     methods = ("sh", "cp", "vfcv", "penvf") if args.method == "all" else (args.method,)
     if args.method == "all" and args.truth:
         methods += ("oracle",)

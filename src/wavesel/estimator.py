@@ -2,7 +2,10 @@
 
 Fitting dispatches between two routes: an exact Gram solve of the
 empirical normal equations (any model, any design) and the pyramid on
-rank-ordered responses. Where :func:`pyramid_filter` finds that one
+rank-ordered responses. A weighted Haar model is constant on each of its
+D finest dyadic cells, so its Gram solve, and its values at the design
+points and on the reference grid, read a D x D table of atom values per
+cell and the count and response sum of each cell. Where :func:`pyramid_filter` finds that one
 pyramid serves a collection of wavelet models, each model is a dyadic
 prefix of the same orthonormal coefficients, and every fit reads one
 :class:`NestedPyramid` of the response. On an equispaced dyadic design
@@ -38,6 +41,7 @@ __all__ = [
     "signal_grid_values",
     "TruthTerms",
     "truth_terms",
+    "nested_truth_terms",
     "fit_risks",
     "excess_risks",
     "compute_Cm",
@@ -143,21 +147,36 @@ def design_matrix(sample: RegressionSample, model) -> np.ndarray:
     return model.basis_matrix(sample.x)
 
 
+def _cells(model, x: np.ndarray) -> Optional[np.ndarray]:
+    """The finest dyadic cell of each point of x when every atom of the
+    model is constant on those cells, so the atoms at x[i] are the row
+    ``model.table[cells[i]]``; None for every other model."""
+    return model.cells(x) if isinstance(model, bases.HaarWeightedModel) else None
+
+
 def _fit_gram(sample: RegressionSample, model) -> FitResult:
-    phi = design_matrix(sample, model)
     n = sample.n
-    gram = phi.T @ phi / n
+    cells = _cells(model, sample.x)
+    if cells is None:
+        phi = design_matrix(sample, model)
+        gram = phi.T @ phi / n
+        rhs = phi.T @ sample.y / n
+    else:
+        # the Gram and the right-hand side read each cell's count and
+        # response sum: O(n + D^3) instead of O(n D^2)
+        table = model.table
+        gram = (table.T * np.bincount(cells, minlength=model.dim)) @ table / n
+        rhs = table.T @ np.bincount(cells, sample.y, minlength=model.dim) / n
     if np.linalg.cond(gram) > _COND_LIMIT:
         raise SingularDesignError(
             f"empirical Gram condition number exceeds {_COND_LIMIT:g} "
             f"for dimension {model.dim} at n={n}")
-    rhs = phi.T @ sample.y / n
     try:
         cho = scipy.linalg.cho_factor(gram)
         beta = scipy.linalg.cho_solve(cho, rhs)
     except scipy.linalg.LinAlgError as exc:
         raise SingularDesignError(str(exc)) from exc
-    resid = sample.y - phi @ beta
+    resid = sample.y - (phi @ beta if cells is None else (table @ beta)[cells])
     return FitResult(model, beta, float(np.dot(resid, resid) / n), "gram_exact")
 
 
@@ -192,18 +211,24 @@ def project_truth(signal: TestSignal, model) -> np.ndarray:
     two routes agree because the fine pyramid is the grid quadrature in
     the discrete atom basis.
     """
-    return _project(signal_grid_values(signal), model)
+    return _projections(signal_grid_values(signal), [model])[0]
 
 
-def _project(s: np.ndarray, model) -> np.ndarray:
-    """:func:`project_truth` of the signal's reference-grid values s."""
-    if isinstance(model, bases.WaveletModel):
-        coeffs = transform.analyze_flat(s, model.h)
-        return coeffs[: model.dim] / np.sqrt(N_GRID)
-    atoms = model.grid_atoms()
-    w = model.density_on_grid()
-    integrand = atoms if w is None else atoms * w
-    return integrand @ s / N_GRID
+def _projections(s: np.ndarray, models) -> list:
+    """:func:`project_truth` onto each model of the signal's reference-grid
+    values s. Where one pyramid serves every model, one analysis gives each
+    model its prefix."""
+    h = pyramid_filter(models, N_GRID)
+    if h is not None:
+        coeffs = transform.analyze_flat(s, h)
+        return [coeffs[: model.dim] / np.sqrt(N_GRID) for model in models]
+    out = []
+    for model in models:
+        atoms = model.grid_atoms()
+        w = model.density_on_grid()
+        integrand = atoms if w is None else atoms * w
+        out.append(integrand @ s / N_GRID)
+    return out
 
 
 def _grid_function(model, beta: np.ndarray) -> np.ndarray:
@@ -211,6 +236,9 @@ def _grid_function(model, beta: np.ndarray) -> np.ndarray:
         flat = np.zeros(N_GRID)
         flat[: model.dim] = beta * np.sqrt(N_GRID)
         return transform.synthesize_flat(flat, model.h)
+    cells = _cells(model, reference_grid())
+    if cells is not None:
+        return (model.table @ beta)[cells]
     return model.grid_atoms().T @ beta
 
 
@@ -222,6 +250,9 @@ def _model_design_values(sample: RegressionSample, model, beta: np.ndarray,
         flat = np.zeros(sample.n)
         flat[: model.dim] = beta * np.sqrt(sample.n)
         return transform.synthesize_flat(flat, model.h)
+    cells = _cells(model, sample.x)
+    if cells is not None:
+        return (model.table @ beta)[cells]
     return design_matrix(sample, model) @ beta
 
 
@@ -240,13 +271,22 @@ class TruthTerms:
 
 def truth_terms(signal: TestSignal, model) -> TruthTerms:
     """Compute the sample-free terms once, for any number of fits."""
+    return nested_truth_terms(signal, [model])[0]
+
+
+def nested_truth_terms(signal: TestSignal, models) -> list:
+    """:func:`truth_terms` of each model, from one evaluation of the signal
+    on the reference grid and, for a nested wavelet collection, one
+    analysis of it."""
     s = signal_grid_values(signal)
-    beta_m = _project(s, model)
-    w = model.density_on_grid()
-    weights = np.ones(N_GRID) if w is None else w
-    s_m = _grid_function(model, beta_m)
-    bias = float(np.mean((s - s_m) ** 2 * weights))
-    return TruthTerms(model, beta_m, s, weights, s_m, bias)
+    out = []
+    for model, beta_m in zip(models, _projections(s, models)):
+        w = model.density_on_grid()
+        weights = np.ones(N_GRID) if w is None else w
+        s_m = _grid_function(model, beta_m)
+        bias = float(np.mean((s - s_m) ** 2 * weights))
+        out.append(TruthTerms(model, beta_m, s, weights, s_m, bias))
+    return out
 
 
 def fit_risks(sample: RegressionSample, fit: FitResult, truth: TruthTerms) -> RiskReport:

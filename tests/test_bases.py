@@ -36,6 +36,22 @@ def broadcast_haar_basis_matrix(model, x):
     return in_left * model._cl + in_right * model._cr
 
 
+def per_level_haar_basis_matrix(model, x):
+    """Reference: the earlier design matrix, one half-cell scatter per level."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((len(x), model.dim))
+    rows = np.flatnonzero((x >= 0.0) & (x <= 1.0))
+    xs = x[rows]
+    halves = np.stack([model._cl, model._cr], axis=1).ravel()
+    flat = out.reshape(-1)
+    start = rows * model.dim
+    flat[start] = model._cl[0]
+    for j in range(model.j_max + 1):
+        half = np.minimum((xs * (2 << j)).astype(np.intp), (2 << j) - 1)
+        flat[start + (1 << j) + (half >> 1)] = halves[(2 << j) + half]
+    return out
+
+
 def per_atom_grid_atoms(model):
     """Reference: the earlier grid atoms, one full synthesis per atom."""
     rows = []
@@ -65,6 +81,21 @@ class TestHaarWeighted:
         assert got.shape == want.shape == (len(x), m.dim)
         assert got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("j_max", [0, 3, 5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_cell_gather_matches_per_level_scatter(self, j_max, weighted):
+        m = (build_haar_weighted(j_max, density=lambda x: 0.5 + x, c_min=0.5)
+             if weighted else build_haar_weighted(j_max))
+        edges = np.arange(m.dim + 1) / m.dim  # x = 0, x = 1 and every cell edge
+        inside = np.concatenate([edges, np.random.default_rng(j_max).random(500)])
+        outside = np.array([-1e-300, -0.5, np.nextafter(1.0, 2.0), 1.5,
+                            -np.inf, np.inf, np.nan])
+        x = np.concatenate([inside, outside])
+        got = m.basis_matrix(x)
+        assert np.array_equal(got, per_level_haar_basis_matrix(m, x))
+        assert np.array_equal(got[: len(inside)], m.table[m.cells(inside)])
+        assert not got[len(inside):].any()
 
     def test_resolution_beyond_reference_grid_refused(self):
         # at j_max = 14 every grid midpoint lies in the right half of its

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from wavesel import bench, cli
-from wavesel.signals import derive_seed
+from wavesel import bench, cli, estimator, selection, transform
+from wavesel.signals import derive_seed, get_signal
 
 
 def run(argv):
@@ -259,6 +259,28 @@ class TestFitCommand:
                 float(value)  # plain numbers, not numpy reprs
 
 
+    def test_fit_analyzes_the_truth_grid_once(self, tmp_path, monkeypatch):
+        src, out = tmp_path / "s.csv", tmp_path / "fit.csv"
+        assert run(["gen", "--signal", "doppler", "--noise", "h1", "--n", 1024,
+                    "--seed", 4, "--out", src]) == 0
+        calls = []
+        real = transform.analyze_flat
+        monkeypatch.setattr(transform, "analyze_flat",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert run(["fit", "--in", src, "--truth", "doppler", "--out", out]) == 0
+        assert len(calls) == 2  # the responses, then the truth's grid values
+        monkeypatch.undo()
+        # each nested model's prefix gives the floats of its own analysis
+        sample = cli._load_sample(str(src))
+        fits = selection.fit_collection(sample, cli._build_collection(1024, "db8"))
+        want = [f"{fit.model.dim},{fit.empirical_risk!r},{rep.bias!r},"
+                f"{rep.excess!r},{rep.total!r}"
+                for fit in fits.fits
+                for rep in [estimator.excess_risks(sample, fit.model,
+                                                   get_signal("doppler"), fit=fit)]]
+        assert read(out).splitlines()[2:] == want
+
+
 class TestCertifyCommand:
     def test_certify_json(self, tmp_path):
         out = tmp_path / "cert.json"
@@ -336,6 +358,17 @@ class TestErrors:
         bad.write_text("x,y\n" + "\n".join(rows) + "\n")
         doc = self._select_error(tmp_path, bad, capsys)
         assert doc["error"] == "ValueError" and "finite" in doc["message"]
+
+    @pytest.mark.parametrize("method", ["sh", "cp", "vfcv", "penvf"])
+    def test_truth_with_single_method_rejected(self, tmp_path, sample_csv, capsys, method):
+        out = tmp_path / "o.json"
+        code = cli.main(["select", "--method", method, "--truth", "wave",
+                         "--in", str(sample_csv), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "ValueError"
+        assert "--method all or --method oracle" in doc["message"]
 
     def test_oracle_without_truth(self, tmp_path, sample_csv, capsys):
         code = cli.main(["select", "--method", "oracle", "--in", str(sample_csv),

@@ -82,6 +82,56 @@ class TestFitLs:
             fit_ls(sample, model)
 
 
+def dense_fit_and_risks(sample, model, signal):
+    """Reference: the earlier n x D design-matrix route for a Haar model."""
+    n = sample.n
+    phi = model.basis_matrix(sample.x)
+    beta = np.linalg.solve(phi.T @ phi / n, phi.T @ sample.y / n)
+    resid = sample.y - phi @ beta
+    emp_risk = np.dot(resid, resid) / n
+    atoms = model.grid_atoms()
+    w = model.density_on_grid()
+    weights = np.ones(N_GRID) if w is None else w
+    s = signal(reference_grid())
+    beta_m = (atoms * weights) @ s / N_GRID
+    s_m, s_hat = atoms.T @ beta_m, atoms.T @ beta
+    resid_m = sample.y - phi @ beta_m
+    risks = {"bias": np.mean((s - s_m) ** 2 * weights),
+             "excess": np.sum((beta - beta_m) ** 2),
+             "total": np.mean((s - s_hat) ** 2 * weights),
+             "empirical_excess": np.dot(resid_m, resid_m) / n - emp_risk,
+             "sup_dev": np.max(np.abs(s_hat - s_m))}
+    return beta, emp_risk, risks
+
+
+class TestCellRoute:
+    MODELS = {"uniform": lambda: bases.build_haar_weighted(3),
+              "weighted": lambda: bases.build_haar_weighted(
+                  3, density=lambda x: 0.5 + x, c_min=0.5)}
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_dense_design_route(self, name, n):
+        model, sig = self.MODELS[name](), get_signal("doppler")
+        sample = generate(sig, get_noise("h1"), n, 21)
+        fit = fit_ls(sample, model, method="gram_exact")
+        rep = excess_risks(sample, model, sig, fit=fit)
+        beta, emp_risk, risks = dense_fit_and_risks(sample, model, sig)
+        assert np.max(np.abs(fit.beta - beta)) <= 1e-12 * np.max(np.abs(beta))
+        assert fit.empirical_risk == pytest.approx(emp_risk, rel=1e-12, abs=0)
+        for field, want in risks.items():
+            assert getattr(rep, field) == pytest.approx(want, rel=1e-12, abs=0), field
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_empty_finest_cell_singular(self, name):
+        model = self.MODELS[name]()
+        # no point in the first of the 16 finest cells
+        x = np.linspace(1.0 / 16, 1.0, 256)
+        sample = RegressionSample(x, np.sin(x), SampleMeta("c", "c", 256, 0))
+        with pytest.raises(SingularDesignError):
+            fit_ls(sample, model, method="gram_exact")
+
+
 class TestProjectTruth:
     def test_member_of_model_projects_to_itself(self):
         model = bases.build_periodized_wavelet(transform.DB8, 3)
