@@ -8,9 +8,9 @@ index, replication index), so no result depends on the order of the
 runs. The replications of every cell at one sample size share one
 collection and one even/odd fold split, so they run in blocks: each
 block makes one pyramid analysis of its stacked responses and truths,
-and one analysis and one synthesis per fold, while the selectors run
-per replication. The pyramid kernels are batch-invariant, so a ratio does
-not depend on the block it ran in.
+and one analysis and one synthesis per fold, and each selector runs once
+on the block's (replications, models) criteria. The pyramid kernels are
+batch-invariant, so a ratio does not depend on the block it ran in.
 """
 
 from __future__ import annotations
@@ -202,28 +202,19 @@ def _block_size(n: int, collection: ModelCollection, methods) -> int:
 
 def _replicate_block(jobs, n: int, collection: ModelCollection, methods) -> list:
     """Replications at sample size n, one per (signal, noise, seed) job:
-    shared fits, one oracle and one ratio per method each.
+    one ratio per method each, from one run of every selector on the block.
 
     Every method is scored by the oracle's in-sample loss at the design
     points (:func:`selection.in_sample_losses`), so every ratio is at
     least 1.
     """
     samples, truths = zip(*(_draw(signal, noise, n, seed) for signal, noise, seed in jobs))
-    out = []
-    for outcomes in select_methods(samples, collection, ("oracle", *methods),
-                                   signal_values=truths):
-        oracle = outcomes.pop("oracle")
-        losses = oracle.diagnostics["losses"]
-        oracle_loss = float(losses[oracle.chosen_index])
-        ratios = {}
-        for method, sel in outcomes.items():
-            loss = float(losses[sel.chosen_index])
-            if oracle_loss > 0.0:
-                ratios[method] = loss / oracle_loss
-            else:
-                ratios[method] = 1.0 if loss <= 1e-300 else np.inf
-        out.append(ratios)
-    return out
+    outcomes = select_methods(samples, collection, ("oracle", *methods), signal_values=truths)
+    chosen = np.stack([o.chosen_index for o in outcomes.values()], axis=-1)
+    loss = np.take_along_axis(outcomes["oracle"].criteria, chosen, axis=-1)
+    best, loss = loss[:, :1], loss[:, 1:]  # the oracle's loss, and each method's
+    ratios = np.divide(loss, best, where=best > 0.0, out=np.where(loss <= 1e-300, 1.0, np.inf))
+    return [dict(zip(methods, r)) for r in ratios.tolist()]
 
 
 def run_bench(config: BenchConfig) -> BenchReport:

@@ -103,15 +103,15 @@ def _cmd_select(args) -> int:
         if not args.truth:
             raise ValueError("oracle selection needs --truth")
         truths = [_resolve_signal(args.truth, args.normalize)(sample.x)]
-    outcomes, = selection.select_methods([sample], collection, methods, signal_values=truths)
+    outcomes = {m: o[0] for m, o in selection.select_methods(
+        [sample], collection, methods, signal_values=truths).items()}
     payload = {"schema_version": 2, "n": sample.n, "basis": args.basis,
                "outcomes": {m: o.to_dict() for m, o in outcomes.items()}}
     _write(args.out, _doc("selection", payload) + "\n")
     if args.svg:
         first = outcomes[methods[0]]
-        dims = [t.dim for t in first.trace]
-        crit = [t.criterion for t in first.trace]
-        _write(args.svg, svg.risk_curve_svg(dims, crit, chosen_dim=first.chosen_dim))
+        _write(args.svg, svg.risk_curve_svg(first.dims, first.criteria,
+                                            chosen_dim=first.chosen_dim))
     for m, o in outcomes.items():
         print(f"{m}: dimension {o.chosen_dim}")
     return 0

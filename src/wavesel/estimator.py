@@ -97,7 +97,8 @@ class NestedPyramid:
     and ``csum`` have the shape ``(..., n)`` of the vectors and ``energy``
     their leading shape; ``pyr[i]`` is row i's record. The analysis is
     batch-invariant and each row's energy is the dot product of that row,
-    so a row of a block holds the floats of its vector's own pyramid.
+    read in C order whatever the caller's layout, so a row of a block
+    holds the floats of its vector's own pyramid.
     """
     h: np.ndarray
     coeffs: np.ndarray
@@ -106,7 +107,7 @@ class NestedPyramid:
 
     @classmethod
     def of(cls, ys, h: np.ndarray) -> "NestedPyramid":
-        ys = np.asarray(ys, dtype=float)
+        ys = np.ascontiguousarray(ys, dtype=float)
         energy = np.array([np.dot(y, y) for y in ys.reshape(-1, ys.shape[-1])])
         coeffs = transform.analyze_flat(ys, h)
         csum = np.square(coeffs)
@@ -167,7 +168,8 @@ def _fit_gram(sample: RegressionSample, model) -> FitResult:
         table = model.table
         gram = (table.T * np.bincount(cells, minlength=model.dim)) @ table / n
         rhs = table.T @ np.bincount(cells, sample.y, minlength=model.dim) / n
-    if np.linalg.cond(gram) > _COND_LIMIT:
+    lam = np.linalg.eigvalsh(gram)  # symmetric, so cond = lam[-1] / lam[0]; NaN is singular
+    if not lam[0] > 0.0 or lam[-1] / lam[0] > _COND_LIMIT:
         raise SingularDesignError(
             f"empirical Gram condition number exceeds {_COND_LIMIT:g} "
             f"for dimension {model.dim} at n={n}")

@@ -8,17 +8,20 @@ convex hull of the (shape, risk) cloud, and places the minimal level at
 the breakpoint with the largest drop in selected dimension (ties going
 to the largest alpha).
 
-Every selector reads one sample's :class:`FittedCollection`, and 2FCV
-and pen2F also its fold fits. Every fit, of the whole sample and of each
-even/odd training half (the two folds, derived from the sample's ranks),
-reads the nested pyramid of its responses, so a collection is a nested
-wavelet collection on a dyadic n.
+Every selector reads one :class:`FittedCollection`, and 2FCV and pen2F
+also its fold fits, for one sample or a block of samples of one size: a
+block's risks and criteria are ``(R, models)`` arrays, and each selector
+runs once per block. Every fit, of the whole sample and of each even/odd
+training half (the two folds, derived from the sample's ranks), reads the
+nested pyramid of its responses, so a collection is a nested wavelet
+collection on a dyadic n.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -82,17 +85,22 @@ def wavelet_collection(n: int, filt) -> ModelCollection:
 
 @dataclass(frozen=True)
 class FittedCollection:
-    """One sample's fit of the collection: its row of the block pyramid,
-    its per-model empirical risks and, when fitted with the truth's
-    values, the truth's row."""
+    """The fit of the collection to one sample or to a block of them: the
+    pyramid of the responses, the ``(..., models)`` empirical risks and,
+    when fitted with the truth's values, the truth's pyramid. ``fits[i]``
+    is row i's record."""
     collection: ModelCollection
     pyramid: NestedPyramid
     emp_risks: np.ndarray
     signal: Optional[NestedPyramid] = None
 
+    def __getitem__(self, index) -> "FittedCollection":
+        return FittedCollection(self.collection, self.pyramid[index], self.emp_risks[index],
+                                None if self.signal is None else self.signal[index])
+
     @property
     def fits(self) -> tuple:
-        """The :class:`FitResult` of each model, built from the pyramid."""
+        """The :class:`FitResult` of each model of one sample's fit."""
         return tuple(FitResult(m, self.pyramid.beta(m.dim), float(r), "pyramid_fast")
                      for m, r in zip(self.collection.models, self.emp_risks))
 
@@ -108,16 +116,15 @@ def _analyze(ys: np.ndarray, collection: ModelCollection) -> NestedPyramid:
     return NestedPyramid.of(ys, h)
 
 
-def fit_collection(samples, collection: ModelCollection, signal_values=None):
-    """Fit every model of a nested wavelet collection from one pyramid per
-    sample.
+def fit_collection(samples, collection: ModelCollection, signal_values=None) -> FittedCollection:
+    """Fit every model of a nested wavelet collection from one block pyramid.
 
-    ``samples`` is one sample, which gives one :class:`FittedCollection`,
-    or a block of samples of one size, which gives a tuple of them. The
-    block's responses, and the truth's values at each sample's design
-    points when ``signal_values`` gives them (an array per sample), are
-    stacked into one block pyramid; each sample's collection reads its
-    rows. Raises ``ValueError`` when one pyramid cannot fit the
+    ``samples`` is one sample, which gives its :class:`FittedCollection`,
+    or a block of samples of one size, which gives one collection whose
+    arrays lead with the block axis. The responses, and the truth's values
+    at each sample's design points when ``signal_values`` gives them (one
+    array, or an array per sample of a block), are stacked into one block
+    pyramid. Raises ``ValueError`` when one pyramid cannot fit the
     collection on the sample size.
     """
     if isinstance(samples, RegressionSample):
@@ -129,14 +136,13 @@ def fit_collection(samples, collection: ModelCollection, signal_values=None):
         raise ValueError(f"{len(truths)} signal value arrays for {len(samples)} samples")
     block = _analyze(np.stack([*(s.y for s in samples), *truths]), collection)
     r = len(samples)
-    risks = block[:r].risks(collection.dims)
-    return tuple(FittedCollection(collection, block[i], risks[i],
-                                  block[r + i] if truths else None)
-                 for i in range(r))
+    return FittedCollection(collection, block[:r], block[:r].risks(collection.dims),
+                            block[r:] if truths else None)
 
 
 def in_sample_losses(fits: FittedCollection) -> np.ndarray:
-    """Per-model loss (1/n) sum_i (s_hat_m(x_i) - s*(x_i))^2 at the design points.
+    """``(..., models)`` loss (1/n) sum_i (s_hat_m(x_i) - s*(x_i))^2 at the
+    design points.
 
     This is the oracle's loss: the sample estimate of the L2(P^X) loss,
     for a collection that :func:`fit_collection` fitted with the truth's
@@ -146,11 +152,11 @@ def in_sample_losses(fits: FittedCollection) -> np.ndarray:
     """
     if fits.signal is None:
         raise ValueError("the in-sample loss needs the collection fitted with the signal values")
-    n = len(fits.pyramid.coeffs)
-    cum_noise = np.cumsum((fits.pyramid.coeffs - fits.signal.coeffs) ** 2)
+    n = fits.pyramid.coeffs.shape[-1]
+    cum_noise = np.cumsum((fits.pyramid.coeffs - fits.signal.coeffs) ** 2, axis=-1)
     cum_signal = fits.signal.csum
     dims = fits.collection.dims
-    return (cum_noise[dims - 1] + (cum_signal[-1] - cum_signal[dims - 1])) / n
+    return (cum_noise[..., dims - 1] + (cum_signal[..., -1:] - cum_signal[..., dims - 1])) / n
 
 
 # ---------------------------------------------------------------------------
@@ -159,72 +165,58 @@ def in_sample_losses(fits: FittedCollection) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FoldFit:
-    train_risks: np.ndarray    # R_j: per-model risk on the training block
-    heldout_risks: np.ndarray  # CV_j: per-model risk on the held-out block
+    """One fold's per-model risks, with the collection's ``(..., models)``
+    shape."""
+    train_risks: np.ndarray    # R_j: per-model risk on the training half
+    heldout_risks: np.ndarray  # CV_j: per-model risk on the held-out half
 
 
-def _heldout_risks(fitted: np.ndarray, x_t: np.ndarray, x_h: np.ndarray, y_h: np.ndarray,
-                   k: np.ndarray) -> np.ndarray:
-    """Mean squared held-out error of each row of ``fitted`` (models, n_t).
-
-    Each row predicts as ``np.interp(x_h, x_t, row)``, in its operation
-    order: inside its training bracket k, x_t[k] < x_h < x_t[k + 1], the
-    slope (f[k+1] - f[k]) / (x_t[k+1] - x_t[k]) times (x_h - x_t[k]) plus
-    f[k]; f[0] before the training points (k = -1) and f[-1] after them
-    (k = n_t - 1). The predictions are built in one C-ordered array, so
-    each row's mean sums pairwise as the mean of one vector does.
+def _fold_fit(samples: tuple, collection: ModelCollection, j: int) -> FoldFit:
+    """Fold j's :class:`FoldFit` of a block, from one analysis and one
+    prefix synthesis of its training responses. Each fit f predicts as
+    ``np.interp(x_h, x_t, f)`` does, in its operation order: held-out
+    point i lies in training bracket k = i - j, so f[k] and f[k + 1] are
+    slices of the fitted values, and the one point outside, the first of
+    fold 1 or the last of fold 0, takes f[0] or f[-1]. Each row's mean
+    runs along the last, C-ordered axis, so it sums as one vector's does.
+    The fitted values live only for the call, and the design points are
+    stacked after the synthesis (the bench sizes its blocks by that peak).
     """
-    lo, hi = np.searchsorted(k, [0, len(x_t) - 1])
-    kc = k[lo:hi]
-    pred = np.empty((len(fitted), len(x_h)))
-    inner = pred[:, lo:hi]
-    f_k = np.take(fitted, kc, axis=-1)
-    np.subtract(np.take(fitted, kc + 1, axis=-1), f_k, out=inner)
-    inner /= x_t[kc + 1] - x_t[kc]
-    inner *= x_h[lo:hi] - x_t[kc]
-    inner += f_k
-    pred[:, :lo] = fitted[:, :1]
-    pred[:, hi:] = fitted[:, -1:]
-    pred -= y_h
+    train, held = slice(j, None, 2), slice(1 - j, None, 2)
+    pyramid = _analyze(np.stack([s.y[train] for s in samples]), collection)
+    f = pyramid.fitted(collection.dims)
+    x = np.stack([s.x for s in samples])[:, None]
+    x_t, x_h = x[..., train], x[..., held]
+    lo, hi = j, x_h.shape[-1] - 1 + j  # the held-out points inside a bracket
+    pred = np.empty(f.shape)  # n/2 held-out points, as many as training ones
+    inner = pred[..., lo:hi]
+    np.subtract(f[..., 1:], f[..., :-1], out=inner)
+    inner /= x_t[..., 1:] - x_t[..., :-1]
+    inner *= x_h[..., lo:hi] - x_t[..., :-1]
+    inner += f[..., :-1]
+    pred[..., :lo] = f[..., :1]
+    pred[..., hi:] = f[..., -1:]
+    pred -= np.stack([s.y[held] for s in samples])[:, None]
     np.square(pred, out=pred)
-    return pred.mean(axis=-1)
-
-
-def _fold_fits(samples, collection: ModelCollection, tr: np.ndarray,
-               held: np.ndarray) -> list:
-    """The :class:`FoldFit` of each sample on one fold, from one analysis
-    and one prefix synthesis of the block's training responses. The fitted
-    values live only for the call, so one fold's are freed before the next
-    fold's synthesis (the bench sizes its blocks by that peak)."""
-    block = _analyze(np.stack([s.y[tr] for s in samples]), collection)
-    k = np.searchsorted(tr, held) - 1
-    risks = block.risks(collection.dims)
-    fitted = block.fitted(collection.dims)
-    return [FoldFit(r, _heldout_risks(f, s.x[tr], s.x[held], s.y[held], k))
-            for s, r, f in zip(samples, risks, fitted)]
+    return FoldFit(pyramid.risks(collection.dims), pred.mean(axis=-1))
 
 
 def fold_fitted(samples, collection: ModelCollection) -> tuple:
     """Per-fold training and held-out risks of every model (shared by
-    2FCV and pen2F): one tuple of :class:`FoldFit` (one per fold) for
-    each sample of a block of samples of one size.
+    2FCV and pen2F): one :class:`FoldFit` per fold, of one sample, or of a
+    block of samples of one size with ``(R, models)`` arrays.
 
     The folds are the even/odd split of the rank-ordered sample: fold j
     fits on ranks j, j + 2, ... (0-based) and holds out the others. A
-    fold fit is the full-sample estimator on the training half: each fold
-    analyses the whole block's training responses in one pyramid call, as
-    :func:`fit_collection` does for the whole sample, and synthesizes
-    every model of every sample in another. A fold fit predicts off its
-    training points by linear interpolation in x between its fitted
-    values, with constant extrapolation at the boundary. Since x strictly
-    increases, a held-out point's bracket of training points is fixed by
-    the ranks alone, once per fold for every sample.
+    fold fit is the full-sample estimator on the training half; off its
+    training points it interpolates linearly in x between its fitted
+    values, with constant extrapolation at the boundary.
     """
+    if isinstance(samples, RegressionSample):
+        return tuple(FoldFit(fold.train_risks[0], fold.heldout_risks[0])
+                     for fold in fold_fitted((samples,), collection))
     samples = tuple(samples)
-    n = samples[0].n
-    return tuple(zip(*(_fold_fits(samples, collection, np.arange(j, n, 2),
-                                  np.arange(1 - j, n, 2))
-                       for j in (0, 1))))
+    return tuple(_fold_fit(samples, collection, j) for j in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +318,39 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class SelectionOutcome:
+    """One method's choice for one sample, or for each row of a block.
+
+    ``emp_risks``, ``penalties`` and ``criteria`` have the collection's
+    ``(..., models)`` shape. ``chosen_index`` minimizes each row's
+    criterion, ties going to the smaller dimension and NaN sorting last.
+    ``outcome[i]`` is row i's outcome.
+    """
     method: str
-    chosen_index: int
-    chosen_dim: int
-    trace: tuple
+    dims: np.ndarray
+    emp_risks: np.ndarray
+    penalties: np.ndarray
+    criteria: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+    @cached_property
+    def chosen_index(self):
+        dims = np.broadcast_to(self.dims, self.criteria.shape)
+        return np.lexsort((dims, self.criteria), axis=-1)[..., 0][()]
+
+    @property
+    def chosen_dim(self):
+        return self.dims[self.chosen_index]
+
+    def __getitem__(self, index) -> "SelectionOutcome":
+        return SelectionOutcome(self.method, self.dims, self.emp_risks[index],
+                                self.penalties[index], self.criteria[index],
+                                {k: v[index] for k, v in self.diagnostics.items()})
+
+    @property
+    def trace(self) -> tuple:
+        """One :class:`TraceEntry` per model, of one sample's outcome."""
+        return tuple(TraceEntry(int(d), float(r), float(p), float(c)) for d, r, p, c in
+                     zip(self.dims, self.emp_risks, self.penalties, self.criteria))
 
     def to_dict(self) -> dict:
         return {
@@ -338,9 +358,7 @@ class SelectionOutcome:
             "kind": "selection_outcome",
             "method": self.method,
             "chosen_dim": int(self.chosen_dim),
-            "trace": [{"dim": int(t.dim), "emp_risk": float(t.emp_risk),
-                       "penalty": float(t.penalty), "criterion": float(t.criterion)}
-                      for t in self.trace],
+            "trace": [asdict(t) for t in self.trace],
             "diagnostics": _jsonable(self.diagnostics),
         }
 
@@ -353,38 +371,21 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+    return obj.tolist() if isinstance(obj, (np.ndarray, np.generic)) else obj
 
 
-def _argmin_tie_smaller(criteria: np.ndarray, dims: np.ndarray) -> int:
-    return int(np.lexsort((dims, criteria))[0])
-
-
-def _outcome(method: str, dims, emp_risks, penalties, diagnostics) -> SelectionOutcome:
-    dims = np.asarray(dims, dtype=int)
-    emp_risks = np.asarray(emp_risks, dtype=float)
-    penalties = np.asarray(penalties, dtype=float)
-    crit = emp_risks + penalties
-    idx = _argmin_tie_smaller(crit, dims)
-    trace = tuple(TraceEntry(int(d), float(r), float(p), float(c))
-                  for d, r, p, c in zip(dims, emp_risks, penalties, crit))
-    return SelectionOutcome(method, idx, int(dims[idx]), trace, diagnostics)
+def _penalized(method: str, fits: FittedCollection, penalties: np.ndarray,
+               diagnostics: dict) -> SelectionOutcome:
+    return SelectionOutcome(method, fits.collection.dims, fits.emp_risks, penalties,
+                            fits.emp_risks + penalties, diagnostics)
 
 
 def oracle_select(fits: FittedCollection) -> SelectionOutcome:
     """Minimize the in-sample loss of :func:`in_sample_losses` over the
     collection, which ``fits`` was fitted on with the truth's values."""
     losses = in_sample_losses(fits)
-    dims = fits.collection.dims
-    idx = _argmin_tie_smaller(losses, dims)
-    trace = tuple(TraceEntry(int(d), float(fits.emp_risks[i]), 0.0, float(losses[i]))
-                  for i, d in enumerate(dims))
-    return SelectionOutcome("oracle", idx, int(dims[idx]), trace,
-                            {"losses": losses})
+    return SelectionOutcome("oracle", fits.collection.dims, fits.emp_risks,
+                            np.zeros_like(losses), losses, {"losses": losses})
 
 
 def dimension_jump(path: PenaltyPath):
@@ -406,19 +407,24 @@ def dimension_jump(path: PenaltyPath):
 
 def select_sh(fits: FittedCollection,
               shape: Optional[np.ndarray] = None) -> SelectionOutcome:
-    """Slope heuristics: pen(m) = 2 alpha_min_hat * D_m / n via the dimension jump."""
+    """Slope heuristics: pen(m) = 2 alpha_min_hat * D_m / n via the
+    dimension jump of each row's penalty path. A block's diagnostics are
+    lists with one entry per row."""
     if len(fits.collection) < 3:
         raise ValueError("slope heuristics needs at least 3 fitted models")
+    if fits.emp_risks.ndim == 1:  # one sample: the row of a block of one
+        return select_sh(fits[None], shape)[0]
     dims = fits.collection.dims
-    shape = dims / len(fits.pyramid.coeffs) if shape is None else np.asarray(shape, dtype=float)
-    path = penalty_path(shape, fits.emp_risks, dims)
-    alpha_min, jumps, no_jump = dimension_jump(path)
-    penalties = 2.0 * alpha_min * shape
-    return _outcome("sh", dims, fits.emp_risks, penalties, {
+    n = fits.pyramid.coeffs.shape[-1]
+    shape = dims / n if shape is None else np.asarray(shape, dtype=float)
+    paths = [penalty_path(shape, risks, dims) for risks in fits.emp_risks]
+    alpha_min, jumps, no_jump = map(list, zip(*map(dimension_jump, paths)))
+    penalties = 2.0 * np.array(alpha_min)[:, None] * shape
+    return _penalized("sh", fits, penalties, {
         "alpha_min": alpha_min,
         "jumps": jumps,
         "no_jump": no_jump,
-        "path": [(s.alpha_lo, s.alpha_hi, s.dim) for s in path.segments],
+        "path": [[(s.alpha_lo, s.alpha_hi, s.dim) for s in path.segments] for path in paths],
     })
 
 
@@ -426,23 +432,31 @@ def select_cp(fits: FittedCollection) -> SelectionOutcome:
     """Mallows' Cp: pen(m) = 2 sigma2_hat D_m / n with the saturated-model
     variance estimator sigma2_hat = d^2(Y, m_{n/2}) / (n - n/2)."""
     dims = fits.collection.dims
-    n = len(fits.pyramid.coeffs)
+    n = fits.pyramid.coeffs.shape[-1]
     if dims.max() != n // 2:
         raise ValueError("Cp needs the saturated model of dimension n/2 in the collection")
-    largest = int(np.argmax(dims))
-    sigma2 = fits.emp_risks[largest] * n / (n - n // 2)
-    penalties = 2.0 * sigma2 * dims / n
-    return _outcome("cp", dims, fits.emp_risks, penalties, {"sigma2": float(sigma2)})
+    sigma2 = np.take(fits.emp_risks, np.argmax(dims), axis=-1) * n / (n - n // 2)
+    penalties = 2.0 * np.expand_dims(sigma2, -1) * dims / n
+    return _penalized("cp", fits, penalties, {"sigma2": sigma2})
+
+
+def _per_fold(fits: FittedCollection, fold_fits: tuple, term) -> np.ndarray:
+    """``term(fold)`` of each fold, stacked on axis -2 into ``(..., folds,
+    models)``. Raises ``ValueError`` for fold fits whose shape is not the
+    collection's, such as a block's folds given with one sample's fits."""
+    shapes = {np.shape(r) for fold in fold_fits for r in (fold.train_risks, fold.heldout_risks)}
+    if shapes != {fits.emp_risks.shape}:
+        raise ValueError(f"fold risks of shape {sorted(shapes)} for a fitted collection "
+                         f"of shape {fits.emp_risks.shape}")
+    return np.stack([term(fold) for fold in fold_fits], axis=-2)
 
 
 def select_vfcv(fits: FittedCollection, fold_fits: tuple) -> SelectionOutcome:
     """V-fold cross-validation at V = 2 (2FCV): the mean over the two
     folds of :func:`fold_fitted` of the held-out risks."""
-    per_fold = np.array([fold.heldout_risks for fold in fold_fits])
-    crit = per_fold.mean(axis=0)
-    penalties = crit - fits.emp_risks  # implied penalty, for the trace
-    return _outcome("vfcv", fits.collection.dims, fits.emp_risks, penalties,
-                    {"per_fold_risks": per_fold})
+    per_fold = _per_fold(fits, fold_fits, lambda fold: fold.heldout_risks)
+    penalties = per_fold.mean(axis=-2) - fits.emp_risks  # implied penalty, for the trace
+    return _penalized("vfcv", fits, penalties, {"per_fold_risks": per_fold})
 
 
 def select_penvf(fits: FittedCollection, fold_fits: tuple) -> SelectionOutcome:
@@ -462,45 +476,35 @@ def select_penvf(fits: FittedCollection, fold_fits: tuple) -> SelectionOutcome:
 
     2FCV minimizes mean_j CV_j over the same quantities.
     """
-    terms = 0.5 * np.array([fold.heldout_risks - fold.train_risks for fold in fold_fits])
-    pen = 0.5 * terms.sum(axis=0)
-    return _outcome("penvf", fits.collection.dims, fits.emp_risks, pen,
-                    {"per_fold_terms": terms})
+    terms = 0.5 * _per_fold(fits, fold_fits, lambda fold: fold.heldout_risks - fold.train_risks)
+    return _penalized("penvf", fits, 0.5 * terms.sum(axis=-2), {"per_fold_terms": terms})
 
 
 FOLD_METHODS = ("vfcv", "penvf")
 
 
 def select_methods(samples, collection: ModelCollection, methods,
-                   signal_values=None) -> list:
-    """Run the named methods on a block of samples of one size: one
-    {method: outcome} dict per sample, in the order asked.
+                   signal_values=None) -> dict:
+    """Run the named methods on one sample, or on a block of samples of one
+    size: {method: outcome} in the order asked, where a block's outcome
+    holds a row per sample.
 
     Methods are "oracle" (needs ``signal_values``, the truth's values at
-    each sample's design points), "sh", "cp", "vfcv" and "penvf". The
-    block's collection is fitted once, and its even/odd fold fits are
-    built once, only when a fold method is asked; the selectors then run
-    per sample on its fitted collection.
+    the design points as :func:`fit_collection` takes them), "sh", "cp",
+    "vfcv" and "penvf". The collection is fitted once, its even/odd fold
+    fits are built once, only when a fold method is asked, and each
+    selector runs once on the whole block.
     """
-    samples = tuple(samples)
+    # each entry reads fits and fold_fits, bound below once the names are checked
+    selectors = {"oracle": lambda: oracle_select(fits),
+                 "sh": lambda: select_sh(fits),
+                 "cp": lambda: select_cp(fits),
+                 "vfcv": lambda: select_vfcv(fits, fold_fits),
+                 "penvf": lambda: select_penvf(fits, fold_fits)}
+    unknown = [m for m in methods if m not in selectors]
+    if unknown:
+        raise ValueError(f"unknown method {unknown[0]!r}")
     fits = fit_collection(samples, collection, signal_values)
     fold_fits = (fold_fitted(samples, collection) if any(m in FOLD_METHODS for m in methods)
-                 else (None,) * len(samples))
-    out = []
-    for sample_fits, sample_folds in zip(fits, fold_fits):
-        outcomes = {}
-        for method in methods:
-            if method == "oracle":
-                outcomes[method] = oracle_select(sample_fits)
-            elif method == "sh":
-                outcomes[method] = select_sh(sample_fits)
-            elif method == "cp":
-                outcomes[method] = select_cp(sample_fits)
-            elif method == "vfcv":
-                outcomes[method] = select_vfcv(sample_fits, sample_folds)
-            elif method == "penvf":
-                outcomes[method] = select_penvf(sample_fits, sample_folds)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-        out.append(outcomes)
-    return out
+                 else None)
+    return {method: selectors[method]() for method in methods}

@@ -246,7 +246,7 @@ def test_criterion_6_selection_invariants():
         b_out = selection.select_sh(fits, shape=3.5 * shapes)
         assert a_out.chosen_dim == b_out.chosen_dim
         # VFCV argmin invariance under model-independent criterion shifts
-        v_out = selection.select_vfcv(fits, selection.fold_fitted([sample], coll)[0])
+        v_out = selection.select_vfcv(fits, selection.fold_fitted(sample, coll))
         crit = np.array([t.criterion for t in v_out.trace])
         shifted = crit + 42.0
         assert dims[int(np.lexsort((dims, shifted))[0])] == v_out.chosen_dim

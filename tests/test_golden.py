@@ -48,10 +48,10 @@ def bench_decisions(monkeypatch, config) -> list:
 
     def spy(samples, *args, **kwargs):
         outcomes = real(samples, *args, **kwargs)
-        for sample, chosen in zip(samples, outcomes):
+        for i, sample in enumerate(samples):
             m = sample.meta
             dims[(m.signal, m.noise, m.n, m.seed)] = {
-                k: o.chosen_dim for k, o in chosen.items()}
+                k: int(o.chosen_dim[i]) for k, o in outcomes.items()}
         return outcomes
 
     monkeypatch.setattr(bench, "select_methods", spy)

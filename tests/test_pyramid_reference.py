@@ -193,7 +193,7 @@ def test_fit_collection_matches_reference(name, n):
 @pytest.mark.parametrize("name, n", CASES)
 def test_fold_fitted_matches_reference(name, n):
     _, sample, coll = _setup(name, n)
-    for g, w in zip(fold_fitted([sample], coll)[0], ref_fold_fitted(sample, coll),
+    for g, w in zip(fold_fitted(sample, coll), ref_fold_fitted(sample, coll),
                     strict=True):
         assert np.array_equal(g.train_risks, w.train_risks)
         assert np.array_equal(g.heldout_risks, w.heldout_risks)
@@ -203,7 +203,7 @@ def test_fold_fitted_matches_reference(name, n):
 def test_fold_selectors_match_reference(name, n):
     _, sample, coll = _setup(name, n)
     fits = fit_collection(sample, coll)
-    fold_fits, = fold_fitted([sample], coll)
+    fold_fits = fold_fitted(sample, coll)
     ref_fold_fits = ref_fold_fitted(sample, coll)
     crit, idx = ref_select_vfcv(sample, fits, ref_fold_fits)
     got = select_vfcv(fits, fold_fits)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from wavesel import bases, selection, transform
 from wavesel.estimator import NestedPyramid
 from wavesel.selection import (FoldFit, ModelCollection,
-                               PathSegment, PenaltyPath, dimension_jump, fit_collection,
+                               PathSegment, PenaltyPath, SelectionOutcome, dimension_jump,
+                               fit_collection,
                                fold_fitted, in_sample_losses, oracle_select, penalty_path,
                                select_cp, select_methods, select_penvf, select_sh, select_vfcv,
                                wavelet_collection)
@@ -251,7 +252,7 @@ class TestVfold:
         # the argmin (the crit0 device)
         sample = generate(get_signal("heavisine"), get_noise("h1"), 512, 12)
         coll = wavelet_collection(512, transform.DB8)
-        out = select_vfcv(fit_collection(sample, coll), fold_fitted([sample], coll)[0])
+        out = select_vfcv(fit_collection(sample, coll), fold_fitted(sample, coll))
         crit = np.array([t.criterion for t in out.trace])
         dims = np.array([t.dim for t in out.trace])
         shifted = crit + 123.456
@@ -264,7 +265,7 @@ class TestVfold:
         sample = generate(get_signal("doppler"), get_noise("h1"), n, 17)
         coll = wavelet_collection(n, transform.DB8)
         # fold 0 trains on the even 0-based ranks and holds out the odd ones
-        for j, fold in enumerate(fold_fitted([sample], coll)[0]):
+        for j, fold in enumerate(fold_fitted(sample, coll)):
             train, held = np.arange(j, n, 2), np.arange(1 - j, n, 2)
             x_t, y_t = sample.x[train], sample.y[train]
             x_h, y_h = sample.x[held], sample.y[held]
@@ -288,7 +289,7 @@ class TestVfold:
         pens = []
         for r in range(reps):
             sample = generate(sig, noi, n, derive_seed(777, r))
-            out = select_penvf(fit_collection(sample, coll), fold_fitted([sample], coll)[0])
+            out = select_penvf(fit_collection(sample, coll), fold_fitted(sample, coll))
             pens.append(out.trace[model_idx].penalty)
         cm = compute_Cm(sig, noi, coll.models[model_idx], n_mc=100_000, seed=1).value
         # the (V-1)/V prefactor turns the training-scale excesses into an
@@ -350,7 +351,7 @@ class TestSelectMethods:
         sample = generate(sig, get_noise("l2"), 256, 5)
         coll = wavelet_collection(256, transform.DB8)
         fits = fit_collection(sample, coll, sig(sample.x))
-        fold_fits, = fold_fitted([sample], coll)
+        fold_fits = fold_fitted(sample, coll)
         direct = {
             "penvf": select_penvf(fits, fold_fits),
             "oracle": oracle_select(fits),
@@ -358,7 +359,8 @@ class TestSelectMethods:
             "vfcv": select_vfcv(fits, fold_fits),
             "cp": select_cp(fits),
         }
-        got, = select_methods([sample], coll, tuple(direct), signal_values=[sig(sample.x)])
+        got = {m: o[0] for m, o in select_methods([sample], coll, tuple(direct),
+                                                  signal_values=[sig(sample.x)]).items()}
         assert list(got) == list(direct)
         for method, outcome in direct.items():
             assert got[method].trace == outcome.trace
@@ -368,7 +370,7 @@ class TestSelectMethods:
     def test_fold_scheme_and_signal_only_when_needed(self):
         sample = generate(get_signal("wave"), get_noise("h1"), 64, 1)
         coll = wavelet_collection(64, transform.DB8)
-        got, = select_methods([sample], coll, ("sh", "cp"))
+        got = {m: o[0] for m, o in select_methods([sample], coll, ("sh", "cp")).items()}
         assert list(got) == ["sh", "cp"]
         with pytest.raises(ValueError, match="signal values"):
             select_methods([sample], coll, ("oracle",))
@@ -387,11 +389,57 @@ class TestSelectMethods:
         samples = [generate(sig, noi, n, seed) for sig, noi, seed in cases]
         truths = [sig(s.x) for (sig, _, _), s in zip(cases, samples)]
         block = select_methods(samples, coll, methods, signal_values=truths)
-        for sample, truth, got in zip(samples, truths, block, strict=True):
-            alone, = select_methods([sample], coll, methods, signal_values=[truth])
+        assert all(o.chosen_index.shape == (len(samples),) for o in block.values())
+        for i, (sample, truth) in enumerate(zip(samples, truths)):
+            got = {m: o[i] for m, o in block.items()}
+            alone = {m: o[0] for m, o in select_methods([sample], coll, methods,
+                                                        signal_values=[truth]).items()}
             assert len(got["vfcv"].diagnostics["per_fold_risks"]) == V
             for method in methods:
                 assert got[method].to_json() == alone[method].to_json()
+
+    def test_single_sample_gives_the_row_of_a_block_of_one(self):
+        sig = get_signal("doppler")
+        sample = generate(sig, get_noise("h1"), 128, 4)
+        coll = wavelet_collection(128, transform.DB8)
+        methods = ("oracle", "sh", "cp", "vfcv", "penvf")
+        single = select_methods(sample, coll, methods, signal_values=sig(sample.x))
+        block = select_methods([sample], coll, methods, signal_values=[sig(sample.x)])
+        for method in methods:
+            assert single[method].criteria.shape == (len(coll),)
+            assert single[method].to_json() == block[method][0].to_json()
+
+    def test_fold_fits_of_another_block_refused(self):
+        # folds of one block never broadcast against the fits of another
+        coll = wavelet_collection(64, transform.DB8)
+        samples = [generate(get_signal("wave"), get_noise("h1"), 64, seed) for seed in (1, 2, 3)]
+        fits = fit_collection(samples, coll)
+        cases = ((fits, fold_fitted(samples[:1], coll)),   # (1, models) for (3, models)
+                 (fits[0], fold_fitted(samples[:1], coll)),  # a block's folds, one sample's fits
+                 (fits[0], fold_fitted(samples, coll)),
+                 (fit_collection(samples[0], coll), fold_fitted(samples, coll)))
+        for target, folds in cases:
+            for select in (select_vfcv, select_penvf):
+                with pytest.raises(ValueError, match="fold risks of shape"):
+                    select(target, folds)
+
+
+def test_block_choice_is_each_rows_lexsort():
+    # a block's choice is each row's first index in lexsort((dims, row)):
+    # the smallest criterion, ties to the smaller dimension, NaN last
+    dims = np.array([2, 4, 8, 16, 32])
+    crit = np.random.default_rng(3).integers(0, 3, size=(60, len(dims))).astype(float)
+    crit[:3] = [[1.0, 0.0, 0.0, 1.0, 0.0],         # tie: the smaller dimension
+                [np.nan, 1.0, 1.0, 0.0, np.nan],   # a NaN criterion sorts last
+                [np.nan] * len(dims)]              # all NaN: the first model
+    crit[10:20, 1] = np.nan
+    out = SelectionOutcome("test", dims, np.zeros_like(crit), crit, crit)
+    assert list(out.chosen_index[:3]) == [1, 3, 0]
+    for i, row in enumerate(crit):
+        want = np.lexsort((dims, row))[0]
+        assert out.chosen_index[i] == want
+        assert out.chosen_dim[i] == dims[want]
+        assert out[i].chosen_index == want
 
 
 def test_outcome_serialization():

@@ -313,19 +313,22 @@ class TestOrderedDesignFit:
 @pytest.mark.parametrize("rows", [1, 3])
 def test_block_rows_equal_single_vector_pyramids(filt, n, rows):
     # a row of a block pyramid holds the floats of its vector's own
-    # pyramid, bit for bit, and so do the block's risks and fitted values
+    # pyramid, bit for bit, and so do the block's risks and fitted values,
+    # whatever the memory layout of the block (a column slice of a C-ordered
+    # block, such as y[:, train], comes out F-ordered)
     ys = [rng(seed).standard_normal(n) for seed in range(rows)]
-    block = NestedPyramid.of(np.stack(ys), filt)
     dims = 2 ** np.arange(1, n.bit_length() - 1)
-    risks, fitted = block.risks(dims), block.fitted(dims)
-    assert risks.shape == (rows, len(dims)) and fitted.shape == (rows, len(dims), n)
-    for i, y in enumerate(ys):
-        alone, row = NestedPyramid.of(y, filt), block[i]
-        for got in (row, block[:rows][i]):
-            assert np.array_equal(got.coeffs, alone.coeffs)
-            assert np.array_equal(got.csum, alone.csum)
-            assert got.energy == alone.energy == np.dot(y, y)
-        assert np.array_equal(risks[i], alone.risks(dims))
-        assert np.array_equal(row.risks(dims), alone.risks(dims))
-        assert np.array_equal(fitted[i], alone.fitted(dims))
-        assert np.array_equal(row.fitted(dims), alone.fitted(dims))
+    for layout in ("C", "F"):
+        block = NestedPyramid.of(np.asarray(np.stack(ys), order=layout), filt)
+        risks, fitted = block.risks(dims), block.fitted(dims)
+        assert risks.shape == (rows, len(dims)) and fitted.shape == (rows, len(dims), n)
+        for i, y in enumerate(ys):
+            alone, row = NestedPyramid.of(y, filt), block[i]
+            for got in (row, block[:rows][i]):
+                assert np.array_equal(got.coeffs, alone.coeffs)
+                assert np.array_equal(got.csum, alone.csum)
+                assert got.energy == alone.energy == np.dot(y, y)
+            assert np.array_equal(risks[i], alone.risks(dims))
+            assert np.array_equal(row.risks(dims), alone.risks(dims))
+            assert np.array_equal(fitted[i], alone.fitted(dims))
+            assert np.array_equal(row.fitted(dims), alone.fitted(dims))
