@@ -200,9 +200,9 @@ def _block_size(n: int, collection: ModelCollection, methods) -> int:
     return max(1, _BLOCK_ELEMENTS // held)
 
 
-def _replicate_block(jobs, n: int, collection: ModelCollection, methods) -> list:
-    """Replications at sample size n, one per (signal, noise, seed) job:
-    one ratio per method each, from one run of every selector on the block.
+def _replicate_block(jobs, n: int, collection: ModelCollection, methods) -> np.ndarray:
+    """The ``(jobs, methods)`` ratios of replications at sample size n, one
+    per (signal, noise, seed) job, from one run of every selector on the block.
 
     Every method is scored by the oracle's in-sample loss at the design
     points (:func:`selection.in_sample_losses`), so every ratio is at
@@ -213,46 +213,41 @@ def _replicate_block(jobs, n: int, collection: ModelCollection, methods) -> list
     chosen = np.stack([o.chosen_index for o in outcomes.values()], axis=-1)
     loss = np.take_along_axis(outcomes["oracle"].criteria, chosen, axis=-1)
     best, loss = loss[:, :1], loss[:, 1:]  # the oracle's loss, and each method's
-    ratios = np.divide(loss, best, where=best > 0.0, out=np.where(loss <= 1e-300, 1.0, np.inf))
-    return [dict(zip(methods, r)) for r in ratios.tolist()]
+    return np.divide(loss, best, where=best > 0.0, out=np.where(loss <= 1e-300, 1.0, np.inf))
 
 
 def run_bench(config: BenchConfig) -> BenchReport:
     """Run every cell of the config, in blocks of replications per sample size."""
     filt = transform.get_filter(config.basis)
-    jobs = {}  # n -> [(cell index, (signal, noise, seed))]
+    jobs = {}  # n -> [((cell index, replication), (signal, noise, seed))]
     for cell_index, (sig_name, noi_name, n) in enumerate(config.cells):
         signal = benchmark_signal(sig_name) if config.normalize else get_signal(sig_name)
         noise = get_noise(noi_name)
         cell_seed = derive_seed(config.base_seed, cell_index)
         jobs.setdefault(n, []).extend(
-            (cell_index, (signal, noise, derive_seed(cell_seed, r)))
+            ((cell_index, r), (signal, noise, derive_seed(cell_seed, r)))
             for r in range(config.replications))
 
-    results = {}  # cell index -> per-replication ratios
+    ratios = np.empty((len(config.cells), config.replications, len(config.methods)))
     for n, todo in jobs.items():
         collection = wavelet_collection(n, filt)
         size = _block_size(n, collection, config.methods)
         for start in range(0, len(todo), size):
-            block = todo[start:start + size]
-            ratios = _replicate_block([job for _, job in block], n, collection,
-                                      config.methods)
-            for (cell_index, _), r in zip(block, ratios):
-                results.setdefault(cell_index, []).append(r)
+            at, block = zip(*todo[start:start + size])
+            ratios[tuple(zip(*at))] = _replicate_block(block, n, collection, config.methods)
 
     cells = {}
     for cell_index, (sig_name, noi_name, n) in enumerate(config.cells):
-        for method in config.methods:
-            ratios = np.array([r[method] for r in results[cell_index]
-                               if np.isfinite(r[method])])
-            n_failed = config.replications - len(ratios)
-            mean = float(np.mean(ratios)) if len(ratios) else np.nan
-            stderr = (float(np.std(ratios, ddof=1) / np.sqrt(len(ratios)))
-                      if len(ratios) > 1 else np.nan)
+        for method, column in zip(config.methods, ratios[cell_index].T):
+            finite = column[np.isfinite(column)]
+            n_failed = config.replications - len(finite)
+            mean = float(np.mean(finite)) if len(finite) else np.nan
+            stderr = (float(np.std(finite, ddof=1) / np.sqrt(len(finite)))
+                      if len(finite) > 1 else np.nan)
             cells[(sig_name, noi_name, n, method)] = CellResult(
-                mean, stderr, len(ratios), n_failed,
+                mean, stderr, len(finite), n_failed,
                 flagged=n_failed > 0.05 * config.replications,
-                ratios=tuple(float(v) for v in ratios) if config.keep_ratios else None)
+                ratios=tuple(finite.tolist()) if config.keep_ratios else None)
     return BenchReport(config, cells)
 
 

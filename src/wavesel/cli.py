@@ -45,7 +45,7 @@ def _resolve_signal(name: str, normalize: bool) -> signals.TestSignal:
 def _doc(kind: str, payload: dict) -> str:
     doc = {"schema_version": 1, "tool_version": __version__, "kind": kind}
     doc.update(payload)
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

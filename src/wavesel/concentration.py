@@ -152,9 +152,14 @@ def _sphere_max_quadratic(a: np.ndarray, m_mat: np.ndarray, c: float, eig: tuple
         return 0.0, np.zeros(len(a))
     evals, vecs, at = eig
     lam_min = float(evals[0])
+    pairs = list(zip(at.tolist(), evals.tolist()))
 
-    def norm2(lam):
-        return float(np.sum((at / (evals + lam)) ** 2))
+    def norm2(lam):  # a plain loop adds in np.sum's order on <= 3 terms
+        total = 0.0
+        for a_k, e_k in pairs:
+            q = a_k / (e_k + lam)
+            total += q * q
+        return total
 
     lo = -lam_min + 1e-14
     if norm2(lo) >= c:

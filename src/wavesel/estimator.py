@@ -279,13 +279,21 @@ def truth_terms(signal: TestSignal, model) -> TruthTerms:
 def nested_truth_terms(signal: TestSignal, models) -> list:
     """:func:`truth_terms` of each model, from one evaluation of the signal
     on the reference grid and, for a nested wavelet collection, one
-    analysis of it."""
+    analysis of it and one prefix synthesis of every s_m."""
     s = signal_grid_values(signal)
+    betas = _projections(s, models)
+    h = pyramid_filter(models, N_GRID)
+    if h is None:
+        s_ms = [_grid_function(model, beta_m) for model, beta_m in zip(models, betas)]
+    else:  # each beta_m is a prefix of the largest, so s_m is a prefix synthesis
+        dims, row = np.unique([model.dim for model in models], return_inverse=True)
+        flat = np.zeros(N_GRID)
+        flat[: dims[-1]] = max(betas, key=len) * np.sqrt(N_GRID)
+        s_ms = transform.synthesize_prefixes(flat, dims, h)[row]
     out = []
-    for model, beta_m in zip(models, _projections(s, models)):
+    for model, beta_m, s_m in zip(models, betas, s_ms):
         w = model.density_on_grid()
         weights = np.ones(N_GRID) if w is None else w
-        s_m = _grid_function(model, beta_m)
         bias = float(np.mean((s - s_m) ** 2 * weights))
         out.append(TruthTerms(model, beta_m, s, weights, s_m, bias))
     return out

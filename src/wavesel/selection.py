@@ -3,10 +3,10 @@
 All selectors minimize a per-model criterion over a shared collection and
 break ties toward the smaller dimension. The slope heuristics calibrates
 its penalty level from the exact breakpoint path of
-alpha -> argmin_m {risk_m + alpha * shape_m}, computed from the lower
-convex hull of the (shape, risk) cloud, and places the minimal level at
-the breakpoint with the largest drop in selected dimension (ties going
-to the largest alpha).
+alpha -> argmin_m {risk_m + alpha * shape_m}, read off the level
+interval on which each model is the argmin, for a whole block at once,
+and places the minimal level at the breakpoint with the largest drop in
+selected dimension (ties going to the largest alpha).
 
 Every selector reads one :class:`FittedCollection`, and 2FCV and pen2F
 also its fold fits, for one sample or a block of samples of one size: a
@@ -248,10 +248,7 @@ class PenaltyPath:
 
     def segment_at(self, alpha: float) -> PathSegment:
         """Path segment covering alpha; at a breakpoint the smaller dim wins."""
-        for seg in self.segments:
-            if alpha >= seg.alpha_lo:
-                return seg
-        return self.segments[-1]
+        return next((seg for seg in self.segments if alpha >= seg.alpha_lo), self.segments[-1])
 
     def jumps(self) -> list:
         """(alpha, dim_above, dim_below) per breakpoint, alpha descending."""
@@ -259,49 +256,41 @@ class PenaltyPath:
                 for above, below in zip(self.segments, self.segments[1:])]
 
 
-def _lower_hull(shapes: np.ndarray, risks: np.ndarray, dims: np.ndarray) -> list:
-    # lower-left convex hull of the (shape, risk) cloud: exactly the models
-    # selected by risk + alpha * shape for some alpha >= 0
-    order = np.lexsort((dims, risks, shapes))
-    hull: list = []
-    for i in order:
-        if hull and shapes[i] == shapes[hull[-1]]:
-            continue  # same shape: the smaller risk (then dim) already kept
-        if hull and risks[i] >= risks[hull[-1]]:
-            continue  # no risk improvement at a larger shape: never selected
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            # drop b when the chord a -> i passes at or below b
-            lhs = (risks[i] - risks[a]) * (shapes[b] - shapes[a])
-            rhs = (risks[b] - risks[a]) * (shapes[i] - shapes[a])
-            if lhs <= rhs:
-                hull.pop()
-            else:
-                break
-        hull.append(int(i))
-    return hull
+def _levels(risks: np.ndarray, shapes: np.ndarray, dims: np.ndarray) -> tuple:
+    """Each model's level interval ``[lo, hi)`` of alpha >= 0, on which it
+    is the argmin of risk + alpha * shape (ties to the smaller model), for
+    ``(..., models)`` risks; empty (``lo >= hi``) for a model never chosen.
+
+    With slope[k, j] = (r_k - r_j) / (s_j - s_k), where k and j tie, k
+    beats each larger-shape j from max(0, slope) on and each smaller-shape
+    j below slope; at equal shape it loses to a smaller risk, then to a
+    smaller dim. Raises ``ValueError`` unless the dims strictly increase
+    with nondecreasing shapes."""
+    if np.any(np.diff(dims) <= 0) or np.any(np.diff(shapes) < 0):
+        raise ValueError("a path needs strictly increasing dims with nondecreasing shapes")
+    ds = shapes - shapes[:, None]                   # [k, j]: s_j - s_k
+    dr = risks[..., :, None] - risks[..., None, :]  # [k, j]: r_k - r_j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = dr / ds
+    beaten = (ds == 0) & ((dr > 0) | ((dr == 0) & np.tri(len(shapes), k=-1, dtype=bool)))
+    lo = np.where(ds > 0, slope, 0.0).max(axis=-1)
+    hi = np.where(ds < 0, slope, np.where(beaten, -np.inf, np.inf)).min(axis=-1)
+    return lo, hi
 
 
 def penalty_path(shapes, risks, dims) -> PenaltyPath:
-    """Breakpoint path of the penalized argmin, from the lower convex hull
-    of the (shape, risk) points."""
+    """Breakpoint path of the penalized argmin, from each model's level
+    interval. Raises ``ValueError`` unless the dims strictly increase with
+    nondecreasing shapes, as ``dims / n`` do."""
     shapes = np.asarray(shapes, dtype=float)
     risks = np.asarray(risks, dtype=float)
     dims = np.asarray(dims, dtype=int)
     if len(shapes) < 2:
         raise ValueError("need at least two models for a path")
-    hull = _lower_hull(shapes, risks, dims)
-    segments = []
-    hi = np.inf
-    for pos, i in enumerate(hull):
-        if pos + 1 < len(hull):
-            nxt = hull[pos + 1]
-            lo = (risks[i] - risks[nxt]) / (shapes[nxt] - shapes[i])
-        else:
-            lo = 0.0
-        segments.append(PathSegment(float(lo), float(hi), i, int(dims[i]), float(risks[i])))
-        hi = lo
-    return PenaltyPath(tuple(segments), shapes, risks, dims)
+    lo, hi = _levels(risks, shapes, dims)
+    segments = tuple(PathSegment(float(lo[k]), float(hi[k]), int(k), int(dims[k]),
+                                 float(risks[k])) for k in np.flatnonzero(lo < hi))
+    return PenaltyPath(segments, shapes, risks, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +352,7 @@ class SelectionOutcome:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def _jsonable(obj):
@@ -388,28 +377,28 @@ def oracle_select(fits: FittedCollection) -> SelectionOutcome:
                             np.zeros_like(losses), losses, {"losses": losses})
 
 
-def dimension_jump(path: PenaltyPath):
-    """Calibrated minimal level: breakpoint with the largest dimension drop.
-
-    Returns (alpha_min, jump_table, no_jump_flag); ties in the drop go to
-    the largest alpha, and the flag is set when the largest relative drop
-    is below a factor two.
-    """
-    jumps = path.jumps()
+def _jump_rule(jumps: list) -> tuple:
+    """(alpha_min, jumps, no_jump) of (alpha, dim_above, dim_below) jumps,
+    alpha descending: the largest dimension drop, ties to the largest
+    alpha, flagged when it is below a factor two (or there is none)."""
     if not jumps:
-        return 0.0, [], True
-    drops = [below - above for _, above, below in jumps]
-    best = int(np.argmax(drops))  # jumps are ordered by decreasing alpha
-    alpha_min = jumps[best][0]
-    ratio = jumps[best][2] / jumps[best][1]
-    return float(alpha_min), jumps, bool(ratio < 2.0)
+        return 0.0, jumps, True
+    alpha, above, below = jumps[int(np.argmax([b - a for _, a, b in jumps]))]
+    return float(alpha), jumps, bool(below / above < 2.0)
+
+
+def dimension_jump(path: PenaltyPath):
+    """Calibrated minimal level: (alpha_min, jump_table, no_jump_flag) of
+    :func:`_jump_rule` on the path's breakpoints."""
+    return _jump_rule(path.jumps())
 
 
 def select_sh(fits: FittedCollection,
               shape: Optional[np.ndarray] = None) -> SelectionOutcome:
     """Slope heuristics: pen(m) = 2 alpha_min_hat * D_m / n via the
-    dimension jump of each row's penalty path. A block's diagnostics are
-    lists with one entry per row."""
+    dimension jump of each row's penalty path, from the block's level
+    intervals. A block's diagnostics hold one entry per row; a path segment
+    is (alpha_lo, alpha_hi, dim), alpha_hi None for the unbounded first."""
     if len(fits.collection) < 3:
         raise ValueError("slope heuristics needs at least 3 fitted models")
     if fits.emp_risks.ndim == 1:  # one sample: the row of a block of one
@@ -417,15 +406,17 @@ def select_sh(fits: FittedCollection,
     dims = fits.collection.dims
     n = fits.pyramid.coeffs.shape[-1]
     shape = dims / n if shape is None else np.asarray(shape, dtype=float)
-    paths = [penalty_path(shape, risks, dims) for risks in fits.emp_risks]
-    alpha_min, jumps, no_jump = map(list, zip(*map(dimension_jump, paths)))
+    lo, hi = _levels(fits.emp_risks, shape, dims)
+    rows = []
+    for row_lo, row_hi, row_on in zip(lo.tolist(), hi.tolist(), (lo < hi).tolist()):
+        path = [(row_lo[k], row_hi[k], d) for k, d in enumerate(dims.tolist()) if row_on[k]]
+        jumps = [(a, above, below) for (a, _, above), (_, _, below) in zip(path, path[1:])]
+        path[0] = (path[0][0], None, path[0][2])  # the level of the first is unbounded
+        rows.append((*_jump_rule(jumps), path))
+    alpha_min, jumps, no_jump, paths = map(list, zip(*rows))
     penalties = 2.0 * np.array(alpha_min)[:, None] * shape
     return _penalized("sh", fits, penalties, {
-        "alpha_min": alpha_min,
-        "jumps": jumps,
-        "no_jump": no_jump,
-        "path": [[(s.alpha_lo, s.alpha_hi, s.dim) for s in path.segments] for path in paths],
-    })
+        "alpha_min": alpha_min, "jumps": jumps, "no_jump": no_jump, "path": paths})
 
 
 def select_cp(fits: FittedCollection) -> SelectionOutcome:

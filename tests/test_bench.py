@@ -95,9 +95,9 @@ class TestRunBench:
         coll = selection.wavelet_collection(64, transform.DB8)
         member = signals.TestSignal("Custom", lambda x: np.full_like(np.asarray(x, float), 0.4))
         zero = signals.NoiseScenario("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
-        out, = bench._replicate_block([(member, zero, 5)], 64, coll,
-                                      ("sh", "cp", "vfcv", "penvf"))
-        assert all(v == 1.0 for v in out.values())
+        out = bench._replicate_block([(member, zero, 5)], 64, coll,
+                                     ("sh", "cp", "vfcv", "penvf"))
+        assert out.shape == (1, 4) and np.all(out == 1.0)
 
     def test_report_structure_and_determinism(self):
         cfg = small_config()

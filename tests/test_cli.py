@@ -1,10 +1,11 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from wavesel import bench, cli, estimator, selection, transform
+from wavesel import bases, bench, cli, estimator, selection, transform
 from wavesel.signals import derive_seed, get_signal
 
 
@@ -217,6 +218,19 @@ class TestPlot:
         assert text.count("<line") == 2  # the two axes
         assert "polyline" not in text
 
+    def test_sel_json_is_strict_json(self, tmp_path, sample_csv):
+        sel = tmp_path / "sel.json"
+        assert run(["select", "--method", "all", "--in", sample_csv, "--truth", "wave",
+                    "--out", sel]) == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads(read(sel), parse_constant=refuse)
+        path = doc["outcomes"]["sh"]["diagnostics"]["path"]
+        assert path[0][1] is None  # the unbounded level of the first segment
+        assert all(isinstance(seg[1], float) for seg in path[1:])
+
     def test_two_model_staircase(self, tmp_path):
         doc = {"kind": "selection_outcome", "method": "sh", "chosen_dim": 2,
                "trace": [], "diagnostics": {"alpha_min": 0.5,
@@ -258,6 +272,20 @@ class TestFitCommand:
             for value in fields:
                 float(value)  # plain numbers, not numpy reprs
 
+
+    def test_fit_synthesizes_the_nested_truth_once(self, tmp_path, monkeypatch):
+        # every synthesis runs through synthesize_prefixes: one gives every
+        # s_m on the grid, and each of the 9 fits makes one of its s_hat_m
+        # on the grid and one of its design values on the n points
+        src, out = tmp_path / "s.csv", tmp_path / "fit.csv"
+        assert run(["gen", "--signal", "doppler", "--noise", "l1", "--n", 1024,
+                    "--seed", 4, "--out", src]) == 0
+        lengths = []
+        real = transform.synthesize_prefixes
+        monkeypatch.setattr(transform, "synthesize_prefixes",
+                            lambda c, *a: lengths.append(np.shape(c)[-1]) or real(c, *a))
+        assert run(["fit", "--in", src, "--truth", "doppler", "--out", out]) == 0
+        assert Counter(lengths) == {bases.N_GRID: 1 + 9, 1024: 9}
 
     def test_fit_analyzes_the_truth_grid_once(self, tmp_path, monkeypatch):
         src, out = tmp_path / "s.csv", tmp_path / "fit.csv"

@@ -222,9 +222,9 @@ def test_replicate_matches_reference(name, n):
     seeds = [derive_seed(11, r) for r in range(3)]
     block = bench._replicate_block([(signal, get_noise("h1"), seed) for seed in seeds],
                                    n, coll, methods)
-    for seed, got in zip(seeds, block, strict=True):
+    for seed, got in zip(seeds, block.tolist(), strict=True):
         want = ref_replicate(signal, get_noise("h1"), n, seed, coll, methods)
-        assert got == want
+        assert dict(zip(methods, got)) == want
 
 
 @pytest.mark.parametrize("name, n", CASES)

@@ -11,8 +11,8 @@ from wavesel.selection import (FoldFit, ModelCollection,
                                fold_fitted, in_sample_losses, oracle_select, penalty_path,
                                select_cp, select_methods, select_penvf, select_sh, select_vfcv,
                                wavelet_collection)
-from wavesel.signals import (NoiseScenario, TestSignal, derive_seed, generate,
-                             get_noise, get_signal)
+from wavesel.signals import (NOISE_NAMES, SIGNAL_NAMES, NoiseScenario, TestSignal,
+                             derive_seed, generate, get_noise, get_signal)
 
 ZERO_NOISE = NoiseScenario("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
 CONST_NOISE = NoiseScenario("Custom", lambda x: np.full_like(np.asarray(x, float), 0.05))
@@ -46,6 +46,55 @@ def grid_penalty_path(shapes, risks, dims, alphas):
     segments.append(PathSegment(0.0, float(hi), prev_idx,
                                 int(dims[prev_idx]), float(risks[prev_idx])))
     return PenaltyPath(tuple(segments), shapes, risks, dims)
+
+
+def hull_penalty_path(shapes, risks, dims) -> PenaltyPath:
+    """The path read off the lower convex hull of the (shape, risk) cloud,
+    by a monotone chain and a segment loop: a copy of the route that
+    ``penalty_path`` took before it read each model's level interval."""
+    shapes = np.asarray(shapes, dtype=float)
+    risks = np.asarray(risks, dtype=float)
+    dims = np.asarray(dims, dtype=int)
+    hull = []
+    for i in np.lexsort((dims, risks, shapes)):
+        if hull and shapes[i] == shapes[hull[-1]]:
+            continue  # same shape: the smaller risk (then dim) already kept
+        if hull and risks[i] >= risks[hull[-1]]:
+            continue  # no risk improvement at a larger shape: never selected
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # drop b when the chord a -> i passes at or below b
+            if ((risks[i] - risks[a]) * (shapes[b] - shapes[a])
+                    <= (risks[b] - risks[a]) * (shapes[i] - shapes[a])):
+                hull.pop()
+            else:
+                break
+        hull.append(int(i))
+    segments = []
+    hi = np.inf
+    for pos, i in enumerate(hull):
+        if pos + 1 < len(hull):
+            nxt = hull[pos + 1]
+            lo = (risks[i] - risks[nxt]) / (shapes[nxt] - shapes[i])
+        else:
+            lo = 0.0
+        segments.append(PathSegment(float(lo), float(hi), i, int(dims[i]), float(risks[i])))
+        hi = lo
+    return PenaltyPath(tuple(segments), shapes, risks, dims)
+
+
+# shape steps of 0 repeat a shape and the risks repeat often; the values
+# are small dyadic fractions, so every criterion on a grid of multiples of
+# 1/64 is exact and ties stay ties
+TIED_STEPS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 8)), min_size=2, max_size=9)
+
+
+def tied_path_inputs(steps) -> tuple:
+    """(shapes, risks, dims) of :data:`TIED_STEPS`' steps."""
+    dims = 2 * np.arange(1, len(steps) + 1)
+    shapes = (1 + np.cumsum([s for s, _ in steps])) / 8.0
+    risks = np.array([r for _, r in steps]) / 8.0
+    return shapes, risks, dims
 
 
 def dense_path_dims(shapes, risks, dims, alphas):
@@ -99,17 +148,11 @@ class TestPenaltyPath:
         assert seq_exact == seq_grid
 
     @settings(max_examples=200, deadline=None)
-    @given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 8)),
-                          min_size=2, max_size=9))
+    @given(steps=TIED_STEPS)
     def test_exact_matches_direct_argmin_with_ties(self, steps):
-        # shape steps of 0 repeat a shape and the risks repeat often; the
-        # values are small dyadic fractions, so every criterion on the
-        # grid is exact and ties stay ties, exercising both tie-breaks
-        # (same shape: smaller risk, then smaller dim; equal criterion:
-        # smaller dim)
-        dims = 2 * np.arange(1, len(steps) + 1)
-        shapes = (1 + np.cumsum([s for s, _ in steps])) / 8.0
-        risks = np.array([r for _, r in steps]) / 8.0
+        # exercises both tie-breaks (same shape: smaller risk, then smaller
+        # dim; equal criterion: smaller dim)
+        shapes, risks, dims = tied_path_inputs(steps)
         path = penalty_path(shapes, risks, dims)
         alphas = np.arange(9 * 64 + 1) / 64.0  # past the largest breakpoint, 8
         want = dense_path_dims(shapes, risks, dims, alphas)
@@ -121,6 +164,37 @@ class TestPenaltyPath:
     def test_needs_two_models(self):
         with pytest.raises(ValueError):
             penalty_path([0.1], [1.0], [2])
+
+    @pytest.mark.parametrize("shapes, dims", [
+        ([0.2, 0.1, 0.3], [2, 4, 8]),  # a shape decreases
+        ([0.1, 0.2, 0.3], [2, 2, 8]),  # a dim repeats
+        ([0.1, 0.2, 0.3], [8, 4, 2]),  # the dims decrease
+    ])
+    def test_needs_increasing_dims_and_nondecreasing_shapes(self, shapes, dims):
+        with pytest.raises(ValueError, match="nondecreasing shapes"):
+            penalty_path(shapes, [1.0, 0.5, 0.25], dims)
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=TIED_STEPS)
+    def test_matches_hull_with_ties(self, steps):
+        # every field of every segment, bit for bit: repr tells 0.0 from
+        # -0.0 and a Python int from a numpy one
+        shapes, risks, dims = tied_path_inputs(steps)
+        assert (repr(penalty_path(shapes, risks, dims).segments)
+                == repr(hull_penalty_path(shapes, risks, dims).segments))
+
+    @settings(max_examples=30, deadline=None)
+    @given(signal=st.sampled_from(SIGNAL_NAMES), noise=st.sampled_from(NOISE_NAMES),
+           n=st.sampled_from([256, 1024]), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1.0, 3.5]))
+    def test_matches_hull_on_fitted_rows(self, signal, noise, n, seed, scale):
+        coll = wavelet_collection(n, transform.DB8)
+        samples = [generate(get_signal(signal), get_noise(noise), n, derive_seed(seed, r))
+                   for r in range(4)]
+        shapes = scale * coll.dims / n
+        for risks in fit_collection(samples, coll).emp_risks:
+            assert (repr(penalty_path(shapes, risks, coll.dims).segments)
+                    == repr(hull_penalty_path(shapes, risks, coll.dims).segments))
 
 
 class TestDimensionJump:
@@ -177,6 +251,23 @@ class TestSelectSh:
         coll = ModelCollection(tuple(bases.WaveletModel(transform.DB8, j) for j in (0, 1)))
         with pytest.raises(ValueError):
             select_sh(fit_collection(sample, coll))
+
+    def test_block_rows_are_each_rows_path_and_jump(self):
+        n = 1024
+        coll = wavelet_collection(n, transform.DB8)
+        samples = [generate(get_signal(sig), get_noise(noise), n, derive_seed(9, r))
+                   for r, (sig, noise) in enumerate([(s, z) for s in SIGNAL_NAMES
+                                                     for z in NOISE_NAMES])]
+        out = select_sh(fit_collection(samples, coll))
+        shape = coll.dims / n
+        for i, risks in enumerate(out.emp_risks):
+            path = penalty_path(shape, risks, coll.dims)
+            alpha_min, jumps, no_jump = dimension_jump(path)
+            row = out[i].diagnostics
+            assert (row["alpha_min"], row["jumps"], row["no_jump"]) == (alpha_min, jumps, no_jump)
+            assert repr(row["path"]) == repr([(s.alpha_lo, s.alpha_hi if k else None, s.dim)
+                                              for k, s in enumerate(path.segments)])
+            assert np.array_equal(out.penalties[i], 2.0 * alpha_min * shape)
 
     def test_chosen_attains_trace_minimum(self):
         sample = generate(get_signal("spikes"), get_noise("l2"), 1024, 5)
