@@ -248,7 +248,10 @@ class PenaltyPath:
 
     def segment_at(self, alpha: float) -> PathSegment:
         """Path segment covering alpha; at a breakpoint the smaller dim wins."""
-        return next((seg for seg in self.segments if alpha >= seg.alpha_lo), self.segments[-1])
+        for seg in self.segments:
+            if alpha >= seg.alpha_lo:
+                return seg
+        return self.segments[-1]
 
     def jumps(self) -> list:
         """(alpha, dim_above, dim_below) per breakpoint, alpha descending."""
@@ -256,18 +259,21 @@ class PenaltyPath:
                 for above, below in zip(self.segments, self.segments[1:])]
 
 
-def _levels(risks: np.ndarray, shapes: np.ndarray, dims: np.ndarray) -> tuple:
-    """Each model's level interval ``[lo, hi)`` of alpha >= 0, on which it
-    is the argmin of risk + alpha * shape (ties to the smaller model), for
-    ``(..., models)`` risks; empty (``lo >= hi``) for a model never chosen.
+def _paths(shapes: np.ndarray, risks: np.ndarray, dims: np.ndarray) -> list:
+    """The :class:`PenaltyPath` of each row of ``(R, models)`` risks, read
+    off each model's level interval ``[lo, hi)`` of alpha >= 0, on which it
+    is the argmin of risk + alpha * shape (ties to the smaller model); a
+    model never chosen has an empty interval (``lo >= hi``).
 
     With slope[k, j] = (r_k - r_j) / (s_j - s_k), where k and j tie, k
     beats each larger-shape j from max(0, slope) on and each smaller-shape
     j below slope; at equal shape it loses to a smaller risk, then to a
     smaller dim. Raises ``ValueError`` unless the dims strictly increase
-    with nondecreasing shapes."""
+    with nondecreasing shapes, and the shapes and risks are finite."""
     if np.any(np.diff(dims) <= 0) or np.any(np.diff(shapes) < 0):
         raise ValueError("a path needs strictly increasing dims with nondecreasing shapes")
+    if not (np.all(np.isfinite(shapes)) and np.all(np.isfinite(risks))):
+        raise ValueError("a path needs finite shapes and risks")
     ds = shapes - shapes[:, None]                   # [k, j]: s_j - s_k
     dr = risks[..., :, None] - risks[..., None, :]  # [k, j]: r_k - r_j
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -275,22 +281,29 @@ def _levels(risks: np.ndarray, shapes: np.ndarray, dims: np.ndarray) -> tuple:
     beaten = (ds == 0) & ((dr > 0) | ((dr == 0) & np.tri(len(shapes), k=-1, dtype=bool)))
     lo = np.where(ds > 0, slope, 0.0).max(axis=-1)
     hi = np.where(ds < 0, slope, np.where(beaten, -np.inf, np.inf)).min(axis=-1)
-    return lo, hi
+    rows, dim = risks.tolist(), dims.tolist()  # Python scalars for the segments
+    paths = []
+    for i, (row_lo, row_hi) in enumerate(zip(lo.tolist(), hi.tolist())):
+        on = [k for k, (a, b) in enumerate(zip(row_lo, row_hi)) if a < b]
+        # each segment reaches down to the next one's hi, so that rounded
+        # slopes of near-collinear models cannot leave a gap in the path
+        ends = [row_hi[k] for k in on[1:]] + [row_lo[on[-1]]]
+        segments = tuple(PathSegment(end, row_hi[k], k, dim[k], rows[i][k])
+                         for end, k in zip(ends, on))
+        paths.append(PenaltyPath(segments, shapes, risks[i], dims))
+    return paths
 
 
 def penalty_path(shapes, risks, dims) -> PenaltyPath:
     """Breakpoint path of the penalized argmin, from each model's level
     interval. Raises ``ValueError`` unless the dims strictly increase with
-    nondecreasing shapes, as ``dims / n`` do."""
+    nondecreasing shapes, as ``dims / n`` do, and the risks are finite."""
     shapes = np.asarray(shapes, dtype=float)
     risks = np.asarray(risks, dtype=float)
     dims = np.asarray(dims, dtype=int)
     if len(shapes) < 2:
         raise ValueError("need at least two models for a path")
-    lo, hi = _levels(risks, shapes, dims)
-    segments = tuple(PathSegment(float(lo[k]), float(hi[k]), int(k), int(dims[k]),
-                                 float(risks[k])) for k in np.flatnonzero(lo < hi))
-    return PenaltyPath(segments, shapes, risks, dims)
+    return _paths(shapes, risks[None], dims)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +390,21 @@ def oracle_select(fits: FittedCollection) -> SelectionOutcome:
                             np.zeros_like(losses), losses, {"losses": losses})
 
 
-def _jump_rule(jumps: list) -> tuple:
-    """(alpha_min, jumps, no_jump) of (alpha, dim_above, dim_below) jumps,
-    alpha descending: the largest dimension drop, ties to the largest
-    alpha, flagged when it is below a factor two (or there is none)."""
-    if not jumps:
-        return 0.0, jumps, True
-    alpha, above, below = jumps[int(np.argmax([b - a for _, a, b in jumps]))]
-    return float(alpha), jumps, bool(below / above < 2.0)
-
-
 def dimension_jump(path: PenaltyPath):
-    """Calibrated minimal level: (alpha_min, jump_table, no_jump_flag) of
-    :func:`_jump_rule` on the path's breakpoints."""
-    return _jump_rule(path.jumps())
+    """Calibrated minimal level: breakpoint with the largest dimension drop.
+
+    Returns (alpha_min, jump_table, no_jump_flag); ties in the drop go to
+    the largest alpha, and the flag is set when the largest relative drop
+    is below a factor two.
+    """
+    jumps = path.jumps()
+    if not jumps:
+        return 0.0, [], True
+    drops = [below - above for _, above, below in jumps]
+    best = int(np.argmax(drops))  # jumps are ordered by decreasing alpha
+    alpha_min = jumps[best][0]
+    ratio = jumps[best][2] / jumps[best][1]
+    return float(alpha_min), jumps, bool(ratio < 2.0)
 
 
 def select_sh(fits: FittedCollection,
@@ -406,17 +420,16 @@ def select_sh(fits: FittedCollection,
     dims = fits.collection.dims
     n = fits.pyramid.coeffs.shape[-1]
     shape = dims / n if shape is None else np.asarray(shape, dtype=float)
-    lo, hi = _levels(fits.emp_risks, shape, dims)
-    rows = []
-    for row_lo, row_hi, row_on in zip(lo.tolist(), hi.tolist(), (lo < hi).tolist()):
-        path = [(row_lo[k], row_hi[k], d) for k, d in enumerate(dims.tolist()) if row_on[k]]
-        jumps = [(a, above, below) for (a, _, above), (_, _, below) in zip(path, path[1:])]
-        path[0] = (path[0][0], None, path[0][2])  # the level of the first is unbounded
-        rows.append((*_jump_rule(jumps), path))
-    alpha_min, jumps, no_jump, paths = map(list, zip(*rows))
+    paths = _paths(shape, fits.emp_risks, dims)
+    alpha_min, jumps, no_jump = map(list, zip(*map(dimension_jump, paths)))
     penalties = 2.0 * np.array(alpha_min)[:, None] * shape
     return _penalized("sh", fits, penalties, {
-        "alpha_min": alpha_min, "jumps": jumps, "no_jump": no_jump, "path": paths})
+        "alpha_min": alpha_min,
+        "jumps": jumps,
+        "no_jump": no_jump,
+        "path": [[(s.alpha_lo, None if s.alpha_hi == np.inf else s.alpha_hi, s.dim)
+                  for s in path.segments] for path in paths],
+    })
 
 
 def select_cp(fits: FittedCollection) -> SelectionOutcome:

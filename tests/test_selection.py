@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavesel import bases, selection, transform
@@ -17,6 +17,7 @@ from wavesel.signals import (NOISE_NAMES, SIGNAL_NAMES, NoiseScenario, TestSigna
 ZERO_NOISE = NoiseScenario("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
 CONST_NOISE = NoiseScenario("Custom", lambda x: np.full_like(np.asarray(x, float), 0.05))
 ZERO_SIGNAL = TestSignal("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
+THIRD = TestSignal("Custom", lambda x: np.full_like(np.asarray(x, float), 1 / 3))
 
 
 def grid_penalty_path(shapes, risks, dims, alphas):
@@ -174,6 +175,33 @@ class TestPenaltyPath:
         with pytest.raises(ValueError, match="nondecreasing shapes"):
             penalty_path(shapes, [1.0, 0.5, 0.25], dims)
 
+    @pytest.mark.parametrize("shapes, risks", [
+        ([0.1, 0.2, 0.3], [np.inf, np.inf, np.inf]),  # y^2 overflowed
+        ([0.1, 0.2, 0.3], [1.0, np.nan, 0.25]),
+        ([0.1, 0.2, np.inf], [1.0, 0.5, 0.25]),
+        ([np.nan, 0.2, 0.3], [1.0, 0.5, 0.25]),
+    ])
+    def test_needs_finite_shapes_and_risks(self, shapes, risks):
+        with pytest.raises(ValueError, match="finite"):
+            penalty_path(shapes, risks, [2, 4, 8])
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_near_collinear_path_has_no_gap(self, seed):
+        # risks a few ulps off one line: the rounded slopes of a model to
+        # its neighbours disagree in the last bits, and the path may keep
+        # a model for an ulp-wide segment, but its segments still tile
+        # [0, inf) in order
+        rng = np.random.default_rng(seed)
+        dims = np.sort(rng.choice(np.arange(1, 300), size=rng.integers(3, 10), replace=False))
+        shapes = dims / rng.choice([64.0, 100.0, 256.0, 1000.0])
+        risks = rng.choice([1.0, 0.3, 1e-30]) - rng.random() * shapes
+        risks = risks + rng.integers(-3, 4, len(dims)) * np.spacing(risks)
+        segs = penalty_path(shapes, risks, dims).segments
+        assert segs[0].alpha_hi == np.inf and segs[-1].alpha_lo == 0.0
+        assert all(s.alpha_lo < s.alpha_hi for s in segs)
+        assert all(a.alpha_lo == b.alpha_hi for a, b in zip(segs, segs[1:]))
+
     @settings(max_examples=200, deadline=None)
     @given(steps=TIED_STEPS)
     def test_matches_hull_with_ties(self, steps):
@@ -184,13 +212,20 @@ class TestPenaltyPath:
                 == repr(hull_penalty_path(shapes, risks, dims).segments))
 
     @settings(max_examples=30, deadline=None)
-    @given(signal=st.sampled_from(SIGNAL_NAMES), noise=st.sampled_from(NOISE_NAMES),
+    @given(signal=st.sampled_from([*map(get_signal, SIGNAL_NAMES), THIRD]),
+           noise=st.sampled_from([*map(get_noise, NOISE_NAMES), ZERO_NOISE]),
            n=st.sampled_from([256, 1024]), seed=st.integers(0, 2 ** 32 - 1),
            scale=st.sampled_from([1.0, 3.5]))
+    # rounding-noise rows: a constant truth sits in every model, so with
+    # zero noise every risk is 0 or the same rounding residue
+    @example(signal=THIRD, noise=ZERO_NOISE, n=256, seed=0, scale=1.0)
+    @example(signal=THIRD, noise=ZERO_NOISE, n=1024, seed=0, scale=3.5)
+    @example(signal=TestSignal("Custom", lambda x: np.full_like(np.asarray(x, float), 0.4)),
+             noise=ZERO_NOISE, n=256, seed=0, scale=1.0)
+    @example(signal=ZERO_SIGNAL, noise=CONST_NOISE, n=1024, seed=0, scale=1.0)
     def test_matches_hull_on_fitted_rows(self, signal, noise, n, seed, scale):
         coll = wavelet_collection(n, transform.DB8)
-        samples = [generate(get_signal(signal), get_noise(noise), n, derive_seed(seed, r))
-                   for r in range(4)]
+        samples = [generate(signal, noise, n, derive_seed(seed, r)) for r in range(4)]
         shapes = scale * coll.dims / n
         for risks in fit_collection(samples, coll).emp_risks:
             assert (repr(penalty_path(shapes, risks, coll.dims).segments)
