@@ -160,7 +160,9 @@ class BenchReport:
         for (sig, noi, n, method), res in self.cells.items():
             row = {
                 "signal": sig, "noise": noi, "n": n, "method": method,
-                "mean": res.mean, "stderr": res.stderr,
+                # a cell with no finite ratio has no mean, and one with
+                # fewer than 2 no stderr: null, since JSON has no NaN
+                "mean": _or_null(res.mean), "stderr": _or_null(res.stderr),
                 "n_ok": res.n_ok, "n_failed": res.n_failed, "flagged": res.flagged,
             }
             if res.ratios is not None:
@@ -170,7 +172,7 @@ class BenchReport:
                 "config": self.config.to_dict(), "cells": rows}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "BenchReport":
@@ -180,9 +182,14 @@ class BenchReport:
         for row in doc["cells"]:
             key = (row["signal"], row["noise"], int(row["n"]), row["method"])
             ratios = tuple(row["ratios"]) if "ratios" in row else None
-            cells[key] = CellResult(row["mean"], row["stderr"], row["n_ok"],
-                                    row["n_failed"], row["flagged"], ratios)
+            mean, stderr = (np.nan if row[k] is None else row[k] for k in ("mean", "stderr"))
+            cells[key] = CellResult(mean, stderr, row["n_ok"], row["n_failed"], row["flagged"],
+                                    ratios)
         return cls(config, cells)
+
+
+def _or_null(value: float) -> Optional[float]:
+    return None if np.isnan(value) else value
 
 
 # float64 elements of working memory one block may hold (3.25 MiB). Per

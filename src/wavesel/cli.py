@@ -70,19 +70,19 @@ def _build_collection(n: int, basis: str) -> selection.ModelCollection:
 def _cmd_fit(args) -> int:
     sample = _load_sample(args.input)
     collection = _build_collection(sample.n, args.basis)
-    fits = selection.fit_collection(sample, collection)
+    fitted = selection.fit_collection(sample, collection)
+    fits = fitted.fits
     signal = _resolve_signal(args.truth, args.normalize)
     lines = ["# wavesel-fit schema=1", "dim,empirical_risk,bias,excess,total"]
     rows = []
     truths = estimator.nested_truth_terms(signal, collection.models)
-    for fit, truth in zip(fits.fits, truths):
-        rep = estimator.fit_risks(sample, fit, truth)
+    for fit, rep in zip(fits, estimator.nested_fit_risks(sample, fits, truths)):
         lines.append(f"{fit.model.dim},{fit.empirical_risk!r},{rep.bias!r},"
                      f"{rep.excess!r},{rep.total!r}")
         rows.append((fit.model.dim, rep))
     _write(args.out, "\n".join(lines) + "\n")
     if args.dump_coefficients:
-        tree = transform.unflatten(fits.pyramid.coeffs, sample.n)
+        tree = transform.unflatten(fitted.pyramid.coeffs, sample.n)
         _write(args.dump_coefficients, _doc("coefficient_tree", tree.to_dict()) + "\n")
     best = min(rows, key=lambda r: r[1].total)
     print(f"fitted {len(rows)} models; smallest total loss {best[1].total:.3e} at dim {best[0]}")

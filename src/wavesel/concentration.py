@@ -14,6 +14,7 @@ empirical excess risk exactly, with the true excess risk in the argmax.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -88,7 +89,7 @@ class ConcentrationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
@@ -157,7 +158,12 @@ def _sphere_max_quadratic(a: np.ndarray, m_mat: np.ndarray, c: float, eig: tuple
     def norm2(lam):  # a plain loop adds in np.sum's order on <= 3 terms
         total = 0.0
         for a_k, e_k in pairs:
-            q = a_k / (e_k + lam)
+            d = e_k + lam
+            if d == 0.0:  # lo rounds onto the pole once |lambda_min| >= 128
+                if a_k:
+                    return math.inf
+                continue  # a_k = 0 adds nothing on the admissible branch
+            q = a_k / d
             total += q * q
         return total
 

@@ -5,10 +5,13 @@ empirical normal equations (any model, any design) and the pyramid on
 rank-ordered responses. A weighted Haar model is constant on each of its
 D finest dyadic cells, so its Gram solve, and its values at the design
 points and on the reference grid, read a D x D table of atom values per
-cell and the count and response sum of each cell. Where :func:`pyramid_filter` finds that one
-pyramid serves a collection of wavelet models, each model is a dyadic
-prefix of the same orthonormal coefficients, and every fit reads one
-:class:`NestedPyramid` of the response. On an equispaced dyadic design
+cell and the count and response sum of each cell; :func:`compute_Cm`
+reads the same table and the per-cell sums of the residual and its
+square, so it never builds the n_mc x D matrix of atoms at the draws. Where
+:func:`pyramid_filter` finds that one pyramid serves a collection of
+wavelet models, each model is a dyadic prefix of the same orthonormal
+coefficients, and every fit reads one :class:`NestedPyramid` of the
+response. On an equispaced dyadic design
 the two routes coincide exactly because the discrete pyramid atoms are
 the orthonormal basis of that design.
 
@@ -27,7 +30,7 @@ import scipy.linalg
 
 from . import bases, transform
 from .bases import N_GRID, reference_grid
-from .signals import NoiseScenario, RegressionSample, TestSignal, eval_signal
+from .signals import NoiseScenario, RegressionSample, TestSignal, _rng, eval_signal
 
 __all__ = [
     "SingularDesignError",
@@ -43,6 +46,7 @@ __all__ = [
     "truth_terms",
     "nested_truth_terms",
     "fit_risks",
+    "nested_fit_risks",
     "excess_risks",
     "compute_Cm",
     "epsilon_n",
@@ -276,22 +280,29 @@ def truth_terms(signal: TestSignal, model) -> TruthTerms:
     return nested_truth_terms(signal, [model])[0]
 
 
+def _grid_functions(models, betas) -> list:
+    """:func:`_grid_function` of each model and its coefficients. Where one
+    pyramid serves every model and each beta is a prefix of the longest, as
+    the projections of one signal or the fits of one pyramid are, one prefix
+    synthesis gives them all."""
+    h = pyramid_filter(models, N_GRID)
+    longest = max(betas, key=len)
+    if h is None or not all(np.array_equal(b, longest[: len(b)]) for b in betas):
+        return [_grid_function(model, beta) for model, beta in zip(models, betas)]
+    dims, row = np.unique([model.dim for model in models], return_inverse=True)
+    flat = np.zeros(N_GRID)
+    flat[: dims[-1]] = longest * np.sqrt(N_GRID)
+    return list(transform.synthesize_prefixes(flat, dims, h)[row])
+
+
 def nested_truth_terms(signal: TestSignal, models) -> list:
     """:func:`truth_terms` of each model, from one evaluation of the signal
     on the reference grid and, for a nested wavelet collection, one
     analysis of it and one prefix synthesis of every s_m."""
     s = signal_grid_values(signal)
     betas = _projections(s, models)
-    h = pyramid_filter(models, N_GRID)
-    if h is None:
-        s_ms = [_grid_function(model, beta_m) for model, beta_m in zip(models, betas)]
-    else:  # each beta_m is a prefix of the largest, so s_m is a prefix synthesis
-        dims, row = np.unique([model.dim for model in models], return_inverse=True)
-        flat = np.zeros(N_GRID)
-        flat[: dims[-1]] = max(betas, key=len) * np.sqrt(N_GRID)
-        s_ms = transform.synthesize_prefixes(flat, dims, h)[row]
     out = []
-    for model, beta_m, s_m in zip(models, betas, s_ms):
+    for model, beta_m, s_m in zip(models, betas, _grid_functions(models, betas)):
         w = model.density_on_grid()
         weights = np.ones(N_GRID) if w is None else w
         bias = float(np.mean((s - s_m) ** 2 * weights))
@@ -301,16 +312,24 @@ def nested_truth_terms(signal: TestSignal, models) -> list:
 
 def fit_risks(sample: RegressionSample, fit: FitResult, truth: TruthTerms) -> RiskReport:
     """Risk decomposition of a fit of ``truth.model`` to ``sample``."""
-    model = truth.model
-    excess = float(np.sum((fit.beta - truth.beta_m) ** 2))
-    s_hat = _grid_function(model, fit.beta)
-    total = float(np.mean((truth.s - s_hat) ** 2 * truth.weights))
-    sup_dev = float(np.max(np.abs(s_hat - truth.s_m)))
+    return nested_fit_risks(sample, [fit], [truth])[0]
 
-    proj_values = _model_design_values(sample, model, truth.beta_m, fit.method)
-    resid = sample.y - proj_values
-    empirical_excess = float(np.dot(resid, resid) / sample.n - fit.empirical_risk)
-    return RiskReport(truth.bias, excess, total, max(empirical_excess, 0.0), sup_dev)
+
+def nested_fit_risks(sample: RegressionSample, fits, truths) -> list:
+    """:func:`fit_risks` of each fit and the truth terms of its model. When
+    the fits' coefficients are prefixes of one vector, as the fits of one
+    pyramid are, one prefix synthesis gives every s_hat_m."""
+    out = []
+    s_hats = _grid_functions([t.model for t in truths], [fit.beta for fit in fits])
+    for fit, truth, s_hat in zip(fits, truths, s_hats):
+        excess = float(np.sum((fit.beta - truth.beta_m) ** 2))
+        total = float(np.mean((truth.s - s_hat) ** 2 * truth.weights))
+        sup_dev = float(np.max(np.abs(s_hat - truth.s_m)))
+        proj_values = _model_design_values(sample, truth.model, truth.beta_m, fit.method)
+        resid = sample.y - proj_values
+        empirical_excess = float(np.dot(resid, resid) / sample.n - fit.empirical_risk)
+        out.append(RiskReport(truth.bias, excess, total, max(empirical_excess, 0.0), sup_dev))
+    return out
 
 
 def excess_risks(sample: RegressionSample, model, signal: TestSignal,
@@ -333,21 +352,39 @@ def compute_Cm(signal: TestSignal, noise: NoiseScenario, model,
     uniform design, with a batch standard error."""
     if n_mc < 10_000:
         raise ValueError("need n_mc >= 10^4")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) & ((1 << 64) - 1))))
+    rng = _rng(seed)
     beta_m = project_truth(signal, model)
     s_m_grid = _grid_function(model, beta_m)
     x = rng.random(n_mc)
     eps = rng.standard_normal(n_mc)
     idx = np.clip((x * N_GRID).astype(int), 0, N_GRID - 1)
     resid = eval_signal(signal, x) - s_m_grid[idx] + np.asarray(noise.sigma(x), dtype=float) * eps
-    z = model.basis_matrix(x)  # a new array, so the product can go in place
-    z *= resid[:, None]
-
-    total = float(np.sum(np.var(z, axis=0, ddof=1)))
     n_batches = 50
     batch = n_mc // n_batches
-    vals = [float(np.sum(np.var(z[i * batch:(i + 1) * batch], axis=0, ddof=1)))
-            for i in range(n_batches)]
+    cells = _cells(model, x)
+    if cells is None:
+        z = model.basis_matrix(x)  # a new array, so the product can go in place
+        z *= resid[:, None]
+        total = float(np.sum(np.var(z, axis=0, ddof=1)))
+        vals = [float(np.sum(np.var(z[i * batch:(i + 1) * batch], axis=0, ddof=1)))
+                for i in range(n_batches)]
+    else:
+        # z_ik = r_i T[c_i, k], so the sums of z_ik and z_ik^2 over a group
+        # of draws read the group's per-cell sums of r and r^2: one bincount
+        # over (group, cell) each, O(n_mc + 51 D^2). The n_mc % 50 leftover
+        # draws form group 50, in the total but in no batch
+        dim, table = model.dim, model.table
+        key = np.minimum(np.arange(n_mc) // batch, n_batches) * dim + cells
+        shape = (n_batches + 1, dim)
+        sum_z = np.bincount(key, resid, minlength=shape[0] * dim).reshape(shape) @ table
+        sum_z2 = (np.bincount(key, resid * resid, minlength=shape[0] * dim).reshape(shape)
+                  @ np.square(table))
+
+        def var_sums(sum_z, sum_z2, m):  # sum over k of the unbiased variances
+            return np.sum((sum_z2 - sum_z * sum_z / m) / (m - 1), axis=-1)
+
+        total = float(var_sums(sum_z.sum(axis=0), sum_z2.sum(axis=0), n_mc))
+        vals = var_sums(sum_z[:n_batches], sum_z2[:n_batches], batch)
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n_batches))
     return CmEstimate(total, stderr)
 

@@ -177,6 +177,25 @@ class TestBench:
         assert read(out) == read(raw)
         assert read(out).endswith("}\n")
 
+    def test_raw_report_is_strict_json(self, tmp_path):
+        # one replication leaves every cell without a stderr; before, the
+        # raw report wrote the bare token NaN there
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"signals": ["wave"], "noises": ["l1"], "sizes": [256],
+                                   "methods": ["sh", "cp"], "replications": 1,
+                                   "base_seed": 5}))
+        out, raw = tmp_path / "t.csv", tmp_path / "raw.json"
+        assert run(["bench", "--config", cfg, "--out", out, "--raw", raw]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads(read(raw), parse_constant=refuse)
+        assert [row["stderr"] for row in doc["cells"]] == [None, None]
+        report = bench.BenchReport.from_json(read(raw))
+        assert all(np.isnan(c.stderr) and np.isfinite(c.mean) for c in report.cells.values())
+        assert report.to_json() + "\n" == read(raw)
+
     @pytest.mark.parametrize("key, value", [("keep_ratios", "false"), ("sizes", [256.9]),
                                             ("replications", 2.7), ("signals", "wave")])
     def test_mistyped_config_value_rejected(self, tmp_path, capsys, key, value):
@@ -275,8 +294,8 @@ class TestFitCommand:
 
     def test_fit_synthesizes_the_nested_truth_once(self, tmp_path, monkeypatch):
         # every synthesis runs through synthesize_prefixes: one gives every
-        # s_m on the grid, and each of the 9 fits makes one of its s_hat_m
-        # on the grid and one of its design values on the n points
+        # s_m on the grid, one every s_hat_m, and each of the 9 fits makes
+        # one of its design values on the n points
         src, out = tmp_path / "s.csv", tmp_path / "fit.csv"
         assert run(["gen", "--signal", "doppler", "--noise", "l1", "--n", 1024,
                     "--seed", 4, "--out", src]) == 0
@@ -285,7 +304,7 @@ class TestFitCommand:
         monkeypatch.setattr(transform, "synthesize_prefixes",
                             lambda c, *a: lengths.append(np.shape(c)[-1]) or real(c, *a))
         assert run(["fit", "--in", src, "--truth", "doppler", "--out", out]) == 0
-        assert Counter(lengths) == {bases.N_GRID: 1 + 9, 1024: 9}
+        assert Counter(lengths) == {bases.N_GRID: 2, 1024: 9}
 
     def test_fit_analyzes_the_truth_grid_once(self, tmp_path, monkeypatch):
         src, out = tmp_path / "s.csv", tmp_path / "fit.csv"

@@ -71,6 +71,19 @@ class TestRepFormulaOracle:
         assert trunc.excess_in_argmax
         assert trunc.max_gamma == pytest.approx(base.max_gamma, rel=1e-3)
 
+    def test_sphere_max_where_the_offset_rounds_away(self):
+        # with |lambda_min| >= 128, lo = -lambda_min + 1e-14 rounds to the
+        # pole itself; norm2 used to raise ZeroDivisionError there
+        m_mat, a, c = np.diag([-200.0, 1.0]), np.array([1.0, 0.5]), 0.3
+        evals, vecs = np.linalg.eigh(m_mat)
+        assert -evals[0] + 1e-14 == -evals[0]
+        value, delta = concentration._sphere_max_quadratic(a, m_mat, c,
+                                                           (evals, vecs, vecs.T @ a))
+        assert delta @ delta == pytest.approx(c, rel=1e-12)
+        rng = np.random.Generator(np.random.Philox(0))
+        rand = concentration._random_direction_max(a, m_mat, c, rng, 2000)
+        assert value == pytest.approx(rand, rel=1e-9)
+
     def test_rejects_large_models(self):
         sig = get_signal("wave")
         sample = generate(sig, get_noise("h1"), 32, 1)

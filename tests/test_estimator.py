@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,9 +236,28 @@ class TestComputeCm:
         bases.build_periodized_wavelet(transform.get_filter("db8"), 3),
     ], ids=["haar", "weighted-haar", "db8"])
     def test_matches_reference_formula(self, model):
+        # Haar models sum per cell, so they agree with the dense variances
+        # up to rounding (measured: 1e-12 relative at most); db8 is dense
         sig, noise = get_signal("heavisine"), get_noise("h1")
         est = compute_Cm(sig, noise, model, n_mc=20_000, seed=11)
-        assert (est.value, est.stderr) == reference_cm(sig, noise, model, 20_000, 11)
+        want = reference_cm(sig, noise, model, 20_000, 11)
+        if isinstance(model, bases.HaarWeightedModel):
+            assert (est.value, est.stderr) == pytest.approx(want, rel=1e-11, abs=0.0)
+        else:
+            assert (est.value, est.stderr) == want
+
+    def test_haar_route_builds_no_n_mc_by_d_matrix(self):
+        # the dense route holds about 132 n_mc floats at D = 64
+        sig, noise, n_mc = get_signal("wave"), get_noise("h1"), 100_000
+        model = bases.build_haar_weighted(5)
+        compute_Cm(sig, noise, model, n_mc=n_mc, seed=3)  # warm the caches
+        tracemalloc.start()
+        try:
+            compute_Cm(sig, noise, model, n_mc=n_mc, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.dim == 64 and peak < 16 * 8 * n_mc
 
     def test_constant_noise_member_signal(self):
         # sigma constant and truth inside the model: C_m = sigma^2 * D
