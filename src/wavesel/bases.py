@@ -282,6 +282,14 @@ class HaarWeightedModel(Model):
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def grid_cells(self) -> np.ndarray:
+        """``cells`` of the reference grid, so row ``grid_cells[i]`` of
+        ``table`` holds the atoms at grid point i."""
+        out = self.cells(reference_grid())
+        out.setflags(write=False)
+        return out
+
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         # points outside [0, 1], and NaN, meet no atom: their rows stay zero

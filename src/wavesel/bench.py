@@ -9,8 +9,10 @@ runs. The replications of every cell at one sample size share one
 collection and one even/odd fold split, so they run in blocks: each
 block makes one pyramid analysis of its stacked responses and truths,
 and one analysis and one synthesis per fold, and each selector runs once
-on the block's (replications, models) criteria. The pyramid kernels are
-batch-invariant, so a ratio does not depend on the block it ran in.
+on the block's (replications, models) criteria. Each pyramid level is
+one small matrix product per row of the block, the same product for
+every row, so a row's floats are those of the row alone and a ratio does
+not depend on the block it ran in.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def _or_null(value: float) -> Optional[float]:
 
 
 # float64 elements of working memory one block may hold (3.25 MiB). Per
-# replication, tracemalloc measures about 13n while the block's responses
+# replication, tracemalloc measures about 11n while the block's responses
 # and truths are analysed, and about 8n + 5/2 models * n_t while a fold is
 # fitted: the samples and their pyramids, plus every model's fitted values
 # on the training half and the scratch of their prefix synthesis
@@ -201,7 +203,7 @@ _BLOCK_ELEMENTS = 13 << 15
 
 
 def _block_size(n: int, collection: ModelCollection, methods) -> int:
-    held = 13 * n
+    held = 11 * n
     if any(m in FOLD_METHODS for m in methods):  # each fold fits on n/2 points
         held = max(held, 8 * n + 5 * len(collection) * (n // 2) // 2)
     return max(1, _BLOCK_ELEMENTS // held)

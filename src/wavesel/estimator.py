@@ -242,9 +242,8 @@ def _grid_function(model, beta: np.ndarray) -> np.ndarray:
         flat = np.zeros(N_GRID)
         flat[: model.dim] = beta * np.sqrt(N_GRID)
         return transform.synthesize_flat(flat, model.h)
-    cells = _cells(model, reference_grid())
-    if cells is not None:
-        return (model.table @ beta)[cells]
+    if isinstance(model, bases.HaarWeightedModel):
+        return (model.table @ beta)[model.grid_cells]
     return model.grid_atoms().T @ beta
 
 

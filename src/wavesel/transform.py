@@ -6,13 +6,16 @@ index arithmetic modulo the current level length, so the transform
 matrix is exactly orthogonal for any orthonormal scaling filter,
 including levels shorter than the filter. ``synthesize_flat`` is the
 exact transpose. Both work along the last axis, so any leading batch
-axes are transformed in one call, and each output element accumulates
-its filter taps in the same order whatever the batch shape: a batched
-call returns the same floats, bit for bit, as one call per row.
-``synthesize_prefixes`` synthesizes every dyadic prefix of the
-coefficients (each nested model's fit) in one pass, with the same floats
-as ``synthesize_flat`` of each truncation. ``analyze`` and
-``synthesize`` wrap the flat kernels for a single :class:`CoefficientTree`.
+axes are transformed in one call. Each level is one small matrix
+product: the stride-2 windows of the wrap-padded level times the two
+filters, and in synthesis the polyphase windows times the filters' even
+and odd taps. Every leading index runs the same ``(windows, window
+length) @ (window length, 2)`` product, so a batched call returns the
+same floats, bit for bit, as one call per row. ``synthesize_prefixes``
+synthesizes every dyadic prefix of the coefficients (each nested model's
+fit) in one pass, with the same floats as ``synthesize_flat`` of each
+truncation. ``analyze`` and ``synthesize`` wrap the flat kernels for a
+single :class:`CoefficientTree`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "InvalidFilterError",
@@ -125,39 +129,31 @@ def _filter_bank(filt) -> np.ndarray:
 
 
 def _analyze_step(a: np.ndarray, hg: np.ndarray):
-    # wrap-pad once, split by parity: ext[..., r, m] = a[..., (2m + r) % n],
-    # so tap k reads the contiguous run ext[..., k % 2, k // 2:k // 2 + half]
+    # window i of the wrap-padded level holds a[..., (2i + k) % n] for tap
+    # k, so one product gives the (..., half, 2) approximation and detail
     n = a.shape[-1]
-    half = n // 2
     taps = hg.shape[1]
-    ext = a[..., (2 * np.arange(half + taps // 2) + np.arange(2)[:, None]) % n]
-    out = np.zeros(a.shape[:-1] + (2, half))
-    for k in range(taps):
-        out += hg[:, k:k + 1] * ext[..., None, k % 2, k // 2:k // 2 + half]
-    return out[..., 0, :], out[..., 1, :]
+    windows = sliding_window_view(a[..., np.arange(n + taps - 2) % n], taps, axis=-1)
+    out = windows[..., ::2, :] @ hg.T
+    return out[..., 0], out[..., 1]
 
 
 def _synthesize_step(rows: np.ndarray, detail, hg: np.ndarray) -> np.ndarray:
     # rows (..., k, half) -> (..., k, 2 * half). Tap 2m + r of input j adds
-    # to output 2 * ((j + m) % half) + r: parity r of a (..., half, 2)
-    # output, whose reshape interleaves the parities, at position
-    # (j + m) % half. Each output receives its taps in increasing order.
-    # Every row takes the h taps; the last row also takes ``detail``
-    # through the g taps, added to its h terms before they accumulate. With
-    # no detail (None) the g taps are skipped: a zero detail would add only
-    # signed zeros, and the accumulator starts at +0, so the sums are the same
+    # to output 2 * ((j + m) % half) + r, so output pair s reads inputs
+    # (s - m) % half, m < taps / 2: window s of the rows left-wrapped by
+    # taps / 2 - 1, times the even (r = 0) and odd (r = 1) taps in reverse.
+    # The last row also adds ``detail``'s windows times the g taps, as a
+    # second product. With no detail (None) that product is skipped: a zero
+    # detail's product is zero, and adding it leaves the row's floats as
+    # they are, so a prefix equals the synthesis of its truncation
     half = rows.shape[-1]
-    out = np.zeros(rows.shape + (2,))
-    terms = np.empty_like(rows)
-    for m in range(hg.shape[1] // 2):
-        s = m % half
-        for r in (0, 1):
-            np.multiply(rows, hg[0, 2 * m + r], out=terms)
-            if detail is not None:
-                terms[..., -1, :] += hg[1, 2 * m + r] * detail
-            out[..., s:, r] += terms[..., :half - s]
-            if s:
-                out[..., :s, r] += terms[..., half - s:]
+    m = hg.shape[1] // 2
+    wrap = np.arange(1 - m, half) % half
+    out = sliding_window_view(rows[..., wrap], m, axis=-1) @ hg[0].reshape(m, 2)[::-1]
+    if detail is not None:
+        windows = sliding_window_view(detail[..., wrap], m, axis=-1)
+        out[..., -1, :, :] += windows @ hg[1].reshape(m, 2)[::-1]
     return out.reshape(rows.shape[:-1] + (2 * half,))
 
 

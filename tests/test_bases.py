@@ -96,6 +96,7 @@ class TestHaarWeighted:
         assert np.array_equal(got, per_level_haar_basis_matrix(m, x))
         assert np.array_equal(got[: len(inside)], m.table[m.cells(inside)])
         assert not got[len(inside):].any()
+        assert np.array_equal(m.table[m.grid_cells], m.grid_atoms().T)
 
     def test_resolution_beyond_reference_grid_refused(self):
         # at j_max = 14 every grid midpoint lies in the right half of its

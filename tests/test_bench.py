@@ -240,13 +240,31 @@ def test_report_bytes_do_not_depend_on_block_size(monkeypatch, n, folds):
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
+def test_block_rows_transform_as_rows_alone(n):
+    # at the shapes _block_size gives, every row of a block gets the floats
+    # of that row transformed alone, so a ratio does not depend on its
+    # block: the analysis of a block's stacked responses and truths, and
+    # the prefix synthesis of a fold's training halves for every model
+    h = transform.get_filter("db8")
+    coll = wavelet_collection(n, h)
+    x = np.random.default_rng(n).standard_normal((2 * bench._block_size(n, coll, ("sh", "cp")), n))
+    coeffs = transform.analyze_flat(x, h)
+    for row, got in zip(x, coeffs):
+        assert got.tobytes() == transform.analyze_flat(row, h).tobytes()
+    halves = coeffs[:bench._block_size(n, coll, bench.METHOD_ORDER), :n // 2]
+    fitted = transform.synthesize_prefixes(halves, coll.dims, h)
+    for row, got in zip(halves, fitted):
+        assert got.tobytes() == transform.synthesize_prefixes(row, coll.dims, h).tobytes()
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
 @pytest.mark.parametrize("methods", [("sh", "cp"), bench.METHOD_ORDER], ids=["penalized", "vfold"])
 def test_block_memory_within_its_charge(n, methods):
-    # _block_size charges each replication 13n elements, or with the fold
+    # _block_size charges each replication 11n elements, or with the fold
     # methods 8n + 5/2 models * n/2 if larger; the traced peak of a full
     # block must stay within 1.25 times that charge
     coll = wavelet_collection(n, transform.get_filter("db8"))
-    charge = 13 * n
+    charge = 11 * n
     if "vfcv" in methods:
         charge = max(charge, 8 * n + 5 * len(coll) * (n // 2) // 2)
     block = bench._block_size(n, coll, methods)

@@ -81,9 +81,10 @@ def test_length_must_be_power_of_two():
         analyze(np.ones(1), HAAR)
 
 
-# Reference kernels: the per-tap gather/scatter pyramid steps the batched
-# kernels replaced. The batched kernels add each output element's taps in
-# the same order, so they must agree bit for bit, not within a tolerance.
+# Reference kernels: the per-tap gather/scatter pyramid steps the windowed
+# matrix products replaced. A product adds each output's taps in its own
+# order, so the kernels agree with the reference within a rounding bound,
+# not bit for bit (see _assert_near_reference).
 def _reference_analyze_step(a, h, g):
     n = len(a)
     half = n // 2
@@ -130,26 +131,42 @@ def _rowwise(fn, x, h):
     return np.array([fn(r, h) for r in rows]).reshape(x.shape)
 
 
+def _assert_near_reference(got, want, rows):
+    # every level is orthogonal, so each adds a rounding error of a few eps
+    # times the row's norm: |got - want| <= 8 log2(n) eps ||row||. The
+    # largest deviation measured is 3.81 log2(n) eps ||row||, on 20,000
+    # random DB8 rows at n = 2, where each output sums 16 taps over 2
+    # values; c = 8 is about twice that
+    n = rows.shape[-1]
+    bound = 8 * np.log2(n) * np.finfo(float).eps * np.linalg.norm(rows, axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= bound)
+
+
 @pytest.mark.parametrize("filt", [HAAR, DB8], ids=["haar", "db8"])
 @pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=str)
 @pytest.mark.parametrize("p", range(1, 13))
 def test_batched_kernels_match_reference_exactly(filt, batch, p):
-    # p = 1..3 with DB8 covers levels shorter than the 16-tap filter
+    # a batch gives each row exactly its own call's floats, and those are
+    # the per-tap reference's within the rounding bound; p = 1..3 with DB8
+    # covers levels shorter than the 16-tap filter
     x = rng(100 + p).standard_normal(batch + (1 << p,))
     coeffs = analyze_flat(x, filt)
     assert coeffs.shape == x.shape
-    assert np.array_equal(coeffs, _rowwise(_reference_analyze, x, filt))
+    assert np.array_equal(coeffs, _rowwise(analyze_flat, x, filt))
+    _assert_near_reference(coeffs, _rowwise(_reference_analyze, x, filt), x)
     values = synthesize_flat(coeffs, filt)
     assert values.shape == x.shape
-    assert np.array_equal(values, _rowwise(_reference_synthesize, coeffs, filt))
+    assert np.array_equal(values, _rowwise(synthesize_flat, coeffs, filt))
+    _assert_near_reference(values, _rowwise(_reference_synthesize, coeffs, filt), coeffs)
 
 
 @pytest.mark.parametrize("filt", [HAAR, DB8], ids=["haar", "db8"])
 @pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=str)
 @pytest.mark.parametrize("p", range(1, 13))
 def test_prefix_synthesis_matches_each_truncation(filt, batch, p):
-    # every prefix, bit for bit, as synthesize_flat and the reference give
-    # its truncation; p = 1..3 with DB8 covers levels shorter than the filter
+    # every prefix, bit for bit, as synthesize_flat gives its truncation, and
+    # within the rounding bound of the reference; p = 1..3 with DB8 covers
+    # levels shorter than the filter
     n = 1 << p
     coeffs = rng(200 + p).standard_normal(batch + (n,))
     dims = [1 << j for j in range(p + 1)]
@@ -159,7 +176,7 @@ def test_prefix_synthesis_matches_each_truncation(filt, batch, p):
         kept = transform.truncate_flat(coeffs, dim)
         want = synthesize_flat(kept, filt)
         assert prefixes[..., i, :].tobytes() == want.tobytes()
-        assert np.array_equal(want, _rowwise(_reference_synthesize, kept, filt))
+        _assert_near_reference(want, _rowwise(_reference_synthesize, kept, filt), kept)
 
 
 def test_prefix_synthesis_of_some_prefixes():
@@ -196,7 +213,7 @@ def test_batch_size_invariance(p, rows, seed, db8):
     values = synthesize_flat(coeffs, filt)
     for i in range(rows):
         assert np.array_equal(coeffs[i], flatten(analyze(x[i], filt)))
-        assert np.array_equal(coeffs[i], _reference_analyze(x[i], filt))
+        _assert_near_reference(coeffs[i], _reference_analyze(x[i], filt), x[i])
         assert np.array_equal(values[i], synthesize_flat(coeffs[i], filt))
     assert np.max(np.abs(values - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
 
