@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from itertools import product
+from itertools import groupby, product
 from typing import Optional
 
 import numpy as np
 
 from . import transform
 from .selection import FOLD_METHODS, ModelCollection, select_methods, wavelet_collection
-from .signals import _draw, benchmark_signal, derive_seed, get_noise, get_signal
+from .signals import _BLOCK_ELEMENTS, _draw, benchmark_signal, derive_seed, get_noise, get_signal
 
 __all__ = [
     "METHOD_LABELS",
@@ -194,15 +194,12 @@ def _or_null(value: float) -> Optional[float]:
     return None if np.isnan(value) else value
 
 
-# float64 elements of working memory one block may hold (3.25 MiB). Per
-# replication, tracemalloc measures about 11n while the block's responses
-# and truths are analysed, and about 8n + 5/2 models * n_t while a fold is
-# fitted: the samples and their pyramids, plus every model's fitted values
-# on the training half and the scratch of their prefix synthesis
-_BLOCK_ELEMENTS = 13 << 15
-
-
 def _block_size(n: int, collection: ModelCollection, methods) -> int:
+    # per replication, tracemalloc measures about 11n while the block's
+    # responses and truths are analysed, and about 8n + 5/2 models * n_t
+    # while a fold is fitted: the samples and their pyramids, plus every
+    # model's fitted values on the training half and the scratch of their
+    # prefix synthesis
     held = 11 * n
     if any(m in FOLD_METHODS for m in methods):  # each fold fits on n/2 points
         held = max(held, 8 * n + 5 * len(collection) * (n // 2) // 2)
@@ -217,7 +214,11 @@ def _replicate_block(jobs, n: int, collection: ModelCollection, methods) -> np.n
     points (:func:`selection.in_sample_losses`), so every ratio is at
     least 1.
     """
-    samples, truths = zip(*(_draw(signal, noise, n, seed) for signal, noise, seed in jobs))
+    samples, truths = [], []
+    for (signal, noise), run in groupby(jobs, key=lambda job: job[:2]):
+        block, values = _draw(signal, noise, n, [seed for _, _, seed in run])
+        samples.extend(block)
+        truths.extend(values)
     outcomes = select_methods(samples, collection, ("oracle", *methods), signal_values=truths)
     chosen = np.stack([o.chosen_index for o in outcomes.values()], axis=-1)
     loss = np.take_along_axis(outcomes["oracle"].criteria, chosen, axis=-1)

@@ -25,7 +25,8 @@ import scipy.optimize
 from . import bases, estimator
 from .bases import N_GRID
 from .estimator import epsilon_n, fit_ls, project_truth, signal_grid_values
-from .signals import NoiseScenario, RegressionSample, TestSignal, derive_seed, generate
+from .signals import (_BLOCK_ELEMENTS, NoiseScenario, RegressionSample, TestSignal, _draw_block,
+                      derive_seed)
 
 __all__ = [
     "ConcentrationRangeWarning",
@@ -92,6 +93,12 @@ class ConcentrationReport:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
+# float64 elements one replication of a concentration block holds at its
+# peak, by tracemalloc: CHARGE
+def _block_size(n: int, dim: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // (6 * n + 2 * dim * dim))
+
+
 def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
                       n: int, N: int, seed: int, n_mc: int = 100_000) -> ConcentrationReport:
     """Ratios n * excess / C_m over N replications of a Gram-exact fit."""
@@ -108,23 +115,27 @@ def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
                               seed=derive_seed(seed, 1 << 40)).value
     eps = epsilon_n(n, dim)
     truth = estimator.truth_terms(signal, model)
+    seeds = [derive_seed(seed, i) for i in range(N)]
+    size = _block_size(n, dim)
     r_true, r_emp = [], []
-    failures = 0
-    for i in range(N):
-        sample = generate(signal, noise, n, derive_seed(seed, i))
-        try:
-            fit = fit_ls(sample, model, method="gram_exact")
-        except estimator.SingularDesignError:
-            failures += 1
+    for start in range(0, N, size):
+        x, y, _ = _draw_block(signal, noise, n, seeds[start:start + size])
+        fits = estimator._fit_gram(x, y, model)
+        ok = [isinstance(fit, estimator.FitResult) for fit in fits]
+        if not any(ok):
             continue
-        rep = estimator.fit_risks(sample, fit, truth)
-        r_true.append(n * rep.excess / cm)
-        r_emp.append(n * rep.empirical_excess / cm)
+        fits = [fit for fit in fits if isinstance(fit, estimator.FitResult)]
+        excess, emp_excess = estimator._excess_terms(
+            x[ok], y[ok], np.array([fit.beta for fit in fits]),
+            np.array([fit.empirical_risk for fit in fits]), truth, "gram_exact")
+        r_true.append(n * excess / cm)
+        r_emp.append(n * emp_excess / cm)
+    r_true = np.concatenate(r_true) if r_true else np.empty(0)
+    r_emp = np.concatenate(r_emp) if r_emp else np.empty(0)
+    failures = N - len(r_true)
     if len(r_true) < 2:
         raise ValueError(f"{failures} of {N} replications had a singular design; the "
                          "mean, spread and coverage need at least 2 fits")
-    r_true = np.array(r_true)
-    r_emp = np.array(r_emp)
 
     def coverage(r, width):
         return float(np.mean((r >= 1.0 - width) & (r <= 1.0 + width)))

@@ -144,12 +144,16 @@ def design_matrix(sample: RegressionSample, model) -> np.ndarray:
     the discrete pyramid basis (so the Gram is the identity); otherwise
     atoms are evaluated pointwise.
     """
-    n = sample.n
+    return _design_at(sample.x, model)
+
+
+def _design_at(x: np.ndarray, model) -> np.ndarray:
+    n = len(x)
     if pyramid_filter((model,), n) is not None:
         mid = (np.arange(n) + 0.5) / n
-        if np.array_equal(sample.x, mid) or np.array_equal(sample.x, np.arange(n) / n):
+        if np.array_equal(x, mid) or np.array_equal(x, np.arange(n) / n):
             return model.discrete_design_matrix(n)
-    return model.basis_matrix(sample.x)
+    return model.basis_matrix(x)
 
 
 def _cells(model, x: np.ndarray) -> Optional[np.ndarray]:
@@ -159,47 +163,71 @@ def _cells(model, x: np.ndarray) -> Optional[np.ndarray]:
     return model.cells(x) if isinstance(model, bases.HaarWeightedModel) else None
 
 
-def _fit_gram(sample: RegressionSample, model) -> FitResult:
-    n = sample.n
-    cells = _cells(model, sample.x)
+def _too_few_points(n: int, model) -> SingularDesignError:
+    return SingularDesignError(f"sample size {n} below model dimension {model.dim}")
+
+
+def _fit_gram(x: np.ndarray, y: np.ndarray, model) -> list:
+    """Gram-exact fits of the model to each row of the ``(R, n)`` designs x
+    and responses y: per row its :class:`FitResult`, or the
+    :class:`SingularDesignError` its fit raises.
+
+    The block makes one Gram stack and one ``eigvalsh`` for the condition
+    check; each row's Cholesky solve and residual stay its own. Every step
+    treats a row alone (one BLAS call per row, and bincount adds a cell's
+    points in row order), so a row's fit has the floats of its block of one.
+    """
+    rows, n = y.shape
+    if n < model.dim:
+        return [_too_few_points(n, model)] * rows
+    cells = _cells(model, x)
     if cells is None:
-        phi = design_matrix(sample, model)
-        gram = phi.T @ phi / n
-        rhs = phi.T @ sample.y / n
+        phis = [_design_at(xi, model) for xi in x]
+        grams = np.stack([phi.T @ phi for phi in phis]) / n
+        rhs = np.stack([phi.T @ yi for phi, yi in zip(phis, y)]) / n
     else:
         # the Gram and the right-hand side read each cell's count and
-        # response sum: O(n + D^3) instead of O(n D^2)
-        table = model.table
-        gram = (table.T * np.bincount(cells, minlength=model.dim)) @ table / n
-        rhs = table.T @ np.bincount(cells, sample.y, minlength=model.dim) / n
-    lam = np.linalg.eigvalsh(gram)  # symmetric, so cond = lam[-1] / lam[0]; NaN is singular
-    if not lam[0] > 0.0 or lam[-1] / lam[0] > _COND_LIMIT:
-        raise SingularDesignError(
-            f"empirical Gram condition number exceeds {_COND_LIMIT:g} "
-            f"for dimension {model.dim} at n={n}")
-    try:
-        cho = scipy.linalg.cho_factor(gram)
-        beta = scipy.linalg.cho_solve(cho, rhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularDesignError(str(exc)) from exc
-    resid = sample.y - (phi @ beta if cells is None else (table @ beta)[cells])
-    return FitResult(model, beta, float(np.dot(resid, resid) / n), "gram_exact")
+        # response sum: O(n + D^3) per row instead of O(n D^2); one
+        # bincount over row * D + cell serves the block, and each row's
+        # right-hand side is the vector-matrix product of its sums alone
+        dim, table = model.dim, model.table
+        key = (cells + np.arange(0, rows * dim, dim)[:, None]).ravel()
+        counts = np.bincount(key, minlength=rows * dim).reshape(rows, 1, dim)
+        sums = np.bincount(key, y.ravel(), minlength=rows * dim).reshape(rows, 1, dim)
+        grams = (table.T * counts) @ table / n
+        rhs = (sums @ table)[:, 0] / n
+    lam = np.linalg.eigvalsh(grams)  # symmetric, so cond = lam[-1] / lam[0]; NaN is singular
+    fits = []
+    for i, (gram, lam_i) in enumerate(zip(grams, lam)):
+        if not lam_i[0] > 0.0 or lam_i[-1] / lam_i[0] > _COND_LIMIT:
+            fits.append(SingularDesignError(
+                f"empirical Gram condition number exceeds {_COND_LIMIT:g} "
+                f"for dimension {model.dim} at n={n}"))
+            continue
+        try:
+            beta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs[i])
+        except scipy.linalg.LinAlgError as exc:
+            fits.append(SingularDesignError(str(exc)))
+            continue
+        resid = y[i] - (phis[i] @ beta if cells is None else (table @ beta)[cells[i]])
+        fits.append(FitResult(model, beta, float(np.dot(resid, resid) / n), "gram_exact"))
+    return fits
 
 
 def fit_ls(sample: RegressionSample, model, method: str = "auto") -> FitResult:
     """Empirical-risk minimizer of the least-squares contrast over ``model``."""
     if sample.n < model.dim:
-        raise SingularDesignError(
-            f"sample size {sample.n} below model dimension {model.dim}")
-    if method == "gram_exact":
-        return _fit_gram(sample, model)
-    if method not in ("auto", "pyramid_fast"):
+        raise _too_few_points(sample.n, model)
+    if method not in ("auto", "gram_exact", "pyramid_fast"):
         raise ValueError(f"unknown fit method {method!r}")
-    h = pyramid_filter((model,), sample.n)
+    h = None if method == "gram_exact" else pyramid_filter((model,), sample.n)
     if h is None:
-        if method == "auto":
-            return _fit_gram(sample, model)
-        raise ValueError("pyramid path needs a wavelet model and dyadic n >= dim")
+        if method == "pyramid_fast":
+            raise ValueError("pyramid path needs a wavelet model and dyadic n >= dim")
+        fit = _fit_gram(sample.x[None], sample.y[None], model)[0]
+        if isinstance(fit, SingularDesignError):
+            raise fit
+        return fit
     pyramid = NestedPyramid.of(sample.y, h)
     return FitResult(model, pyramid.beta(model.dim), float(pyramid.risks([model.dim])[0]),
                      "pyramid_fast")
@@ -247,18 +275,32 @@ def _grid_function(model, beta: np.ndarray) -> np.ndarray:
     return model.grid_atoms().T @ beta
 
 
-def _model_design_values(sample: RegressionSample, model, beta: np.ndarray,
-                         fit_method: str) -> np.ndarray:
-    """Design-point values of the model element with coefficients beta,
-    represented in the same discrete basis the fit used."""
+def _model_design_values(x: np.ndarray, model, beta: np.ndarray, fit_method: str) -> np.ndarray:
+    """Values at the designs x, of shape ``(..., n)``, of the model element
+    with coefficients beta, represented in the same discrete basis the fit
+    used."""
+    n = x.shape[-1]
     if fit_method == "pyramid_fast":
-        flat = np.zeros(sample.n)
-        flat[: model.dim] = beta * np.sqrt(sample.n)
+        flat = np.zeros(n)
+        flat[: model.dim] = beta * np.sqrt(n)
         return transform.synthesize_flat(flat, model.h)
-    cells = _cells(model, sample.x)
+    cells = _cells(model, x)
     if cells is not None:
         return (model.table @ beta)[cells]
-    return design_matrix(sample, model) @ beta
+    return np.stack([_design_at(xi, model) @ beta
+                     for xi in x.reshape(-1, n)]).reshape(x.shape)
+
+
+def _excess_terms(x: np.ndarray, y: np.ndarray, betas: np.ndarray, risks,
+                  truth: "TruthTerms", fit_method: str) -> tuple:
+    """The true excess risks ``sum (beta - beta_m)^2`` and the empirical
+    ones ``|y - s_m(x)|^2 / n - risk``, floored at 0, of fits with
+    coefficients betas ``(..., D)`` and empirical risks ``(...)`` to the
+    designs and responses ``(..., n)``."""
+    n = y.shape[-1]
+    resid = y - _model_design_values(x, truth.model, truth.beta_m, fit_method)
+    sq = np.array([np.dot(r, r) for r in resid.reshape(-1, n)]).reshape(resid.shape[:-1])
+    return np.sum((betas - truth.beta_m) ** 2, axis=-1), np.maximum(sq / n - risks, 0.0)
 
 
 @dataclass(frozen=True)
@@ -321,13 +363,12 @@ def nested_fit_risks(sample: RegressionSample, fits, truths) -> list:
     out = []
     s_hats = _grid_functions([t.model for t in truths], [fit.beta for fit in fits])
     for fit, truth, s_hat in zip(fits, truths, s_hats):
-        excess = float(np.sum((fit.beta - truth.beta_m) ** 2))
         total = float(np.mean((truth.s - s_hat) ** 2 * truth.weights))
         sup_dev = float(np.max(np.abs(s_hat - truth.s_m)))
-        proj_values = _model_design_values(sample, truth.model, truth.beta_m, fit.method)
-        resid = sample.y - proj_values
-        empirical_excess = float(np.dot(resid, resid) / sample.n - fit.empirical_risk)
-        out.append(RiskReport(truth.bias, excess, total, max(empirical_excess, 0.0), sup_dev))
+        excess, empirical_excess = _excess_terms(sample.x, sample.y, fit.beta,
+                                                 fit.empirical_risk, truth, fit.method)
+        out.append(RiskReport(truth.bias, float(excess), total, float(empirical_excess),
+                              sup_dev))
     return out
 
 

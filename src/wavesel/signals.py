@@ -34,6 +34,11 @@ __all__ = [
 
 _U64 = (1 << 64) - 1
 
+# float64 elements of working memory one block of replications may hold
+# (3.25 MiB); the bench and the concentration runs each divide it by their
+# measured charge per replication
+_BLOCK_ELEMENTS = 13 << 15
+
 _SPIKE_HEIGHTS = np.array([2.25, 2.25, 2.25, 2.25, 2.25])
 _SPIKE_CENTERS = np.array([0.2, 0.35, 0.48, 0.6, 0.8])
 _SPIKE_WIDTHS = np.array([0.03, 0.015, 0.008, 0.005, 0.012])
@@ -56,8 +61,10 @@ def _doppler(x):
 
 def _spikes(x):
     x = np.asarray(x, dtype=float)
-    d = x[..., None] - _SPIKE_CENTERS
-    return np.sum(_SPIKE_HEIGHTS * np.exp(-0.5 * (d / _SPIKE_WIDTHS) ** 2), axis=-1)
+    # one plane of x's shape per spike, so every inner loop runs along x
+    heights, centers, widths = (v.reshape((-1,) + (1,) * x.ndim)
+                                for v in (_SPIKE_HEIGHTS, _SPIKE_CENTERS, _SPIKE_WIDTHS))
+    return np.sum(heights * np.exp(-0.5 * ((x - centers) / widths) ** 2), axis=0)
 
 
 @dataclass(frozen=True)
@@ -267,31 +274,49 @@ def generate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int) -> Reg
     independent of the design. Identical arguments give bit-identical
     output.
     """
-    return _draw(signal, noise, n, seed)[0]
+    return _draw(signal, noise, n, (seed,))[0][0]
 
 
-def _draw(signal: TestSignal, noise: NoiseScenario, n: int, seed: int) -> tuple:
-    """The sample of :func:`generate` and the signal's values at its design
-    points, from the one evaluation that builds y."""
-    rng = _rng(seed)
-    u = rng.random(n)
-    eps = rng.standard_normal(n)
+def _draw(signal: TestSignal, noise: NoiseScenario, n: int, seeds) -> tuple:
+    """The samples of :func:`generate` at each seed, and the ``(seeds, n)``
+    signal values at their design points, from one :func:`_draw_block`."""
+    x, y, values = _draw_block(signal, noise, n, seeds)
+    name, level = signal.name.lower(), noise.name.lower()
+    return ([RegressionSample(xi, yi, SampleMeta(name, level, n, int(seed)))
+             for xi, yi, seed in zip(x, y, seeds)], values)
+
+
+def _draw_block(signal: TestSignal, noise: NoiseScenario, n: int, seeds) -> tuple:
+    """The ``(seeds, n)`` read-only designs and responses of :func:`generate`
+    at each seed, and the signal's values at the designs.
+
+    Each seed keeps its own Philox stream. The block makes one sort along
+    the last axis, one evaluation of the signal and one of sigma; every step
+    is per row or elementwise, so row i holds seed i's sample bit for bit
+    whatever else the block holds.
+    """
+    u = np.empty((len(seeds), n))
+    eps = np.empty_like(u)
+    for row, seed in enumerate(seeds):
+        rng = _rng(seed)
+        u[row] = rng.random(n)
+        eps[row] = rng.standard_normal(n)
     # distinct keys have exactly one sorting permutation, so any sort pairs
     # x and eps as the stable sort does; only a tie needs the stable sort
-    order = np.argsort(u)
-    x = u[order]
-    if np.any(x[1:] == x[:-1]):
-        order = np.argsort(u, kind="stable")
-        x = u[order]
+    order = np.argsort(u, axis=-1)
+    x = np.take_along_axis(u, order, axis=-1)
+    for row in np.flatnonzero(np.any(x[:, 1:] == x[:, :-1], axis=-1)):
+        order[row] = np.argsort(u[row], kind="stable")
+        xr = x[row]
+        xr[:] = u[row, order[row]]
         # ties are a probability-zero event; nudge upward by one ulp to keep
         # the design strictly increasing without changing the joint pairing
         for i in range(1, n):
-            if x[i] <= x[i - 1]:
-                x[i] = np.nextafter(x[i - 1], 1.0)
-    eps = eps[order]
+            if xr[i] <= xr[i - 1]:
+                xr[i] = np.nextafter(xr[i - 1], 1.0)
+    eps = np.take_along_axis(eps, order, axis=-1)
     values = eval_signal(signal, x)
     y = values + np.asarray(noise.sigma(x), dtype=float) * eps
-    meta = SampleMeta(signal.name.lower(), noise.name.lower(), n, int(seed))
     x.setflags(write=False)
     y.setflags(write=False)
-    return RegressionSample(x, y, meta), values
+    return x, y, values
