@@ -9,6 +9,7 @@ machine-parsable JSON object on stderr; flag errors exit 2 via argparse.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,9 +21,11 @@ from . import __version__, bases, bench, concentration, estimator, selection, si
 _FILTERS = ("db8", "haar")
 
 
-def _seed_default() -> int:
-    env = os.environ.get("WAVESEL_SEED")
-    return int(env) if env else 0
+def _seed(text: str) -> int:
+    """A ``--seed`` value. The flag's default is the empty string, which
+    argparse converts when it parses a command line without the flag: then
+    the seed is ``WAVESEL_SEED``, or 0 when that is unset or empty."""
+    return int(text or os.environ.get("WAVESEL_SEED") or 0)
 
 
 def _write(path: str, text: str) -> None:
@@ -214,7 +217,9 @@ def _first_outcome(doc: dict, prefer: str = "") -> dict:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="wavesel",
                                      description="projection-estimator model selection toolkit")
     parser.add_argument("--version", action="version", version=f"wavesel {__version__}")
@@ -224,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--signal", required=True, choices=signals.SIGNAL_NAMES)
     gen.add_argument("--noise", required=True, choices=signals.NOISE_NAMES)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=_seed_default())
+    gen.add_argument("--seed", type=_seed, default="")
     gen.add_argument("--normalize", action="store_true",
                      help="use the common benchmark amplitude")
     gen.add_argument("--format", choices=("csv", "json"))
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     conc.add_argument("--n", type=int, required=True)
     conc.add_argument("--dim", type=int, required=True)
     conc.add_argument("--reps", type=int, default=200)
-    conc.add_argument("--seed", type=int, default=_seed_default())
+    conc.add_argument("--seed", type=_seed, default="")
     conc.add_argument("--n-mc", type=int, default=100_000)
     conc.add_argument("--normalize", action="store_true")
     conc.add_argument("--svg")
@@ -293,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all failures

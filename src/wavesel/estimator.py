@@ -258,8 +258,15 @@ def _projections(s: np.ndarray, models) -> list:
         return [coeffs[: model.dim] / np.sqrt(N_GRID) for model in models]
     out = []
     for model in models:
-        atoms = model.grid_atoms()
         w = model.density_on_grid()
+        if isinstance(model, bases.HaarWeightedModel):
+            # every atom is constant on the model's cells, so the integral
+            # reads each cell's sum of s * w: no D x N_GRID atom array
+            cell_sums = np.bincount(model.grid_cells, s if w is None else s * w,
+                                    minlength=model.dim)
+            out.append(model.table.T @ cell_sums / N_GRID)
+            continue
+        atoms = model.grid_atoms()
         integrand = atoms if w is None else atoms * w
         out.append(integrand @ s / N_GRID)
     return out

@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "InvalidFilterError",
@@ -128,13 +128,23 @@ def _filter_bank(filt) -> np.ndarray:
     return _validated_bank(h.tobytes(), h.shape)
 
 
+def _windows(rows: np.ndarray, length: int, step: int = 1) -> np.ndarray:
+    """Read-only view of the length-``length`` windows along the last axis
+    of rows, one starting every ``step`` entries: the view
+    ``sliding_window_view(rows, length, axis=-1)[..., ::step, :]``, with
+    its strides, built without its argument checks."""
+    stride = rows.strides[-1]
+    count = (rows.shape[-1] - length) // step + 1
+    return as_strided(rows, rows.shape[:-1] + (count, length),
+                      rows.strides[:-1] + (step * stride, stride), writeable=False)
+
+
 def _analyze_step(a: np.ndarray, hg: np.ndarray):
     # window i of the wrap-padded level holds a[..., (2i + k) % n] for tap
     # k, so one product gives the (..., half, 2) approximation and detail
     n = a.shape[-1]
     taps = hg.shape[1]
-    windows = sliding_window_view(a[..., np.arange(n + taps - 2) % n], taps, axis=-1)
-    out = windows[..., ::2, :] @ hg.T
+    out = _windows(a[..., np.arange(n + taps - 2) % n], taps, 2) @ hg.T
     return out[..., 0], out[..., 1]
 
 
@@ -150,10 +160,9 @@ def _synthesize_step(rows: np.ndarray, detail, hg: np.ndarray) -> np.ndarray:
     half = rows.shape[-1]
     m = hg.shape[1] // 2
     wrap = np.arange(1 - m, half) % half
-    out = sliding_window_view(rows[..., wrap], m, axis=-1) @ hg[0].reshape(m, 2)[::-1]
+    out = _windows(rows[..., wrap], m) @ hg[0].reshape(m, 2)[::-1]
     if detail is not None:
-        windows = sliding_window_view(detail[..., wrap], m, axis=-1)
-        out[..., -1, :, :] += windows @ hg[1].reshape(m, 2)[::-1]
+        out[..., -1, :, :] += _windows(detail[..., wrap], m) @ hg[1].reshape(m, 2)[::-1]
     return out.reshape(rows.shape[:-1] + (2 * half,))
 
 
