@@ -93,15 +93,37 @@ class ConcentrationReport:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
-# float64 elements one replication of a concentration block holds at its
-# peak, by tracemalloc: CHARGE
 def _block_size(n: int, dim: int) -> int:
+    # per replication, tracemalloc measures about 5n while the block is
+    # drawn and sorted and its cells keyed, and 2 D^2 for the count-weighted
+    # table and the Gram, so 6n + 2 D^2 is its charge
     return max(1, _BLOCK_ELEMENTS // (6 * n + 2 * dim * dim))
+
+
+def _replicate_block(signal: TestSignal, noise: NoiseScenario, model, n: int, seeds,
+                     truth: estimator.TruthTerms) -> tuple:
+    """The true and the empirical excess risks of the replications at seeds
+    whose design is not singular, from one block draw and one block fit."""
+    x, y, _ = _draw_block(signal, noise, n, seeds)
+    fits = estimator._fit_gram(x, y, model)
+    ok = [isinstance(fit, estimator.FitResult) for fit in fits]
+    fits = [fit for fit, good in zip(fits, ok) if good]
+    if not fits:
+        return np.empty(0), np.empty(0)
+    return estimator._excess_terms(x[ok], y[ok], np.array([fit.beta for fit in fits]),
+                                   np.array([fit.empirical_risk for fit in fits]),
+                                   truth, "gram_exact")
 
 
 def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
                       n: int, N: int, seed: int, n_mc: int = 100_000) -> ConcentrationReport:
-    """Ratios n * excess / C_m over N replications of a Gram-exact fit."""
+    """Ratios n * excess / C_m over N replications of a Gram-exact fit.
+
+    The replications run in blocks: each block makes one draw and one Gram
+    fit, and computes only the true and the empirical excess risk, so the
+    grid terms of :func:`estimator.fit_risks` are never built. Every step
+    treats a row alone, so the report does not depend on the block size.
+    """
     if N < 100:
         raise ValueError("need at least 100 replications")
     dim = model.dim
@@ -117,21 +139,11 @@ def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
     truth = estimator.truth_terms(signal, model)
     seeds = [derive_seed(seed, i) for i in range(N)]
     size = _block_size(n, dim)
-    r_true, r_emp = [], []
-    for start in range(0, N, size):
-        x, y, _ = _draw_block(signal, noise, n, seeds[start:start + size])
-        fits = estimator._fit_gram(x, y, model)
-        ok = [isinstance(fit, estimator.FitResult) for fit in fits]
-        if not any(ok):
-            continue
-        fits = [fit for fit in fits if isinstance(fit, estimator.FitResult)]
-        excess, emp_excess = estimator._excess_terms(
-            x[ok], y[ok], np.array([fit.beta for fit in fits]),
-            np.array([fit.empirical_risk for fit in fits]), truth, "gram_exact")
-        r_true.append(n * excess / cm)
-        r_emp.append(n * emp_excess / cm)
-    r_true = np.concatenate(r_true) if r_true else np.empty(0)
-    r_emp = np.concatenate(r_emp) if r_emp else np.empty(0)
+    excess, emp_excess = (np.concatenate(terms) for terms in zip(*(
+        _replicate_block(signal, noise, model, n, seeds[start:start + size], truth)
+        for start in range(0, N, size))))
+    r_true = n * excess / cm
+    r_emp = n * emp_excess / cm
     failures = N - len(r_true)
     if len(r_true) < 2:
         raise ValueError(f"{failures} of {N} replications had a singular design; the "

@@ -279,3 +279,21 @@ def test_block_memory_within_its_charge(n, methods):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * charge * block
+
+
+def test_block_spanning_two_draw_runs_equals_each_job_alone(monkeypatch):
+    # a block draws each run of jobs with one (signal, noise) in one call,
+    # and each replication's ratios equal those of its block of one
+    n = 256
+    coll = wavelet_collection(n, transform.get_filter("db8"))
+    wave, doppler = benchmark_signal("wave"), benchmark_signal("doppler")
+    jobs = ([(wave, get_noise("h1"), derive_seed(2, r)) for r in range(3)]
+            + [(doppler, get_noise("l2"), derive_seed(3, r)) for r in range(2)])
+    alone = np.vstack([bench._replicate_block([job], n, coll, bench.METHOD_ORDER)
+                       for job in jobs])
+    calls = []
+    draw = bench._draw
+    monkeypatch.setattr(bench, "_draw", lambda *args: calls.append(args[3]) or draw(*args))
+    block = bench._replicate_block(jobs, n, coll, bench.METHOD_ORDER)
+    assert [len(seeds) for seeds in calls] == [3, 2]
+    assert block.tobytes() == alone.tobytes()

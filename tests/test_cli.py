@@ -57,6 +57,19 @@ class TestGen:
              "--n", "16", "--seed", "3", "--out", str(tmp_path / "x.csv")])
         assert args.seed == 3  # explicit flag wins over the environment
 
+    def test_env_seed_read_when_each_command_runs(self, tmp_path, monkeypatch):
+        # the parser is built once per process, and WAVESEL_SEED is read
+        # each time a command line is parsed
+        assert cli.build_parser() is cli.build_parser()
+        for seed in ("5", "6"):
+            monkeypatch.setenv("WAVESEL_SEED", seed)
+            env, flag = tmp_path / f"env{seed}.csv", tmp_path / f"flag{seed}.csv"
+            for extra, out in (([], env), (["--seed", seed], flag)):
+                assert run(["gen", "--signal", "wave", "--noise", "l1", "--n", 16,
+                            *extra, "--out", out]) == 0
+            assert read(env) == read(flag)
+        assert read(tmp_path / "env5.csv") != read(tmp_path / "env6.csv")
+
 
 class TestSelect:
     def test_all_methods_plus_oracle(self, tmp_path, sample_csv):

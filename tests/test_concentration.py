@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -151,6 +152,51 @@ class TestRunConcentration:
         assert np.array_equal(rep.ratios_true, r_true)
         assert np.array_equal(rep.ratios_emp, r_emp)
 
+    def test_histogram_matches_per_replication_fits(self):
+        # a model without cells takes the dense route row by row; at n = 24
+        # about a third of the replications leave one of the 8 bins empty,
+        # so failed rows sit among fitted ones in every block
+        sig, noi = get_signal("heavisine"), get_noise("h2")
+        model = bases.build_histogram(np.linspace(0.0, 1.0, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConcentrationRangeWarning)
+            rep = run_concentration(sig, noi, model, 24, 100, seed=4, n_mc=10_000)
+        r_true, r_emp, failures = [], [], 0
+        for i in range(100):
+            sample = generate(sig, noi, 24, derive_seed(4, i))
+            try:
+                fit = estimator.fit_ls(sample, model, method="gram_exact")
+            except estimator.SingularDesignError:
+                failures += 1
+                continue
+            risks = estimator.excess_risks(sample, model, sig, fit=fit)
+            r_true.append(24 * risks.excess / rep.c_m)
+            r_emp.append(24 * risks.empirical_excess / rep.c_m)
+        assert 10 <= failures <= 60 and rep.failures == failures
+        assert np.array_equal(rep.ratios_true, r_true)
+        assert np.array_equal(rep.ratios_emp, r_emp)
+
+    def test_report_bytes_do_not_depend_on_block_size(self, monkeypatch):
+        # blocks of 1, of 7 and of the default size; at n = 64 about a
+        # quarter of the replications leave a cell of the D = 16 model empty
+        sig, noi = get_signal("spikes"), get_noise("l2")
+        model = bases.build_haar_weighted(3)
+        charge = 6 * 64 + 2 * model.dim ** 2
+        reports = []
+        for size in (1, 7, None):
+            if size is not None:
+                monkeypatch.setattr(concentration, "_BLOCK_ELEMENTS", size * charge)
+            else:
+                monkeypatch.undo()
+            assert concentration._block_size(64, model.dim) == (
+                size or concentration._BLOCK_ELEMENTS // charge)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConcentrationRangeWarning)
+                rep = run_concentration(sig, noi, model, 64, 100, seed=6, n_mc=10_000)
+            reports.append(rep.to_json())
+        assert 0 < rep.failures < 50
+        assert reports[0] == reports[1] == reports[2]
+
     def test_constant_noise_member_mean_near_one(self):
         # sigma constant and truth inside the model: C_m = sigma^2 D exactly
         member = TestSignal("Custom", lambda x: np.full_like(np.asarray(x, float), 0.3))
@@ -192,3 +238,25 @@ class TestRunConcentration:
         doc = json.loads(rep.to_json())
         assert doc["dim"] == 16 and doc["n"] == 512
         assert len(doc["ratios_true"]) == 100
+
+
+@pytest.mark.parametrize("n, j_max", [(1024, 4), (4096, 5)])
+def test_block_memory_within_its_charge(n, j_max):
+    # _block_size charges each replication 6n + 2 D^2 elements; the traced
+    # peak of a full block must stay within 1.25 times that charge
+    sig, noi = get_signal("wave"), get_noise("h1")
+    model = bases.build_haar_weighted(j_max)
+    charge = 6 * n + 2 * model.dim ** 2
+    block = concentration._block_size(n, model.dim)
+    assert block == concentration._BLOCK_ELEMENTS // charge
+    truth = estimator.truth_terms(sig, model)
+    concentration._replicate_block(sig, noi, model, n, [1], truth)  # warm the caches
+    seeds = [derive_seed(5, r) for r in range(block)]
+    tracemalloc.start()
+    try:
+        excess, _ = concentration._replicate_block(sig, noi, model, n, seeds, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(excess) == block
+    assert peak <= 1.25 * 8 * charge * block

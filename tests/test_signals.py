@@ -147,6 +147,75 @@ def test_tied_draw_keeps_the_stable_sort_pairing(monkeypatch):
     assert np.all((s.x >= u[order]) & (s.x < u[order] + 1 / 8))
 
 
+@pytest.mark.parametrize("n", [7, 256])
+def test_block_draw_rows_equal_each_seed_drawn_alone(n):
+    # the reference is the documented draw, one seed at a time: Philox
+    # uniforms then normals, the stable sort, s(x) + sigma(x) eps
+    seeds = [derive_seed(11, i) for i in range(5)]
+    for sig_name in signals.SIGNAL_NAMES:
+        for noi_name in signals.NOISE_NAMES:
+            sig, noi = signals.benchmark_signal(sig_name), get_noise(noi_name)
+            x, y, values = signals._draw_block(sig, noi, n, seeds)
+            assert not (x.flags.writeable or y.flags.writeable)
+            for row, seed in enumerate(seeds):
+                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+                u, eps = rng.random(n), rng.standard_normal(n)
+                order = np.argsort(u, kind="stable")
+                ref_values = eval_signal(sig, u[order])
+                ref_y = ref_values + noi(u[order]) * eps[order]
+                assert x[row].tobytes() == u[order].tobytes()
+                assert y[row].tobytes() == ref_y.tobytes()
+                assert values[row].tobytes() == ref_values.tobytes()
+                alone = generate(sig, noi, n, seed)
+                assert alone.y.tobytes() == ref_y.tobytes() and alone.meta.seed == seed
+
+
+def test_block_draw_sends_only_tied_rows_through_the_stable_sort(monkeypatch):
+    # only seed 2 draws ties (x takes 8 values); its row must be the stable
+    # pairing, nudged, and the other rows their untied draws
+    zero = TestSignal("Zero", lambda x: np.zeros_like(np.asarray(x, float)))
+    unit = NoiseScenario("Unit", lambda x: np.ones_like(np.asarray(x, float)))
+    untied = [generate(zero, unit, 256, seed) for seed in (1, 3)]
+    real = signals._rng
+
+    class TieOneSeed:
+        def __init__(self, seed):
+            self._rng, self._tied = real(seed), seed == 2
+
+        def random(self, n):
+            u = self._rng.random(n)
+            return (np.floor(u * 8) + 0.5) / 8 if self._tied else u
+
+        def standard_normal(self, n):
+            return self._rng.standard_normal(n)
+
+    monkeypatch.setattr(signals, "_rng", TieOneSeed)
+    samples, _ = signals._draw(zero, unit, 256, [1, 2, 3])
+    draw = TieOneSeed(2)
+    u, eps = draw.random(256), draw.standard_normal(256)
+    order = np.argsort(u, kind="stable")
+    tied = samples[1]
+    assert np.all(np.diff(tied.x) > 0)
+    assert np.array_equal(tied.y, eps[order])
+    assert np.all((tied.x >= u[order]) & (tied.x < u[order] + 1 / 8))
+    assert tied.x.tobytes() == generate(zero, unit, 256, 2).x.tobytes()
+    for got, want in zip(samples[::2], untied):
+        assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+
+def test_spikes_sum_the_five_peaks_in_order():
+    # one plane per spike, summed over the spikes in order: the same floats
+    # as the sum along a trailing axis of length 5, for blocks and scalars
+    x = np.random.default_rng(3).random((9, 4096))
+    d = x[..., None] - signals._SPIKE_CENTERS
+    ref = np.sum(signals._SPIKE_HEIGHTS * np.exp(-0.5 * (d / signals._SPIKE_WIDTHS) ** 2),
+                 axis=-1)
+    assert signals._spikes(x).tobytes() == ref.tobytes()
+    assert signals._spikes(x[0]).tobytes() == ref[0].tobytes()
+    assert np.shape(signals._spikes(0.48)) == ()
+    assert float(signals._spikes(0.48)) == float(signals._spikes(np.array([0.48]))[0])
+
+
 def test_derive_seed_mixing():
     assert derive_seed(1, 0) != derive_seed(1, 1)
     assert derive_seed(1, 0) != derive_seed(2, 0)
