@@ -7,7 +7,8 @@ by construction. Replication seeds are derived from (base seed, cell
 index, replication index), so no result depends on the order of the
 runs. The replications of every cell at one sample size share one
 collection and one even/odd fold split, so they run in blocks: each
-block makes one pyramid analysis of its stacked responses and truths,
+block draws each run of replications with one (signal, noise) in one
+call, makes one pyramid analysis of its stacked responses and truths,
 and one analysis and one synthesis per fold, and each selector runs once
 on the block's (replications, models) criteria. Each pyramid level is
 one small matrix product per row of the block, the same product for

@@ -1,9 +1,10 @@
 """Concentration experiments and brute-force representation checks.
 
-``run_concentration`` replicates Gram-exact fits of one model and reports
-how tightly n * (excess risk) / C_m and its empirical counterpart sit
-around 1. The representation oracle evaluates, for small models, the
-profile Gamma_n(C) = sup over the sphere {l(s_m, s) = C} of
+``run_concentration`` replicates Gram-exact fits of one model, in blocks
+of replications drawn and fitted together, and reports how tightly
+n * (excess risk) / C_m and its empirical counterpart sit around 1. The
+representation oracle evaluates, for small models, the profile
+Gamma_n(C) = sup over the sphere {l(s_m, s) = C} of
 (P_n - P)(gamma(s_m) - gamma(s)) minus C; the sphere supremum is a
 trust-region subproblem solved through the secular equation of the
 constrained quadratic, cross-checked against an independent

@@ -3,9 +3,10 @@
 Fitting dispatches between two routes: an exact Gram solve of the
 empirical normal equations (any model, any design) and the pyramid on
 rank-ordered responses. A weighted Haar model is constant on each of its
-D finest dyadic cells, so its Gram solve, and its values at the design
-points and on the reference grid, read a D x D table of atom values per
-cell and the count and response sum of each cell; :func:`compute_Cm`
+D finest dyadic cells, so its Gram solve, its values at the design points
+and on the reference grid, and the projection of the truth read a D x D
+table of atom values per cell and the count and sum of each cell; a block
+of samples of one size is fitted with one Gram stack; :func:`compute_Cm`
 reads the same table and the per-cell sums of the residual and its
 square, so it never builds the n_mc x D matrix of atoms at the draws. Where
 :func:`pyramid_filter` finds that one pyramid serves a collection of

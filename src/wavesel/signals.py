@@ -5,6 +5,10 @@ use the standard simulation-benchmark formulas, and the built-in noise
 scenarios are the low/high, homoscedastic/heteroscedastic levels
 l1, l2, h1, h2. Samples are drawn with a counter-based generator
 (Philox) so replications can be seeded independently of execution order.
+A block of seeds is drawn at once (``_draw_block``): one Philox stream per
+seed, then one sort along the last axis and one evaluation of the signal
+and of the noise level for the whole block, so each row holds the floats
+of its seed drawn alone; :func:`generate` is the block of one seed.
 """
 
 from __future__ import annotations
