@@ -50,6 +50,9 @@ __all__ = [
 
 GRID_LEVEL = 14
 N_GRID = 1 << GRID_LEVEL
+# how far a design density's total mass may sit from 1: far above the
+# 2e-10 error of the two adaptive_simpson integrals that measure it
+_MASS_TOL = 1e-8
 
 
 class DegenerateCellError(ValueError):
@@ -250,6 +253,11 @@ class HaarWeightedModel(Model):
                 cr.append(-norm * pm)
                 p_minus.append(pm)
                 p_plus.append(pp)
+        # the father atom, the constant 1, has unit norm only under a probability
+        # density; p_minus[1] + p_plus[1] is the density's total mass
+        mass = p_minus[1] + p_plus[1]
+        if abs(mass - 1.0) > _MASS_TOL:
+            raise ValueError(f"density has total mass {mass!r} on [0, 1], not 1")
         self._cl = np.array(cl)
         self._cr = np.array(cr)
         self.p_plus = np.array(p_plus)

@@ -95,10 +95,11 @@ class ConcentrationReport:
 
 
 def _block_size(n: int, dim: int) -> int:
-    # per replication, tracemalloc measures about 5n while the block is
-    # drawn and sorted and its cells keyed, and 2 D^2 for the count-weighted
-    # table and the Gram, so 6n + 2 D^2 is its charge
-    return max(1, _BLOCK_ELEMENTS // (6 * n + 2 * dim * dim))
+    # per replication of a weighted Haar model, tracemalloc measures about
+    # 7n + 3D at the peaks of the draw, the cell fit and the excess terms,
+    # and 14n for Spikes, whose draw holds one plane of n values per spike;
+    # a fit needs D <= n, so 14n is the charge
+    return max(1, _BLOCK_ELEMENTS // (14 * n))
 
 
 def _replicate_block(signal: TestSignal, noise: NoiseScenario, model, n: int, seeds,
@@ -120,13 +121,18 @@ def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
                       n: int, N: int, seed: int, n_mc: int = 100_000) -> ConcentrationReport:
     """Ratios n * excess / C_m over N replications of a Gram-exact fit.
 
-    The replications run in blocks: each block makes one draw and one Gram
+    The replications run in blocks: each block makes one draw and one block
     fit, and computes only the true and the empirical excess risk, so the
     grid terms of :func:`estimator.fit_risks` are never built. Every step
     treats a row alone, so the report does not depend on the block size.
+    The design is uniform, so a model built for another design density is
+    refused.
     """
     if N < 100:
         raise ValueError("need at least 100 replications")
+    if model.density_on_grid() is not None:
+        raise ValueError("the replications draw a uniform design, under which a model "
+                         "orthonormal for another design density is not orthonormal")
     dim = model.dim
     log_sq = np.log(n) ** 2
     if dim < 0.5 * log_sq or dim > n / log_sq:

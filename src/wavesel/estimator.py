@@ -1,20 +1,20 @@
 """Least-squares projection estimators and risk accounting.
 
-Fitting dispatches between two routes: an exact Gram solve of the
-empirical normal equations (any model, any design) and the pyramid on
-rank-ordered responses. A weighted Haar model is constant on each of its
-D finest dyadic cells, so its Gram solve, its values at the design points
-and on the reference grid, and the projection of the truth read a D x D
-table of atom values per cell and the count and sum of each cell; a block
-of samples of one size is fitted with one Gram stack; :func:`compute_Cm`
-reads the same table and the per-cell sums of the residual and its
-square, so it never builds the n_mc x D matrix of atoms at the draws. Where
+Fitting dispatches between two routes: an exact least-squares fit to the
+sample (any model, any design) and the pyramid on rank-ordered responses.
+A weighted Haar model spans the functions constant on its D finest dyadic
+cells, so its fit is each cell's mean of y, read in the atom basis through
+the inverse of its D x D table of atom values per cell. Its values at the
+design points and on the reference grid, the projection of the truth and
+:func:`compute_Cm` read the same table and per-cell sums, so no n x D
+matrix of atoms is built. Other models solve the empirical normal
+equations, with one Gram stack per block of samples. Where
 :func:`pyramid_filter` finds that one pyramid serves a collection of
 wavelet models, each model is a dyadic prefix of the same orthonormal
 coefficients, and every fit reads one :class:`NestedPyramid` of the
-response. On an equispaced dyadic design
-the two routes coincide exactly because the discrete pyramid atoms are
-the orthonormal basis of that design.
+response. On an equispaced dyadic design the two routes coincide exactly
+because the discrete pyramid atoms are the orthonormal basis of that
+design.
 
 True-measure quantities (bias, excess risk, sup-norm deviation) are
 integrated on the fixed 2^14-point reference grid; the quadrature error
@@ -173,30 +173,32 @@ def _fit_gram(x: np.ndarray, y: np.ndarray, model) -> list:
     and responses y: per row its :class:`FitResult`, or the
     :class:`SingularDesignError` its fit raises.
 
-    The block makes one Gram stack and one ``eigvalsh`` for the condition
-    check; each row's Cholesky solve and residual stay its own. Every step
-    treats a row alone (one BLAS call per row, and bincount adds a cell's
-    points in row order), so a row's fit has the floats of its block of one.
+    A weighted Haar model spans the functions constant on its D finest
+    cells, so its fit is each cell's mean of y. Other models make one Gram
+    stack and one ``eigvalsh`` per block, and one Cholesky solve per row.
+    Every step treats a row alone (one BLAS call per row, and bincount adds
+    a cell's points in row order), so a row's fit has the floats of its
+    block of one.
     """
     rows, n = y.shape
     if n < model.dim:
         return [_too_few_points(n, model)] * rows
     cells = _cells(model, x)
-    if cells is None:
-        phis = [_design_at(xi, model) for xi in x]
-        grams = np.stack([phi.T @ phi for phi in phis]) / n
-        rhs = np.stack([phi.T @ yi for phi, yi in zip(phis, y)]) / n
-    else:
-        # the Gram and the right-hand side read each cell's count and
-        # response sum: O(n + D^3) per row instead of O(n D^2); one
-        # bincount over row * D + cell serves the block, and each row's
-        # right-hand side is the vector-matrix product of its sums alone
-        dim, table = model.dim, model.table
-        key = (cells + np.arange(0, rows * dim, dim)[:, None]).ravel()
-        counts = np.bincount(key, minlength=rows * dim).reshape(rows, 1, dim)
-        sums = np.bincount(key, y.ravel(), minlength=rows * dim).reshape(rows, 1, dim)
-        grams = (table.T * counts) @ table / n
-        rhs = (sums @ table)[:, 0] / n
+    if cells is not None:
+        # the Gram table' diag(counts / n) table has eigenvalues counts / (n q), q the cell
+        # masses: singular exactly when a cell is empty; the means need no solve, so no _COND_LIMIT
+        key = (cells + np.arange(0, rows * model.dim, model.dim)[:, None]).ravel()
+        counts = np.bincount(key, minlength=rows * model.dim).reshape(rows, -1)
+        means = np.bincount(key, y.ravel(), minlength=rows * model.dim).reshape(rows, -1)
+        means /= np.maximum(counts, 1)
+        betas = (means[:, None] @ np.linalg.inv(model.table).T)[:, 0]
+        return [FitResult(model, betas[i], float(np.dot(resid, resid) / n), "gram_exact")
+                if counts[i].all() else SingularDesignError(
+                    f"a cell of the dimension-{model.dim} model holds no point at n={n}")
+                for i, resid in enumerate(y - np.take_along_axis(means, cells, axis=1))]
+    phis = [_design_at(xi, model) for xi in x]
+    grams = np.stack([phi.T @ phi for phi in phis]) / n
+    rhs = np.stack([phi.T @ yi for phi, yi in zip(phis, y)]) / n
     lam = np.linalg.eigvalsh(grams)  # symmetric, so cond = lam[-1] / lam[0]; NaN is singular
     fits = []
     for i, (gram, lam_i) in enumerate(zip(grams, lam)):
@@ -210,7 +212,7 @@ def _fit_gram(x: np.ndarray, y: np.ndarray, model) -> list:
         except scipy.linalg.LinAlgError as exc:
             fits.append(SingularDesignError(str(exc)))
             continue
-        resid = y[i] - (phis[i] @ beta if cells is None else (table @ beta)[cells[i]])
+        resid = y[i] - phis[i] @ beta
         fits.append(FitResult(model, beta, float(np.dot(resid, resid) / n), "gram_exact"))
     return fits
 

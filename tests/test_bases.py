@@ -164,6 +164,13 @@ class TestHaarWeighted:
         # the density's infimum over [0, 1] is a valid bound
         assert build_haar_weighted(2, density=lambda x: 0.5 + x, c_min=0.5).dim == 8
 
+    def test_density_of_mass_other_than_one_rejected(self):
+        # under a density of mass 1/2 the father atom has norm 1/sqrt(2)
+        with pytest.raises(ValueError, match="total mass 0.5"):
+            build_haar_weighted(3, density=lambda x: np.full_like(np.asarray(x, float), 0.5),
+                                c_min=0.5)
+        assert build_haar_weighted(3, density=lambda x: 0.5 + x, c_min=0.5).dim == 16
+
     def test_degenerate_density_rejected(self):
         spike = lambda x: np.where(np.abs(x - 0.9) < 1e-4, 1e4, 1e-13) + 0.0
         with pytest.raises(DegenerateCellError):

@@ -223,6 +223,14 @@ class TestRunConcentration:
                 run_concentration(get_signal("wave"), get_noise("h1"),
                                   bases.build_haar_weighted(4), 16, 100, seed=0, n_mc=10_000)
 
+    def test_design_density_refused(self):
+        # the draws are uniform, so a model orthonormal under 0.5 + x would
+        # give plausible but wrong ratios
+        model = bases.build_haar_weighted(4, density=lambda x: 0.5 + x, c_min=0.5)
+        with pytest.raises(ValueError, match="uniform design"):
+            run_concentration(get_signal("wave"), get_noise("h1"), model, 4096, 100, seed=0,
+                              n_mc=10_000)
+
     def test_requires_hundred_replications(self):
         with pytest.raises(ValueError):
             run_concentration(get_signal("wave"), get_noise("h1"),
@@ -242,11 +250,12 @@ class TestRunConcentration:
 
 @pytest.mark.parametrize("n, j_max", [(1024, 4), (4096, 5)])
 def test_block_memory_within_its_charge(n, j_max):
-    # _block_size charges each replication 6n + 2 D^2 elements; the traced
-    # peak of a full block must stay within 1.25 times that charge
-    sig, noi = get_signal("wave"), get_noise("h1")
+    # _block_size charges each replication 14n elements, what a Spikes draw
+    # holds, twice what the other signals' blocks hold; the traced peak of a
+    # full Spikes block must stay within 1.25 times that charge
+    sig, noi = get_signal("spikes"), get_noise("h1")
     model = bases.build_haar_weighted(j_max)
-    charge = 6 * n + 2 * model.dim ** 2
+    charge = 14 * n
     block = concentration._block_size(n, model.dim)
     assert block == concentration._BLOCK_ELEMENTS // charge
     truth = estimator.truth_terms(sig, model)

@@ -109,7 +109,9 @@ def dense_fit_and_risks(sample, model, signal):
 class TestCellRoute:
     MODELS = {"uniform": lambda: bases.build_haar_weighted(3),
               "weighted": lambda: bases.build_haar_weighted(
-                  3, density=lambda x: 0.5 + x, c_min=0.5)}
+                  3, density=lambda x: 0.5 + x, c_min=0.5),
+              "exp": lambda: bases.build_haar_weighted(
+                  3, density=lambda x: np.exp(x) / (np.e - 1.0), c_min=1.0 / (np.e - 1.0))}
 
     @pytest.mark.parametrize("n", [256, 4096])
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -130,8 +132,20 @@ class TestCellRoute:
         # no point in the first of the 16 finest cells
         x = np.linspace(1.0 / 16, 1.0, 256)
         sample = RegressionSample(x, np.sin(x), SampleMeta("c", "c", 256, 0))
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(SingularDesignError, match="holds no point"):
             fit_ls(sample, model, method="gram_exact")
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_single_point_cell_fits(self, name):
+        # one point in the first of the 16 finest cells: the least-squares
+        # fit is unique, and the cell means give the dense solve's
+        model = self.MODELS[name]()
+        x = np.r_[0.01, np.linspace(1.0 / 16, 1.0, 255)]
+        sample = RegressionSample(x, np.sin(7 * x), SampleMeta("c", "c", 256, 0))
+        fit = fit_ls(sample, model, method="gram_exact")
+        beta, emp_risk, _ = dense_fit_and_risks(sample, model, get_signal("wave"))
+        assert np.max(np.abs(fit.beta - beta)) <= 1e-12 * np.max(np.abs(beta))
+        assert fit.empirical_risk == pytest.approx(emp_risk, rel=1e-12, abs=0)
 
 
 class TestProjectTruth:
