@@ -102,19 +102,40 @@ class Model:
 
     Subclasses provide atom evaluation, sup-norms, support masks on the
     reference grid and the natural scale assignment used by "auto"
-    certification.
+    certification. A model whose every atom is constant on each of a
+    partition's cells also gives ``cells`` and ``table``, so fits and
+    integrals read per-cell sums instead of an array of atom values.
     """
 
     dim: int
+    # (cells, dim) atom values on each cell: row ``cells(x)[i]`` holds the
+    # atoms at x[i]; None when the atoms are not constant on cells
+    table: Optional[np.ndarray] = None
 
     # -- evaluation ----------------------------------------------------
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         """Atom values at the points ``x``: shape (len(x), dim)."""
         raise NotImplementedError
 
-    def grid_atoms(self) -> np.ndarray:
-        """Atom values on the reference grid: shape (dim, N_GRID)."""
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """Index of the cell of ``table`` holding each point of [0, 1]."""
         raise NotImplementedError
+
+    @cached_property
+    def grid_cells(self) -> np.ndarray:
+        """``cells`` of the reference grid, so row ``grid_cells[i]`` of
+        ``table`` holds the atoms at grid point i."""
+        out = self.cells(reference_grid())
+        out.setflags(write=False)
+        return out
+
+    def grid_atoms(self) -> np.ndarray:
+        """Atom values on the reference grid: shape (dim, N_GRID), built once."""
+        return self._grid_atoms
+
+    @cached_property
+    def _grid_atoms(self) -> np.ndarray:
+        return self.basis_matrix(reference_grid()).T
 
     def density_on_grid(self) -> Optional[np.ndarray]:
         """Reference density values on the grid, or None for Lebesgue."""
@@ -174,14 +195,13 @@ class WaveletModel(Model):
         self.h = transform.validate_filter(filt)
         self.j_max = int(j_max)
         self.dim = 1 << (self.j_max + 1)
-        self._atoms: Optional[np.ndarray] = None
 
-    def grid_atoms(self) -> np.ndarray:
-        if self._atoms is None:
-            # sqrt(N_GRID) = 128 is a power of two, so the scaling is exact
-            self._atoms = transform.synthesize_flat(np.eye(self.dim, N_GRID), self.h)
-            self._atoms *= float(np.sqrt(N_GRID))
-        return self._atoms
+    @cached_property
+    def _grid_atoms(self) -> np.ndarray:
+        atoms = transform.synthesize_flat(np.eye(self.dim, N_GRID), self.h)
+        # sqrt(N_GRID) = 128 is a power of two, so the scaling is exact
+        atoms *= float(np.sqrt(N_GRID))
+        return atoms
 
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -262,7 +282,6 @@ class HaarWeightedModel(Model):
         self._cr = np.array(cr)
         self.p_plus = np.array(p_plus)
         self.p_minus = np.array(p_minus)
-        self._atoms: Optional[np.ndarray] = None
 
     def cells(self, x: np.ndarray) -> np.ndarray:
         """Index of the finest dyadic cell holding each point of [0, 1].
@@ -290,14 +309,6 @@ class HaarWeightedModel(Model):
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def grid_cells(self) -> np.ndarray:
-        """``cells`` of the reference grid, so row ``grid_cells[i]`` of
-        ``table`` holds the atoms at grid point i."""
-        out = self.cells(reference_grid())
-        out.setflags(write=False)
-        return out
-
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         # points outside [0, 1], and NaN, meet no atom: their rows stay zero
@@ -305,11 +316,6 @@ class HaarWeightedModel(Model):
         out = self.table[self.cells(np.where(outside, 0.0, x))]
         out[outside] = 0.0
         return out
-
-    def grid_atoms(self) -> np.ndarray:
-        if self._atoms is None:
-            self._atoms = self.basis_matrix(reference_grid()).T
-        return self._atoms
 
     def density_on_grid(self) -> Optional[np.ndarray]:
         if self.density is None:
@@ -344,15 +350,24 @@ class PiecewisePolyModel(Model):
         self.degree = int(degree)
         self.n_cells = len(b) - 1
         self.dim = (self.degree + 1) * self.n_cells
-        self._atoms: Optional[np.ndarray] = None
 
-    def _cell_of(self, x: np.ndarray) -> np.ndarray:
+    def cells(self, x: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.boundaries, x, side="right") - 1
         return np.clip(idx, 0, self.n_cells - 1)
 
+    @cached_property
+    def table(self) -> Optional[np.ndarray]:
+        """A histogram's diagonal table: atom c is sqrt(1 / width) on cell c.
+        Higher degrees vary within a cell, so they have no table."""
+        if self.degree:
+            return None
+        out = np.diag(np.sqrt(1.0 / np.diff(self.boundaries)))
+        out.setflags(write=False)
+        return out
+
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        cells = self._cell_of(x)
+        cells = self.cells(x)
         out = np.zeros((len(x), self.dim))
         for c in range(self.n_cells):
             inside = cells == c
@@ -367,11 +382,6 @@ class PiecewisePolyModel(Model):
                 out[inside, c * (self.degree + 1) + d] = np.sqrt((2 * d + 1) / (b - a)) * vals
         return out
 
-    def grid_atoms(self) -> np.ndarray:
-        if self._atoms is None:
-            self._atoms = self.basis_matrix(reference_grid()).T
-        return self._atoms
-
     def sup_norms(self) -> np.ndarray:
         # Legendre polynomials attain |P_d| = 1 at the cell edges
         out = np.zeros(self.dim)
@@ -382,11 +392,9 @@ class PiecewisePolyModel(Model):
         return out
 
     def support_masks(self) -> np.ndarray:
-        grid = reference_grid()
-        cells = self._cell_of(grid)
         mask = np.zeros((self.dim, N_GRID), dtype=bool)
         for c in range(self.n_cells):
-            row = cells == c
+            row = self.grid_cells == c
             for d in range(self.degree + 1):
                 mask[c * (self.degree + 1) + d] = row
         return mask

@@ -94,12 +94,11 @@ class ConcentrationReport:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
-def _block_size(n: int, dim: int) -> int:
-    # per replication of a weighted Haar model, tracemalloc measures about
-    # 7n + 3D at the peaks of the draw, the cell fit and the excess terms,
-    # and 14n for Spikes, whose draw holds one plane of n values per spike;
-    # a fit needs D <= n, so 14n is the charge
-    return max(1, _BLOCK_ELEMENTS // (14 * n))
+def _block_size(n: int) -> int:
+    # per replication of a cell model, tracemalloc measures 7.04n to 7.11n
+    # at the peaks of the draw, the cell fit and the excess terms, for
+    # every signal at D = 32 to 128; a fit needs D <= n, so 8n is the charge
+    return max(1, _BLOCK_ELEMENTS // (8 * n))
 
 
 def _replicate_block(signal: TestSignal, noise: NoiseScenario, model, n: int, seeds,
@@ -121,15 +120,19 @@ def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
                       n: int, N: int, seed: int, n_mc: int = 100_000) -> ConcentrationReport:
     """Ratios n * excess / C_m over N replications of a Gram-exact fit.
 
-    The replications run in blocks: each block makes one draw and one block
+    The replications run in blocks: each block makes one draw and one cell
     fit, and computes only the true and the empirical excess risk, so the
-    grid terms of :func:`estimator.fit_risks` are never built. Every step
-    treats a row alone, so the report does not depend on the block size.
-    The design is uniform, so a model built for another design density is
-    refused.
+    grid terms of :func:`estimator.excess_risks` are never built. Every
+    step treats a row alone, so the report does not depend on the block
+    size. The model must be a cell model (a weighted Haar model or a
+    histogram), whose fits need no n x D design. The design is uniform, so
+    a model built for another design density is refused.
     """
     if N < 100:
         raise ValueError("need at least 100 replications")
+    if model.table is None:
+        raise ValueError("the replications fit by cell means, and the atoms of this model "
+                         "are not constant on cells")
     if model.density_on_grid() is not None:
         raise ValueError("the replications draw a uniform design, under which a model "
                          "orthonormal for another design density is not orthonormal")
@@ -145,7 +148,7 @@ def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
     eps = epsilon_n(n, dim)
     truth = estimator.truth_terms(signal, model)
     seeds = [derive_seed(seed, i) for i in range(N)]
-    size = _block_size(n, dim)
+    size = _block_size(n)
     excess, emp_excess = (np.concatenate(terms) for terms in zip(*(
         _replicate_block(signal, noise, model, n, seeds[start:start + size], truth)
         for start in range(0, N, size))))

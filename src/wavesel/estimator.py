@@ -2,15 +2,15 @@
 
 Fitting dispatches between two routes: an exact least-squares fit to the
 sample (any model, any design) and the pyramid on rank-ordered responses.
-A weighted Haar model spans the functions constant on its D finest dyadic
-cells, so its fit is each cell's mean of y, read in the atom basis through
-the inverse of its D x D table of atom values per cell. Its values at the
-design points and on the reference grid, the projection of the truth and
-:func:`compute_Cm` read the same table and per-cell sums, so no n x D
-matrix of atoms is built. Other models solve the empirical normal
-equations, with one Gram stack per block of samples. Where
-:func:`pyramid_filter` finds that one pyramid serves a collection of
-wavelet models, each model is a dyadic prefix of the same orthonormal
+A cell model (a weighted Haar model or a histogram: its ``table`` is not
+None) spans the functions constant on its D cells, so its fit is each
+cell's mean of y, read in the atom basis through the inverse of its
+D x D table of atom values per cell. Its values at the design points and
+on the reference grid, the projection of the truth and :func:`compute_Cm`
+read the same table and per-cell sums, so no n x D matrix of atoms is
+built. Other models solve the empirical normal equations of one sample.
+Where :func:`pyramid_filter` finds that one pyramid serves a collection
+of wavelet models, each model is a dyadic prefix of the same orthonormal
 coefficients, and every fit reads one :class:`NestedPyramid` of the
 response. On an equispaced dyadic design the two routes coincide exactly
 because the discrete pyramid atoms are the orthonormal basis of that
@@ -46,7 +46,6 @@ __all__ = [
     "TruthTerms",
     "truth_terms",
     "nested_truth_terms",
-    "fit_risks",
     "nested_fit_risks",
     "excess_risks",
     "compute_Cm",
@@ -157,83 +156,67 @@ def _design_at(x: np.ndarray, model) -> np.ndarray:
     return model.basis_matrix(x)
 
 
-def _cells(model, x: np.ndarray) -> Optional[np.ndarray]:
-    """The finest dyadic cell of each point of x when every atom of the
-    model is constant on those cells, so the atoms at x[i] are the row
-    ``model.table[cells[i]]``; None for every other model."""
-    return model.cells(x) if isinstance(model, bases.HaarWeightedModel) else None
-
-
 def _too_few_points(n: int, model) -> SingularDesignError:
     return SingularDesignError(f"sample size {n} below model dimension {model.dim}")
 
 
 def _fit_gram(x: np.ndarray, y: np.ndarray, model) -> list:
-    """Gram-exact fits of the model to each row of the ``(R, n)`` designs x
-    and responses y: per row its :class:`FitResult`, or the
+    """Fits of a cell model to each row of the ``(R, n)`` designs x and
+    responses y: per row its :class:`FitResult`, or the
     :class:`SingularDesignError` its fit raises.
 
-    A weighted Haar model spans the functions constant on its D finest
-    cells, so its fit is each cell's mean of y. Other models make one Gram
-    stack and one ``eigvalsh`` per block, and one Cholesky solve per row.
-    Every step treats a row alone (one BLAS call per row, and bincount adds
-    a cell's points in row order), so a row's fit has the floats of its
-    block of one.
+    The model spans the functions constant on its D cells, so a fit is each
+    cell's mean of y. bincount adds a cell's points in row order, so a
+    row's fit has the floats of its block of one.
     """
     rows, n = y.shape
     if n < model.dim:
         return [_too_few_points(n, model)] * rows
-    cells = _cells(model, x)
-    if cells is not None:
-        # the Gram table' diag(counts / n) table has eigenvalues counts / (n q), q the cell
-        # masses: singular exactly when a cell is empty; the means need no solve, so no _COND_LIMIT
-        key = (cells + np.arange(0, rows * model.dim, model.dim)[:, None]).ravel()
-        counts = np.bincount(key, minlength=rows * model.dim).reshape(rows, -1)
-        means = np.bincount(key, y.ravel(), minlength=rows * model.dim).reshape(rows, -1)
-        means /= np.maximum(counts, 1)
-        betas = (means[:, None] @ np.linalg.inv(model.table).T)[:, 0]
-        return [FitResult(model, betas[i], float(np.dot(resid, resid) / n), "gram_exact")
-                if counts[i].all() else SingularDesignError(
-                    f"a cell of the dimension-{model.dim} model holds no point at n={n}")
-                for i, resid in enumerate(y - np.take_along_axis(means, cells, axis=1))]
-    phis = [_design_at(xi, model) for xi in x]
-    grams = np.stack([phi.T @ phi for phi in phis]) / n
-    rhs = np.stack([phi.T @ yi for phi, yi in zip(phis, y)]) / n
-    lam = np.linalg.eigvalsh(grams)  # symmetric, so cond = lam[-1] / lam[0]; NaN is singular
-    fits = []
-    for i, (gram, lam_i) in enumerate(zip(grams, lam)):
-        if not lam_i[0] > 0.0 or lam_i[-1] / lam_i[0] > _COND_LIMIT:
-            fits.append(SingularDesignError(
-                f"empirical Gram condition number exceeds {_COND_LIMIT:g} "
-                f"for dimension {model.dim} at n={n}"))
-            continue
-        try:
-            beta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs[i])
-        except scipy.linalg.LinAlgError as exc:
-            fits.append(SingularDesignError(str(exc)))
-            continue
-        resid = y[i] - phis[i] @ beta
-        fits.append(FitResult(model, beta, float(np.dot(resid, resid) / n), "gram_exact"))
-    return fits
+    cells = model.cells(x)
+    # the Gram table' diag(counts / n) table has eigenvalues counts / (n q), q the cell
+    # masses: singular exactly when a cell is empty; the means need no solve, so no _COND_LIMIT
+    key = (cells + np.arange(0, rows * model.dim, model.dim)[:, None]).ravel()
+    counts = np.bincount(key, minlength=rows * model.dim).reshape(rows, -1)
+    means = np.bincount(key, y.ravel(), minlength=rows * model.dim).reshape(rows, -1)
+    means /= np.maximum(counts, 1)
+    betas = (means[:, None] @ np.linalg.inv(model.table).T)[:, 0]
+    return [FitResult(model, betas[i], float(np.dot(resid, resid) / n), "gram_exact")
+            if counts[i].all() else SingularDesignError(
+                f"a cell of the dimension-{model.dim} model holds no point at n={n}")
+            for i, resid in enumerate(y - np.take_along_axis(means, cells, axis=1))]
 
 
 def fit_ls(sample: RegressionSample, model, method: str = "auto") -> FitResult:
     """Empirical-risk minimizer of the least-squares contrast over ``model``."""
-    if sample.n < model.dim:
-        raise _too_few_points(sample.n, model)
+    n = sample.n
+    if n < model.dim:
+        raise _too_few_points(n, model)
     if method not in ("auto", "gram_exact", "pyramid_fast"):
         raise ValueError(f"unknown fit method {method!r}")
-    h = None if method == "gram_exact" else pyramid_filter((model,), sample.n)
-    if h is None:
-        if method == "pyramid_fast":
-            raise ValueError("pyramid path needs a wavelet model and dyadic n >= dim")
+    h = None if method == "gram_exact" else pyramid_filter((model,), n)
+    if h is not None:
+        pyramid = NestedPyramid.of(sample.y, h)
+        return FitResult(model, pyramid.beta(model.dim), float(pyramid.risks([model.dim])[0]),
+                         "pyramid_fast")
+    if method == "pyramid_fast":
+        raise ValueError("pyramid path needs a wavelet model and dyadic n >= dim")
+    if model.table is not None:
         fit = _fit_gram(sample.x[None], sample.y[None], model)[0]
         if isinstance(fit, SingularDesignError):
             raise fit
         return fit
-    pyramid = NestedPyramid.of(sample.y, h)
-    return FitResult(model, pyramid.beta(model.dim), float(pyramid.risks([model.dim])[0]),
-                     "pyramid_fast")
+    phi = _design_at(sample.x, model)
+    gram = phi.T @ phi / n
+    lam = np.linalg.eigvalsh(gram)  # symmetric, so cond = lam[-1] / lam[0]; NaN is singular
+    if not lam[0] > 0.0 or lam[-1] / lam[0] > _COND_LIMIT:
+        raise SingularDesignError(f"empirical Gram condition number exceeds {_COND_LIMIT:g} "
+                                  f"for dimension {model.dim} at n={n}")
+    try:
+        beta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), phi.T @ sample.y / n)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularDesignError(str(exc)) from None
+    resid = sample.y - phi @ beta
+    return FitResult(model, beta, float(np.dot(resid, resid) / n), "gram_exact")
 
 
 def signal_grid_values(signal: TestSignal) -> np.ndarray:
@@ -262,7 +245,7 @@ def _projections(s: np.ndarray, models) -> list:
     out = []
     for model in models:
         w = model.density_on_grid()
-        if isinstance(model, bases.HaarWeightedModel):
+        if model.table is not None:
             # every atom is constant on the model's cells, so the integral
             # reads each cell's sum of s * w: no D x N_GRID atom array
             cell_sums = np.bincount(model.grid_cells, s if w is None else s * w,
@@ -280,25 +263,22 @@ def _grid_function(model, beta: np.ndarray) -> np.ndarray:
         flat = np.zeros(N_GRID)
         flat[: model.dim] = beta * np.sqrt(N_GRID)
         return transform.synthesize_flat(flat, model.h)
-    if isinstance(model, bases.HaarWeightedModel):
+    if model.table is not None:
         return (model.table @ beta)[model.grid_cells]
     return model.grid_atoms().T @ beta
 
 
 def _model_design_values(x: np.ndarray, model, beta: np.ndarray, fit_method: str) -> np.ndarray:
-    """Values at the designs x, of shape ``(..., n)``, of the model element
-    with coefficients beta, represented in the same discrete basis the fit
-    used."""
-    n = x.shape[-1]
+    """Values at the design x of the model element with coefficients beta,
+    represented in the same discrete basis the fit used; a cell model takes
+    a block of designs ``(..., n)``."""
     if fit_method == "pyramid_fast":
-        flat = np.zeros(n)
-        flat[: model.dim] = beta * np.sqrt(n)
+        flat = np.zeros(len(x))
+        flat[: model.dim] = beta * np.sqrt(len(x))
         return transform.synthesize_flat(flat, model.h)
-    cells = _cells(model, x)
-    if cells is not None:
-        return (model.table @ beta)[cells]
-    return np.stack([_design_at(xi, model) @ beta
-                     for xi in x.reshape(-1, n)]).reshape(x.shape)
+    if model.table is not None:
+        return (model.table @ beta)[model.cells(x)]
+    return _design_at(x, model) @ beta
 
 
 def _excess_terms(x: np.ndarray, y: np.ndarray, betas: np.ndarray, risks,
@@ -361,15 +341,11 @@ def nested_truth_terms(signal: TestSignal, models) -> list:
     return out
 
 
-def fit_risks(sample: RegressionSample, fit: FitResult, truth: TruthTerms) -> RiskReport:
-    """Risk decomposition of a fit of ``truth.model`` to ``sample``."""
-    return nested_fit_risks(sample, [fit], [truth])[0]
-
-
 def nested_fit_risks(sample: RegressionSample, fits, truths) -> list:
-    """:func:`fit_risks` of each fit and the truth terms of its model. When
-    the fits' coefficients are prefixes of one vector, as the fits of one
-    pyramid are, one prefix synthesis gives every s_hat_m."""
+    """The risk decomposition of each fit to ``sample`` against the truth
+    terms of its model. When the fits' coefficients are prefixes of one
+    vector, as the fits of one pyramid are, one prefix synthesis gives
+    every s_hat_m."""
     out = []
     s_hats = _grid_functions([t.model for t in truths], [fit.beta for fit in fits])
     for fit, truth, s_hat in zip(fits, truths, s_hats):
@@ -387,7 +363,7 @@ def excess_risks(sample: RegressionSample, model, signal: TestSignal,
     """Full risk decomposition of a fitted model against the known truth."""
     if fit is None:
         fit = fit_ls(sample, model)
-    return fit_risks(sample, fit, truth_terms(signal, model))
+    return nested_fit_risks(sample, [fit], [truth_terms(signal, model)])[0]
 
 
 @dataclass(frozen=True)
@@ -411,8 +387,7 @@ def compute_Cm(signal: TestSignal, noise: NoiseScenario, model,
     resid = eval_signal(signal, x) - s_m_grid[idx] + np.asarray(noise.sigma(x), dtype=float) * eps
     n_batches = 50
     batch = n_mc // n_batches
-    cells = _cells(model, x)
-    if cells is None:
+    if model.table is None:
         z = model.basis_matrix(x)  # a new array, so the product can go in place
         z *= resid[:, None]
         total = float(np.sum(np.var(z, axis=0, ddof=1)))
@@ -424,7 +399,7 @@ def compute_Cm(signal: TestSignal, noise: NoiseScenario, model,
         # over (group, cell) each, O(n_mc + 51 D^2). The n_mc % 50 leftover
         # draws form group 50, in the total but in no batch
         dim, table = model.dim, model.table
-        key = np.minimum(np.arange(n_mc) // batch, n_batches) * dim + cells
+        key = np.minimum(np.arange(n_mc) // batch, n_batches) * dim + model.cells(x)
         shape = (n_batches + 1, dim)
         sum_z = np.bincount(key, resid, minlength=shape[0] * dim).reshape(shape) @ table
         sum_z2 = (np.bincount(key, resid * resid, minlength=shape[0] * dim).reshape(shape)

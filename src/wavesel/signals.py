@@ -65,10 +65,14 @@ def _doppler(x):
 
 def _spikes(x):
     x = np.asarray(x, dtype=float)
-    # one plane of x's shape per spike, so every inner loop runs along x
-    heights, centers, widths = (v.reshape((-1,) + (1,) * x.ndim)
-                                for v in (_SPIKE_HEIGHTS, _SPIKE_CENTERS, _SPIKE_WIDTHS))
-    return np.sum(heights * np.exp(-0.5 * ((x - centers) / widths) ** 2), axis=0)
+    # one spike at a time over all of x, added in the order of a sum along
+    # a leading axis of spikes; a scalar goes through the array exp as a
+    # vector of one, since the scalar exp may round differently
+    values = np.atleast_1d(x)
+    out = np.zeros(values.shape)
+    for height, center, width in zip(_SPIKE_HEIGHTS, _SPIKE_CENTERS, _SPIKE_WIDTHS):
+        out += height * np.exp(-0.5 * ((values - center) / width) ** 2)
+    return out.reshape(x.shape)
 
 
 @dataclass(frozen=True)

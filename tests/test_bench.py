@@ -258,8 +258,11 @@ def test_block_rows_transform_as_rows_alone(n):
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
-@pytest.mark.parametrize("methods", [("sh", "cp"), bench.METHOD_ORDER], ids=["penalized", "vfold"])
-def test_block_memory_within_its_charge(n, methods):
+@pytest.mark.parametrize("methods, name", [
+    (("sh", "cp"), "wave"), (bench.METHOD_ORDER, "wave"),
+    (("sh", "cp"), "spikes"), (bench.METHOD_ORDER, "spikes"),
+], ids=["penalized", "vfold", "penalized-spikes", "vfold-spikes"])
+def test_block_memory_within_its_charge(n, methods, name):
     # _block_size charges each replication 11n elements, or with the fold
     # methods 8n + 5/2 models * n/2 if larger; the traced peak of a full
     # block must stay within 1.25 times that charge
@@ -269,7 +272,7 @@ def test_block_memory_within_its_charge(n, methods):
         charge = max(charge, 8 * n + 5 * len(coll) * (n // 2) // 2)
     block = bench._block_size(n, coll, methods)
     assert block == bench._BLOCK_ELEMENTS // charge
-    signal, noise = benchmark_signal("wave"), get_noise("h1")
+    signal, noise = benchmark_signal(name), get_noise("h1")
     bench._replicate_block([(signal, noise, 1)], n, coll, methods)  # warm the caches
     jobs = [(signal, noise, derive_seed(5, r)) for r in range(block)]
     tracemalloc.start()

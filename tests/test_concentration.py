@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wavesel import bases, concentration, estimator
+from wavesel import bases, concentration, estimator, transform
 from wavesel.concentration import (ConcentrationRangeWarning, functional_rep_check,
                                    rep_formula_oracle, run_concentration)
 from wavesel.signals import (NoiseScenario, TestSignal, derive_seed, generate, get_noise,
@@ -153,9 +153,10 @@ class TestRunConcentration:
         assert np.array_equal(rep.ratios_emp, r_emp)
 
     def test_histogram_matches_per_replication_fits(self):
-        # a model without cells takes the dense route row by row; at n = 24
-        # about a third of the replications leave one of the 8 bins empty,
-        # so failed rows sit among fitted ones in every block
+        # a histogram is a cell model, fitted by bin means like a weighted
+        # Haar model; at n = 24 about a third of the replications leave one
+        # of the 8 bins empty, so failed rows sit among fitted ones in every
+        # block
         sig, noi = get_signal("heavisine"), get_noise("h2")
         model = bases.build_histogram(np.linspace(0.0, 1.0, 9))
         with warnings.catch_warnings():
@@ -181,14 +182,14 @@ class TestRunConcentration:
         # quarter of the replications leave a cell of the D = 16 model empty
         sig, noi = get_signal("spikes"), get_noise("l2")
         model = bases.build_haar_weighted(3)
-        charge = 6 * 64 + 2 * model.dim ** 2
+        charge = 8 * 64
         reports = []
         for size in (1, 7, None):
             if size is not None:
                 monkeypatch.setattr(concentration, "_BLOCK_ELEMENTS", size * charge)
             else:
                 monkeypatch.undo()
-            assert concentration._block_size(64, model.dim) == (
+            assert concentration._block_size(64) == (
                 size or concentration._BLOCK_ELEMENTS // charge)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConcentrationRangeWarning)
@@ -231,6 +232,14 @@ class TestRunConcentration:
             run_concentration(get_signal("wave"), get_noise("h1"), model, 4096, 100, seed=0,
                               n_mc=10_000)
 
+    def test_model_without_cells_refused(self):
+        # a db8 atom is not constant on cells, so the fit would need each
+        # replication's n x D design
+        model = bases.build_periodized_wavelet(transform.DB8, 4)
+        with pytest.raises(ValueError, match="not constant on cells"):
+            run_concentration(get_signal("wave"), get_noise("h1"), model, 4096, 100, seed=0,
+                              n_mc=10_000)
+
     def test_requires_hundred_replications(self):
         with pytest.raises(ValueError):
             run_concentration(get_signal("wave"), get_noise("h1"),
@@ -250,13 +259,13 @@ class TestRunConcentration:
 
 @pytest.mark.parametrize("n, j_max", [(1024, 4), (4096, 5)])
 def test_block_memory_within_its_charge(n, j_max):
-    # _block_size charges each replication 14n elements, what a Spikes draw
-    # holds, twice what the other signals' blocks hold; the traced peak of a
+    # _block_size charges each replication 8n elements, a little above what
+    # a block holds for every signal, Spikes included; the traced peak of a
     # full Spikes block must stay within 1.25 times that charge
     sig, noi = get_signal("spikes"), get_noise("h1")
     model = bases.build_haar_weighted(j_max)
-    charge = 14 * n
-    block = concentration._block_size(n, model.dim)
+    charge = 8 * n
+    block = concentration._block_size(n)
     assert block == concentration._BLOCK_ELEMENTS // charge
     truth = estimator.truth_terms(sig, model)
     concentration._replicate_block(sig, noi, model, n, [1], truth)  # warm the caches
