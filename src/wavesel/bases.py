@@ -73,7 +73,15 @@ def reference_grid() -> np.ndarray:
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Simpson quadrature with absolute tolerance 1e-10 and at
-    most 40 levels of bisection."""
+    most 40 levels of bisection. A NaN or infinite value of f raises
+    ValueError: it fails every tolerance test, so the bisection would
+    never stop short of its last level."""
+
+    def value(x):
+        v = float(f(x))
+        if not np.isfinite(v):
+            raise ValueError(f"integrand is {v!r} at x = {x!r}")
+        return v
 
     def simpson(lo, flo, hi, fhi, fmid):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
@@ -82,8 +90,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
         mid = 0.5 * (lo + hi)
         lmid = 0.5 * (lo + mid)
         rmid = 0.5 * (mid + hi)
-        flm = float(f(lmid))
-        frm = float(f(rmid))
+        flm = value(lmid)
+        frm = value(rmid)
         left = simpson(lo, flo, mid, fmid, flm)
         right = simpson(mid, fmid, hi, fhi, frm)
         if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
@@ -91,8 +99,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
         return (recurse(lo, flo, mid, fmid, flm, left, eps / 2.0, depth - 1)
                 + recurse(mid, fmid, hi, fhi, frm, right, eps / 2.0, depth - 1))
 
-    fa, fb = float(f(a)), float(f(b))
-    fm = float(f(0.5 * (a + b)))
+    fa, fb = value(a), value(b)
+    fm = value(0.5 * (a + b))
     whole = simpson(a, fa, b, fb, fm)
     return recurse(a, fa, b, fb, fm, whole, 1e-10, 40)
 
@@ -248,7 +256,7 @@ class HaarWeightedModel(Model):
             if c_min is None or c_min <= 0:
                 raise ValueError("a positive density lower bound c_min is required")
             low = float(np.min(self.density_on_grid()))
-            if low < c_min:
+            if not low >= c_min:  # a NaN minimum is refused too
                 raise ValueError(f"density falls to {low!r} on the reference grid, "
                                  f"below c_min = {c_min!r}")
         cl, cr = [1.0], [0.0]  # father atom

@@ -78,8 +78,7 @@ def _cmd_fit(args) -> int:
     signal = _resolve_signal(args.truth, args.normalize)
     lines = ["# wavesel-fit schema=1", "dim,empirical_risk,bias,excess,total"]
     rows = []
-    truths = estimator.nested_truth_terms(signal, collection.models)
-    for fit, rep in zip(fits, estimator.nested_fit_risks(sample, fits, truths)):
+    for fit, rep in zip(fits, estimator.nested_fit_risks(sample, fits, signal)):
         lines.append(f"{fit.model.dim},{fit.empirical_risk!r},{rep.bias!r},"
                      f"{rep.excess!r},{rep.total!r}")
         rows.append((fit.model.dim, rep))

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 
-from . import bases, estimator
+from . import estimator
 from .bases import N_GRID
 from .estimator import epsilon_n, fit_ls, project_truth, signal_grid_values
 from .signals import (_BLOCK_ELEMENTS, NoiseScenario, RegressionSample, TestSignal, _draw_block,
@@ -102,18 +102,14 @@ def _block_size(n: int) -> int:
 
 
 def _replicate_block(signal: TestSignal, noise: NoiseScenario, model, n: int, seeds,
-                     truth: estimator.TruthTerms) -> tuple:
+                     beta_m: np.ndarray) -> tuple:
     """The true and the empirical excess risks of the replications at seeds
-    whose design is not singular, from one block draw and one block fit."""
+    whose design is not singular, from one block draw and one block fit;
+    beta_m is the projection of the signal onto the model."""
     x, y, _ = _draw_block(signal, noise, n, seeds)
-    fits = estimator._fit_gram(x, y, model)
-    ok = [isinstance(fit, estimator.FitResult) for fit in fits]
-    fits = [fit for fit, good in zip(fits, ok) if good]
-    if not fits:
-        return np.empty(0), np.empty(0)
-    return estimator._excess_terms(x[ok], y[ok], np.array([fit.beta for fit in fits]),
-                                   np.array([fit.empirical_risk for fit in fits]),
-                                   truth, "gram_exact")
+    betas, risks, ok = estimator._fit_gram(x, y, model)
+    return estimator._excess_terms(x[ok], y[ok], betas[ok], risks[ok], model, beta_m,
+                                   "gram_exact")
 
 
 def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
@@ -146,11 +142,11 @@ def run_concentration(signal: TestSignal, noise: NoiseScenario, model,
     cm = estimator.compute_Cm(signal, noise, model, n_mc=n_mc,
                               seed=derive_seed(seed, 1 << 40)).value
     eps = epsilon_n(n, dim)
-    truth = estimator.truth_terms(signal, model)
+    beta_m = project_truth(signal, model)
     seeds = [derive_seed(seed, i) for i in range(N)]
     size = _block_size(n)
     excess, emp_excess = (np.concatenate(terms) for terms in zip(*(
-        _replicate_block(signal, noise, model, n, seeds[start:start + size], truth)
+        _replicate_block(signal, noise, model, n, seeds[start:start + size], beta_m)
         for start in range(0, N, size))))
     r_true = n * excess / cm
     r_emp = n * emp_excess / cm

@@ -43,9 +43,6 @@ __all__ = [
     "fit_ls",
     "project_truth",
     "signal_grid_values",
-    "TruthTerms",
-    "truth_terms",
-    "nested_truth_terms",
     "nested_fit_risks",
     "excess_risks",
     "compute_Cm",
@@ -156,22 +153,17 @@ def _design_at(x: np.ndarray, model) -> np.ndarray:
     return model.basis_matrix(x)
 
 
-def _too_few_points(n: int, model) -> SingularDesignError:
-    return SingularDesignError(f"sample size {n} below model dimension {model.dim}")
-
-
-def _fit_gram(x: np.ndarray, y: np.ndarray, model) -> list:
+def _fit_gram(x: np.ndarray, y: np.ndarray, model) -> tuple:
     """Fits of a cell model to each row of the ``(R, n)`` designs x and
-    responses y: per row its :class:`FitResult`, or the
-    :class:`SingularDesignError` its fit raises.
+    responses y: the coefficients ``(R, D)``, the empirical risks ``(R,)``
+    and ``ok`` ``(R,)``, false for a row with an empty cell, whose design
+    is singular.
 
     The model spans the functions constant on its D cells, so a fit is each
     cell's mean of y. bincount adds a cell's points in row order, so a
     row's fit has the floats of its block of one.
     """
     rows, n = y.shape
-    if n < model.dim:
-        return [_too_few_points(n, model)] * rows
     cells = model.cells(x)
     # the Gram table' diag(counts / n) table has eigenvalues counts / (n q), q the cell
     # masses: singular exactly when a cell is empty; the means need no solve, so no _COND_LIMIT
@@ -180,17 +172,16 @@ def _fit_gram(x: np.ndarray, y: np.ndarray, model) -> list:
     means = np.bincount(key, y.ravel(), minlength=rows * model.dim).reshape(rows, -1)
     means /= np.maximum(counts, 1)
     betas = (means[:, None] @ np.linalg.inv(model.table).T)[:, 0]
-    return [FitResult(model, betas[i], float(np.dot(resid, resid) / n), "gram_exact")
-            if counts[i].all() else SingularDesignError(
-                f"a cell of the dimension-{model.dim} model holds no point at n={n}")
-            for i, resid in enumerate(y - np.take_along_axis(means, cells, axis=1))]
+    resid = y - np.take_along_axis(means, cells, axis=1)
+    risks = np.array([np.dot(r, r) for r in resid]) / n
+    return betas, risks, counts.all(axis=1)
 
 
 def fit_ls(sample: RegressionSample, model, method: str = "auto") -> FitResult:
     """Empirical-risk minimizer of the least-squares contrast over ``model``."""
     n = sample.n
     if n < model.dim:
-        raise _too_few_points(n, model)
+        raise SingularDesignError(f"sample size {n} below model dimension {model.dim}")
     if method not in ("auto", "gram_exact", "pyramid_fast"):
         raise ValueError(f"unknown fit method {method!r}")
     h = None if method == "gram_exact" else pyramid_filter((model,), n)
@@ -201,10 +192,11 @@ def fit_ls(sample: RegressionSample, model, method: str = "auto") -> FitResult:
     if method == "pyramid_fast":
         raise ValueError("pyramid path needs a wavelet model and dyadic n >= dim")
     if model.table is not None:
-        fit = _fit_gram(sample.x[None], sample.y[None], model)[0]
-        if isinstance(fit, SingularDesignError):
-            raise fit
-        return fit
+        betas, risks, ok = _fit_gram(sample.x[None], sample.y[None], model)
+        if not ok[0]:
+            raise SingularDesignError(
+                f"a cell of the dimension-{model.dim} model holds no point at n={n}")
+        return FitResult(model, betas[0], float(risks[0]), "gram_exact")
     phi = _design_at(sample.x, model)
     gram = phi.T @ phi / n
     lam = np.linalg.eigvalsh(gram)  # symmetric, so cond = lam[-1] / lam[0]; NaN is singular
@@ -281,34 +273,17 @@ def _model_design_values(x: np.ndarray, model, beta: np.ndarray, fit_method: str
     return _design_at(x, model) @ beta
 
 
-def _excess_terms(x: np.ndarray, y: np.ndarray, betas: np.ndarray, risks,
-                  truth: "TruthTerms", fit_method: str) -> tuple:
+def _excess_terms(x: np.ndarray, y: np.ndarray, betas: np.ndarray, risks, model,
+                  beta_m: np.ndarray, fit_method: str) -> tuple:
     """The true excess risks ``sum (beta - beta_m)^2`` and the empirical
-    ones ``|y - s_m(x)|^2 / n - risk``, floored at 0, of fits with
+    ones ``|y - s_m(x)|^2 / n - risk``, floored at 0, of fits of model with
     coefficients betas ``(..., D)`` and empirical risks ``(...)`` to the
-    designs and responses ``(..., n)``."""
+    designs and responses ``(..., n)``; beta_m is the projection of the
+    truth. A block of zero rows gives two empty arrays."""
     n = y.shape[-1]
-    resid = y - _model_design_values(x, truth.model, truth.beta_m, fit_method)
+    resid = y - _model_design_values(x, model, beta_m, fit_method)
     sq = np.array([np.dot(r, r) for r in resid.reshape(-1, n)]).reshape(resid.shape[:-1])
-    return np.sum((betas - truth.beta_m) ** 2, axis=-1), np.maximum(sq / n - risks, 0.0)
-
-
-@dataclass(frozen=True)
-class TruthTerms:
-    """The terms of the risk decomposition that depend only on the signal
-    and the model: the projection coefficients, the signal, the density
-    weights and the projection on the reference grid, and the bias."""
-    model: object
-    beta_m: np.ndarray
-    s: np.ndarray
-    weights: np.ndarray
-    s_m: np.ndarray
-    bias: float
-
-
-def truth_terms(signal: TestSignal, model) -> TruthTerms:
-    """Compute the sample-free terms once, for any number of fits."""
-    return nested_truth_terms(signal, [model])[0]
+    return np.sum((betas - beta_m) ** 2, axis=-1), np.maximum(sq / n - risks, 0.0)
 
 
 def _grid_functions(models, betas) -> list:
@@ -326,44 +301,41 @@ def _grid_functions(models, betas) -> list:
     return list(transform.synthesize_prefixes(flat, dims, h)[row])
 
 
-def nested_truth_terms(signal: TestSignal, models) -> list:
-    """:func:`truth_terms` of each model, from one evaluation of the signal
-    on the reference grid and, for a nested wavelet collection, one
-    analysis of it and one prefix synthesis of every s_m."""
+def nested_fit_risks(sample: RegressionSample, fits, signal: TestSignal) -> list:
+    """The risk decomposition of each fit to ``sample`` against the signal,
+    from one evaluation of the signal on the reference grid. For a nested
+    wavelet collection one analysis gives every beta_m, one prefix
+    synthesis every s_m and, when the fits' coefficients are prefixes of
+    one vector, as the fits of one pyramid are, another every s_hat_m."""
+    models = [fit.model for fit in fits]
     s = signal_grid_values(signal)
-    betas = _projections(s, models)
+    beta_ms = _projections(s, models)
+    s_ms = _grid_functions(models, beta_ms)
+    s_hats = _grid_functions(models, [fit.beta for fit in fits])
     out = []
-    for model, beta_m, s_m in zip(models, betas, _grid_functions(models, betas)):
-        w = model.density_on_grid()
+    for fit, beta_m, s_m, s_hat in zip(fits, beta_ms, s_ms, s_hats):
+        w = fit.model.density_on_grid()
         weights = np.ones(N_GRID) if w is None else w
         bias = float(np.mean((s - s_m) ** 2 * weights))
-        out.append(TruthTerms(model, beta_m, s, weights, s_m, bias))
-    return out
-
-
-def nested_fit_risks(sample: RegressionSample, fits, truths) -> list:
-    """The risk decomposition of each fit to ``sample`` against the truth
-    terms of its model. When the fits' coefficients are prefixes of one
-    vector, as the fits of one pyramid are, one prefix synthesis gives
-    every s_hat_m."""
-    out = []
-    s_hats = _grid_functions([t.model for t in truths], [fit.beta for fit in fits])
-    for fit, truth, s_hat in zip(fits, truths, s_hats):
-        total = float(np.mean((truth.s - s_hat) ** 2 * truth.weights))
-        sup_dev = float(np.max(np.abs(s_hat - truth.s_m)))
-        excess, empirical_excess = _excess_terms(sample.x, sample.y, fit.beta,
-                                                 fit.empirical_risk, truth, fit.method)
-        out.append(RiskReport(truth.bias, float(excess), total, float(empirical_excess),
-                              sup_dev))
+        total = float(np.mean((s - s_hat) ** 2 * weights))
+        sup_dev = float(np.max(np.abs(s_hat - s_m)))
+        excess, empirical_excess = _excess_terms(sample.x, sample.y, fit.beta, fit.empirical_risk,
+                                                 fit.model, beta_m, fit.method)
+        out.append(RiskReport(bias, float(excess), total, float(empirical_excess), sup_dev))
     return out
 
 
 def excess_risks(sample: RegressionSample, model, signal: TestSignal,
                  fit: Optional[FitResult] = None) -> RiskReport:
-    """Full risk decomposition of a fitted model against the known truth."""
+    """Full risk decomposition of a fit of model, by default its
+    least-squares fit, against the known truth. A given fit is scored
+    with its own model, which must have the dimension of model."""
     if fit is None:
         fit = fit_ls(sample, model)
-    return nested_fit_risks(sample, [fit], [truth_terms(signal, model)])[0]
+    elif fit.model.dim != model.dim:
+        raise ValueError(f"the fit is of a dimension-{fit.model.dim} model, "
+                         f"not of dimension {model.dim}")
+    return nested_fit_risks(sample, [fit], signal)[0]
 
 
 @dataclass(frozen=True)

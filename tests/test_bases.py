@@ -19,6 +19,13 @@ def test_adaptive_simpson_oscillatory():
     assert got == pytest.approx((1 - np.cos(20.0)) / 20.0, abs=1e-9)
 
 
+def test_adaptive_simpson_refuses_non_finite_values():
+    # NaN fails every tolerance test, so the bisection would run to its
+    # 40th level on both halves of every cell
+    with pytest.raises(ValueError, match="integrand is nan"):
+        adaptive_simpson(lambda x: float("nan"), 0.0, 1.0)
+
+
 def broadcast_haar_basis_matrix(model, x):
     """Reference: the earlier design matrix, every point against every atom."""
     lo, mid, hi = [0.0], [1.0], [1.0]  # father atom
@@ -161,8 +168,17 @@ class TestHaarWeighted:
     def test_density_below_c_min_rejected(self):
         with pytest.raises(ValueError, match="below c_min"):
             build_haar_weighted(2, density=lambda x: 0.5 + x, c_min=10.0)
+        # a NaN minimum on the grid compares false with c_min either way
+        with pytest.raises(ValueError, match="falls to nan"):
+            build_haar_weighted(2, density=lambda x: np.where(x < 0.5, 1.0, np.nan), c_min=0.5)
         # the density's infimum over [0, 1] is a valid bound
         assert build_haar_weighted(2, density=lambda x: 0.5 + x, c_min=0.5).dim == 8
+
+    def test_infinite_density_rejected(self):
+        # 0.5 / sqrt(x) has mass 1 and stays above 0.5 on the grid, but is
+        # infinite at the cell edge x = 0 that the quadrature evaluates
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="integrand is inf"):
+            build_haar_weighted(2, density=lambda x: 0.5 / np.sqrt(x), c_min=0.5)
 
     def test_density_of_mass_other_than_one_rejected(self):
         # under a density of mass 1/2 the father atom has norm 1/sqrt(2)

@@ -220,7 +220,8 @@ class TestRunConcentration:
         # replication, so no mean, spread or coverage exists
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConcentrationRangeWarning)
-            with pytest.raises(ValueError, match="100 of 100 replications"):
+            with pytest.raises(ValueError,
+                               match="100 of 100 replications had a singular design"):
                 run_concentration(get_signal("wave"), get_noise("h1"),
                                   bases.build_haar_weighted(4), 16, 100, seed=0, n_mc=10_000)
 
@@ -267,12 +268,12 @@ def test_block_memory_within_its_charge(n, j_max):
     charge = 8 * n
     block = concentration._block_size(n)
     assert block == concentration._BLOCK_ELEMENTS // charge
-    truth = estimator.truth_terms(sig, model)
-    concentration._replicate_block(sig, noi, model, n, [1], truth)  # warm the caches
+    beta_m = estimator.project_truth(sig, model)
+    concentration._replicate_block(sig, noi, model, n, [1], beta_m)  # warm the caches
     seeds = [derive_seed(5, r) for r in range(block)]
     tracemalloc.start()
     try:
-        excess, _ = concentration._replicate_block(sig, noi, model, n, seeds, truth)
+        excess, _ = concentration._replicate_block(sig, noi, model, n, seeds, beta_m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -89,7 +89,7 @@ class TestFitLs:
     def test_dimension_exceeding_sample(self):
         model = bases.build_haar_weighted(4)
         sample = generate(get_signal("wave"), get_noise("l1"), 16, 0)
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(SingularDesignError, match="below model dimension"):
             fit_ls(sample, model)
 
 
@@ -213,17 +213,24 @@ class TestExcessRisks:
         rep = excess_risks(sample, model, get_signal("heavisine"))
         assert rep.total == pytest.approx(rep.bias + rep.excess, abs=1e-8)
 
-    def test_truth_terms_evaluate_the_truth_once(self, monkeypatch):
+    def test_excess_risks_evaluate_the_truth_once(self, monkeypatch):
         sig = get_signal("wave")
         model = bases.build_periodized_wavelet(transform.DB8, 4)
-        want = project_truth(sig, model)
+        sample = generate(sig, get_noise("h1"), 1024, 4)
+        want = excess_risks(sample, model, sig)
         calls = []
         real = estimator.signal_grid_values
         monkeypatch.setattr(estimator, "signal_grid_values",
                             lambda s: calls.append(s) or real(s))
-        terms = estimator.truth_terms(sig, model)
-        assert len(calls) == 1
-        assert np.array_equal(terms.beta_m, want)
+        assert excess_risks(sample, model, sig) == want
+        assert calls == [sig]
+
+    def test_fit_of_another_model_refused(self):
+        sig = get_signal("wave")
+        sample = generate(sig, get_noise("h1"), 512, 1)
+        fit = fit_ls(sample, bases.build_haar_weighted(4))
+        with pytest.raises(ValueError, match="dimension-32 model, not of dimension 8"):
+            excess_risks(sample, bases.build_haar_weighted(2), sig, fit=fit)
 
     def test_empirical_excess_nonnegative(self):
         for seed in range(5):
