@@ -346,6 +346,8 @@ class PiecewisePolyModel(Model):
         b = np.asarray(boundaries, dtype=float)
         if b.ndim != 1 or len(b) < 2 or abs(b[0]) > 1e-12 or abs(b[-1] - 1.0) > 1e-12:
             raise ValueError("partition boundaries must run from 0 to 1")
+        if not np.isfinite(b).all():
+            raise ValueError(f"partition boundaries must be finite, got {b.tolist()!r}")
         widths = np.diff(b)
         bad = np.nonzero(widths <= 1e-12)[0]
         if len(bad):
@@ -496,7 +498,7 @@ class SlbCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def overlap_counts(model: Model, labels: np.ndarray, n_scales: int) -> np.ndarray:

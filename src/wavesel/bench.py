@@ -27,7 +27,8 @@ import numpy as np
 
 from . import transform
 from .selection import FOLD_METHODS, ModelCollection, select_methods, wavelet_collection
-from .signals import _BLOCK_ELEMENTS, _draw, benchmark_signal, derive_seed, get_noise, get_signal
+from .signals import (_BLOCK_ELEMENTS, SampleBlock, _draw_block, benchmark_signal, derive_seed,
+                      get_noise, get_signal)
 
 __all__ = [
     "METHOD_LABELS",
@@ -215,12 +216,12 @@ def _replicate_block(jobs, n: int, collection: ModelCollection, methods) -> np.n
     points (:func:`selection.in_sample_losses`), so every ratio is at
     least 1.
     """
-    samples, truths = [], []
-    for (signal, noise), run in groupby(jobs, key=lambda job: job[:2]):
-        block, values = _draw(signal, noise, n, [seed for _, _, seed in run])
-        samples.extend(block)
-        truths.extend(values)
-    outcomes = select_methods(samples, collection, ("oracle", *methods), signal_values=truths)
+    runs = groupby(jobs, key=lambda job: job[:2])
+    block = SampleBlock(*map(np.concatenate, zip(*(
+        _draw_block(signal, noise, n, [seed for _, _, seed in run])
+        for (signal, noise), run in runs))))
+    outcomes = select_methods(block, collection, ("oracle", *methods),
+                              signal_values=block.values)
     chosen = np.stack([o.chosen_index for o in outcomes.values()], axis=-1)
     loss = np.take_along_axis(outcomes["oracle"].criteria, chosen, axis=-1)
     best, loss = loss[:, :1], loss[:, 1:]  # the oracle's loss, and each method's

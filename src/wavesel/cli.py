@@ -104,9 +104,8 @@ def _cmd_select(args) -> int:
     if "oracle" in methods:
         if not args.truth:
             raise ValueError("oracle selection needs --truth")
-        truths = [_resolve_signal(args.truth, args.normalize)(sample.x)]
-    outcomes = {m: o[0] for m, o in selection.select_methods(
-        [sample], collection, methods, signal_values=truths).items()}
+        truths = _resolve_signal(args.truth, args.normalize)(sample.x)
+    outcomes = selection.select_methods(sample, collection, methods, signal_values=truths)
     payload = {"schema_version": 2, "n": sample.n, "basis": args.basis,
                "outcomes": {m: o.to_dict() for m, o in outcomes.items()}}
     _write(args.out, _doc("selection", payload) + "\n")

@@ -134,17 +134,13 @@ class NestedPyramid:
         return transform.synthesize_prefixes(self.coeffs, dims, self.h)
 
 
-def design_matrix(sample: RegressionSample, model) -> np.ndarray:
-    """Design matrix at the sample points, in function units.
+def _design_at(x: np.ndarray, model) -> np.ndarray:
+    """Design matrix at the points x, in function units.
 
     For a wavelet model on an exactly equispaced dyadic design this is
     the discrete pyramid basis (so the Gram is the identity); otherwise
     atoms are evaluated pointwise.
     """
-    return _design_at(sample.x, model)
-
-
-def _design_at(x: np.ndarray, model) -> np.ndarray:
     n = len(x)
     if pyramid_filter((model,), n) is not None:
         mid = (np.arange(n) + 0.5) / n
@@ -250,27 +246,19 @@ def _projections(s: np.ndarray, models) -> list:
     return out
 
 
-def _grid_function(model, beta: np.ndarray) -> np.ndarray:
-    if isinstance(model, bases.WaveletModel):
-        flat = np.zeros(N_GRID)
-        flat[: model.dim] = beta * np.sqrt(N_GRID)
+def _values(model, beta: np.ndarray, x: Optional[np.ndarray] = None,
+            fit_method: str = "gram_exact") -> np.ndarray:
+    """Values of the model element with coefficients beta on the reference
+    grid, or at the design x, in the discrete basis the fit used; a cell
+    model takes a block of designs ``(..., n)``."""
+    if fit_method == "pyramid_fast" or (x is None and isinstance(model, bases.WaveletModel)):
+        n = N_GRID if x is None else len(x)
+        flat = np.zeros(n)
+        flat[: model.dim] = beta * np.sqrt(n)
         return transform.synthesize_flat(flat, model.h)
     if model.table is not None:
-        return (model.table @ beta)[model.grid_cells]
-    return model.grid_atoms().T @ beta
-
-
-def _model_design_values(x: np.ndarray, model, beta: np.ndarray, fit_method: str) -> np.ndarray:
-    """Values at the design x of the model element with coefficients beta,
-    represented in the same discrete basis the fit used; a cell model takes
-    a block of designs ``(..., n)``."""
-    if fit_method == "pyramid_fast":
-        flat = np.zeros(len(x))
-        flat[: model.dim] = beta * np.sqrt(len(x))
-        return transform.synthesize_flat(flat, model.h)
-    if model.table is not None:
-        return (model.table @ beta)[model.cells(x)]
-    return _design_at(x, model) @ beta
+        return (model.table @ beta)[model.grid_cells if x is None else model.cells(x)]
+    return model.grid_atoms().T @ beta if x is None else _design_at(x, model) @ beta
 
 
 def _excess_terms(x: np.ndarray, y: np.ndarray, betas: np.ndarray, risks, model,
@@ -281,20 +269,20 @@ def _excess_terms(x: np.ndarray, y: np.ndarray, betas: np.ndarray, risks, model,
     designs and responses ``(..., n)``; beta_m is the projection of the
     truth. A block of zero rows gives two empty arrays."""
     n = y.shape[-1]
-    resid = y - _model_design_values(x, model, beta_m, fit_method)
+    resid = y - _values(model, beta_m, x, fit_method)
     sq = np.array([np.dot(r, r) for r in resid.reshape(-1, n)]).reshape(resid.shape[:-1])
     return np.sum((betas - beta_m) ** 2, axis=-1), np.maximum(sq / n - risks, 0.0)
 
 
 def _grid_functions(models, betas) -> list:
-    """:func:`_grid_function` of each model and its coefficients. Where one
+    """:func:`_values` on the grid of each model and its coefficients. Where one
     pyramid serves every model and each beta is a prefix of the longest, as
     the projections of one signal or the fits of one pyramid are, one prefix
     synthesis gives them all."""
     h = pyramid_filter(models, N_GRID)
     longest = max(betas, key=len)
     if h is None or not all(np.array_equal(b, longest[: len(b)]) for b in betas):
-        return [_grid_function(model, beta) for model, beta in zip(models, betas)]
+        return [_values(model, beta) for model, beta in zip(models, betas)]
     dims, row = np.unique([model.dim for model in models], return_inverse=True)
     flat = np.zeros(N_GRID)
     flat[: dims[-1]] = longest * np.sqrt(N_GRID)
@@ -352,11 +340,13 @@ def compute_Cm(signal: TestSignal, noise: NoiseScenario, model,
         raise ValueError("need n_mc >= 10^4")
     rng = _rng(seed)
     beta_m = project_truth(signal, model)
-    s_m_grid = _grid_function(model, beta_m)
     x = rng.random(n_mc)
     eps = rng.standard_normal(n_mc)
-    idx = np.clip((x * N_GRID).astype(int), 0, N_GRID - 1)
-    resid = eval_signal(signal, x) - s_m_grid[idx] + np.asarray(noise.sigma(x), dtype=float) * eps
+    if model.table is None:  # s_m at the nearest grid point
+        s_m = _values(model, beta_m)[np.clip((x * N_GRID).astype(int), 0, N_GRID - 1)]
+    else:  # s_m on each draw's own cell
+        s_m = _values(model, beta_m, x)
+    resid = eval_signal(signal, x) - s_m + np.asarray(noise.sigma(x), dtype=float) * eps
     n_batches = 50
     batch = n_mc // n_batches
     if model.table is None:

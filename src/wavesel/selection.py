@@ -28,7 +28,6 @@ import numpy as np
 
 from . import bases
 from .estimator import FitResult, NestedPyramid, pyramid_filter
-from .signals import RegressionSample
 
 __all__ = [
     "ModelCollection",
@@ -120,24 +119,19 @@ def fit_collection(samples, collection: ModelCollection, signal_values=None) -> 
     """Fit every model of a nested wavelet collection from one block pyramid.
 
     ``samples`` is one sample, which gives its :class:`FittedCollection`,
-    or a block of samples of one size, which gives one collection whose
-    arrays lead with the block axis. The responses, and the truth's values
-    at each sample's design points when ``signal_values`` gives them (one
-    array, or an array per sample of a block), are stacked into one block
-    pyramid. Raises ``ValueError`` when one pyramid cannot fit the
-    collection on the sample size.
+    or a block of samples of one size (a :class:`signals.SampleBlock`),
+    whose ``(R, n)`` responses give one collection whose arrays lead with
+    the block axis. With ``signal_values``, the truth's values at the
+    design points in the shape of the responses, the responses and the
+    truth's values are analysed as one block pyramid. Raises
+    ``ValueError`` when one pyramid cannot fit the collection on the
+    sample size.
     """
-    if isinstance(samples, RegressionSample):
-        truths = None if signal_values is None else (signal_values,)
-        return fit_collection((samples,), collection, truths)[0]
-    samples = tuple(samples)
-    truths = () if signal_values is None else tuple(signal_values)
-    if truths and len(truths) != len(samples):
-        raise ValueError(f"{len(truths)} signal value arrays for {len(samples)} samples")
-    block = _analyze(np.stack([*(s.y for s in samples), *truths]), collection)
-    r = len(samples)
-    return FittedCollection(collection, block[:r], block[:r].risks(collection.dims),
-                            block[r:] if truths else None)
+    if signal_values is None:
+        pyramid = _analyze(samples.y, collection)
+        return FittedCollection(collection, pyramid, pyramid.risks(collection.dims))
+    block = _analyze(np.stack([samples.y, signal_values]), collection)
+    return FittedCollection(collection, block[0], block[0].risks(collection.dims), block[1])
 
 
 def in_sample_losses(fits: FittedCollection) -> np.ndarray:
@@ -171,22 +165,20 @@ class FoldFit:
     heldout_risks: np.ndarray  # CV_j: per-model risk on the held-out half
 
 
-def _fold_fit(samples: tuple, collection: ModelCollection, j: int) -> FoldFit:
-    """Fold j's :class:`FoldFit` of a block, from one analysis and one
-    prefix synthesis of its training responses. Each fit f predicts as
-    ``np.interp(x_h, x_t, f)`` does, in its operation order: held-out
-    point i lies in training bracket k = i - j, so f[k] and f[k + 1] are
-    slices of the fitted values, and the one point outside, the first of
-    fold 1 or the last of fold 0, takes f[0] or f[-1]. Each row's mean
-    runs along the last, C-ordered axis, so it sums as one vector's does.
-    The fitted values live only for the call, and the design points are
-    stacked after the synthesis (the bench sizes its blocks by that peak).
+def _fold_fit(x: np.ndarray, y: np.ndarray, collection: ModelCollection, j: int) -> FoldFit:
+    """Fold j's :class:`FoldFit` of the designs and responses ``(..., n)``,
+    from one analysis and one prefix synthesis of the training responses.
+    Each fit f predicts as ``np.interp(x_h, x_t, f)`` does, in its
+    operation order: held-out point i lies in training bracket k = i - j,
+    so f[k] and f[k + 1] are slices of the fitted values, and the one point
+    outside, the first of fold 1 or the last of fold 0, takes f[0] or
+    f[-1]. Each row's mean runs along the last, C-ordered axis, so it sums
+    as one vector's does. The fitted values live only for the call.
     """
     train, held = slice(j, None, 2), slice(1 - j, None, 2)
-    pyramid = _analyze(np.stack([s.y[train] for s in samples]), collection)
+    pyramid = _analyze(y[..., train], collection)
     f = pyramid.fitted(collection.dims)
-    x = np.stack([s.x for s in samples])[:, None]
-    x_t, x_h = x[..., train], x[..., held]
+    x_t, x_h = x[..., None, train], x[..., None, held]
     lo, hi = j, x_h.shape[-1] - 1 + j  # the held-out points inside a bracket
     pred = np.empty(f.shape)  # n/2 held-out points, as many as training ones
     inner = pred[..., lo:hi]
@@ -196,7 +188,7 @@ def _fold_fit(samples: tuple, collection: ModelCollection, j: int) -> FoldFit:
     inner += f[..., :-1]
     pred[..., :lo] = f[..., :1]
     pred[..., hi:] = f[..., -1:]
-    pred -= np.stack([s.y[held] for s in samples])[:, None]
+    pred -= y[..., None, held]
     np.square(pred, out=pred)
     return FoldFit(pyramid.risks(collection.dims), pred.mean(axis=-1))
 
@@ -212,11 +204,7 @@ def fold_fitted(samples, collection: ModelCollection) -> tuple:
     training points it interpolates linearly in x between its fitted
     values, with constant extrapolation at the boundary.
     """
-    if isinstance(samples, RegressionSample):
-        return tuple(FoldFit(fold.train_risks[0], fold.heldout_risks[0])
-                     for fold in fold_fitted((samples,), collection))
-    samples = tuple(samples)
-    return tuple(_fold_fit(samples, collection, j) for j in (0, 1))
+    return tuple(_fold_fit(samples.x, samples.y, collection, j) for j in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +478,8 @@ FOLD_METHODS = ("vfcv", "penvf")
 def select_methods(samples, collection: ModelCollection, methods,
                    signal_values=None) -> dict:
     """Run the named methods on one sample, or on a block of samples of one
-    size: {method: outcome} in the order asked, where a block's outcome
-    holds a row per sample.
+    size (a :class:`signals.SampleBlock`): {method: outcome} in the order
+    asked, where a block's outcome holds a row per sample.
 
     Methods are "oracle" (needs ``signal_values``, the truth's values at
     the design points as :func:`fit_collection` takes them), "sh", "cp",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "NoiseScenario",
     "SampleMeta",
     "RegressionSample",
+    "SampleBlock",
     "SIGNAL_NAMES",
     "NOISE_NAMES",
     "get_signal",
@@ -282,21 +283,23 @@ def generate(signal: TestSignal, noise: NoiseScenario, n: int, seed: int) -> Reg
     independent of the design. Identical arguments give bit-identical
     output.
     """
-    return _draw(signal, noise, n, (seed,))[0][0]
+    block = _draw_block(signal, noise, n, (seed,))
+    return RegressionSample(block.x[0], block.y[0],
+                            SampleMeta(signal.name.lower(), noise.name.lower(), n, int(seed)))
 
 
-def _draw(signal: TestSignal, noise: NoiseScenario, n: int, seeds) -> tuple:
-    """The samples of :func:`generate` at each seed, and the ``(seeds, n)``
-    signal values at their design points, from one :func:`_draw_block`."""
-    x, y, values = _draw_block(signal, noise, n, seeds)
-    name, level = signal.name.lower(), noise.name.lower()
-    return ([RegressionSample(xi, yi, SampleMeta(name, level, n, int(seed)))
-             for xi, yi, seed in zip(x, y, seeds)], values)
+class SampleBlock(NamedTuple):
+    """The ``(seeds, n)`` designs, responses and signal values of a block
+    of samples; the selection layer reads ``x`` and ``y`` as it reads a
+    :class:`RegressionSample`'s."""
+    x: np.ndarray
+    y: np.ndarray
+    values: np.ndarray
 
 
-def _draw_block(signal: TestSignal, noise: NoiseScenario, n: int, seeds) -> tuple:
-    """The ``(seeds, n)`` read-only designs and responses of :func:`generate`
-    at each seed, and the signal's values at the designs.
+def _draw_block(signal: TestSignal, noise: NoiseScenario, n: int, seeds) -> SampleBlock:
+    """The :class:`SampleBlock` of the read-only designs and responses of
+    :func:`generate` at each seed, and of the signal's values at the designs.
 
     Each seed keeps its own Philox stream. The block makes one sort along
     the last axis, one evaluation of the signal and one of sigma; every step
@@ -327,4 +330,4 @@ def _draw_block(signal: TestSignal, noise: NoiseScenario, n: int, seeds) -> tupl
     y = values + np.asarray(noise.sigma(x), dtype=float) * eps
     x.setflags(write=False)
     y.setflags(write=False)
-    return x, y, values
+    return SampleBlock(x, y, values)

@@ -42,6 +42,7 @@ __all__ = [
     "synthesize_prefixes",
     "flatten",
     "unflatten",
+    "truncate_flat",
 ]
 
 
@@ -94,13 +95,13 @@ def validate_filter(h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or len(h) < 2 or len(h) % 2 != 0:
         raise InvalidFilterError("scaling filter must be 1-d with even length >= 2")
-    if abs(h.sum() - np.sqrt(2.0)) > 1e-12:
+    if not abs(h.sum() - np.sqrt(2.0)) <= 1e-12:  # NaN fails too
         raise InvalidFilterError(f"sum of taps is {h.sum()!r}, not sqrt(2)")
     L = len(h)
     for m in range(L // 2):
         target = 1.0 if m == 0 else 0.0
         got = float(np.dot(h[2 * m:], h[: L - 2 * m]))
-        if abs(got - target) > 1e-12:
+        if not abs(got - target) <= 1e-12:
             raise InvalidFilterError(f"double-shift orthonormality fails at shift {m}: {got!r}")
     return h
 

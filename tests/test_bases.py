@@ -219,8 +219,9 @@ class TestPeriodizedWavelet:
         assert got.flags.c_contiguous
 
     def test_invalid_filter_rejected(self):
-        with pytest.raises(transform.InvalidFilterError):
-            build_periodized_wavelet([0.9, 0.1], 2)
+        for filt in ([0.9, 0.1], [np.nan, np.nan]):
+            with pytest.raises(transform.InvalidFilterError):
+                build_periodized_wavelet(filt, 2)
 
 
 class TestPiecewisePoly:
@@ -244,6 +245,14 @@ class TestPiecewisePoly:
         m = build_piecewise_poly([0, 0.3, 0.55, 0.8, 1.0], 3)
         g = m.gram_quadrature()
         assert np.max(np.abs(g - np.eye(m.dim))) < 1e-12
+
+    @pytest.mark.parametrize("partition", [[0.0, np.nan, 1.0], [np.nan, 0.5, 1.0],
+                                           [0.0, np.inf, 1.0]])
+    def test_non_finite_boundaries_rejected(self, partition):
+        # a NaN width passes a "width <= 1e-12" test, and its cell's table
+        # entry would be NaN
+        with pytest.raises(ValueError, match="must be finite"):
+            build_histogram(partition)
 
     def test_lower_regularity_violation(self):
         with pytest.raises(LowerRegularityError) as err:
@@ -303,6 +312,15 @@ class TestCertification:
                 brute = sum(1 for l in range(m.dim)
                             if labels[l] == j and np.any(masks[k] & masks[l]))
                 assert counts[k, j] == brute
+
+    def test_certificate_json_is_strict(self):
+        # a NaN level gives NaN slacks, which strict JSON cannot hold
+        m = build_histogram(np.linspace(0, 1, 5))
+        labels, a_vals = m.auto_scales()
+        cert = certify_slb(m, SlbProposal(a_vals, labels, r_m=np.nan))
+        assert any(np.isnan(c.slack) for c in cert.checks.values())
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cert.to_json()
 
     def test_certificate_json(self):
         import json

@@ -295,8 +295,8 @@ def test_block_spanning_two_draw_runs_equals_each_job_alone(monkeypatch):
     alone = np.vstack([bench._replicate_block([job], n, coll, bench.METHOD_ORDER)
                        for job in jobs])
     calls = []
-    draw = bench._draw
-    monkeypatch.setattr(bench, "_draw", lambda *args: calls.append(args[3]) or draw(*args))
+    draw = bench._draw_block
+    monkeypatch.setattr(bench, "_draw_block", lambda *args: calls.append(args[3]) or draw(*args))
     block = bench._replicate_block(jobs, n, coll, bench.METHOD_ORDER)
     assert [len(seeds) for seeds in calls] == [3, 2]
     assert block.tobytes() == alone.tobytes()

@@ -8,7 +8,7 @@ from wavesel.bases import N_GRID, reference_grid
 from wavesel.estimator import (SingularDesignError, compute_Cm, epsilon_n,
                                excess_risks, fit_ls, project_truth)
 from wavesel.signals import (NoiseScenario, RegressionSample, SampleMeta, TestSignal,
-                             generate, get_noise, get_signal)
+                             eval_signal, generate, get_noise, get_signal)
 
 
 def equispaced_sample(y, meta=None):
@@ -62,7 +62,7 @@ class TestFitLs:
         sample = generate(get_signal("doppler"), get_noise("h1"), 256, 8)
         model = bases.build_haar_weighted(3)
         fit = fit_ls(sample, model, method="gram_exact")
-        phi = estimator.design_matrix(sample, model)
+        phi = estimator._design_at(sample.x, model)
         rng = np.random.default_rng(11)
         for _ in range(100):
             beta = fit.beta + rng.standard_normal(model.dim) * 0.01
@@ -245,7 +245,7 @@ def reference_cm(signal, noise, model, n_mc, seed, n_batches=50):
     """The earlier compute_Cm body, with its separate product z = resid * phi."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     beta_m = project_truth(signal, model)
-    s_m_grid = estimator._grid_function(model, beta_m)
+    s_m_grid = estimator._values(model, beta_m)
     x = rng.random(n_mc)
     eps = rng.standard_normal(n_mc)
     idx = np.clip((x * N_GRID).astype(int), 0, N_GRID - 1)
@@ -260,6 +260,30 @@ def reference_cm(signal, noise, model, n_mc, seed, n_batches=50):
     vals = [float(np.sum(np.var(z[i * batch:(i + 1) * batch], axis=0, ddof=1)))
             for i in range(n_batches)]
     return total, float(np.std(vals, ddof=1) / np.sqrt(n_batches))
+
+
+def reference_cell_cm(signal, noise, model, n_mc, seed, n_batches=50):
+    """compute_Cm's per-cell sums, with s_m read on each draw's cell."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    beta_m = project_truth(signal, model)
+    x = rng.random(n_mc)
+    eps = rng.standard_normal(n_mc)
+    cells = model.cells(x)
+    resid = (eval_signal(signal, x) - (model.table @ beta_m)[cells]
+             + np.asarray(noise.sigma(x), dtype=float) * eps)
+    dim, batch = model.dim, n_mc // n_batches
+    key = np.minimum(np.arange(n_mc) // batch, n_batches) * dim + cells
+    shape = (n_batches + 1, dim)
+    sum_z = np.bincount(key, resid, minlength=shape[0] * dim).reshape(shape) @ model.table
+    sum_z2 = (np.bincount(key, resid * resid, minlength=shape[0] * dim).reshape(shape)
+              @ np.square(model.table))
+
+    def var_sums(sum_z, sum_z2, m):
+        return np.sum((sum_z2 - sum_z * sum_z / m) / (m - 1), axis=-1)
+
+    vals = var_sums(sum_z[:n_batches], sum_z2[:n_batches], batch)
+    return (float(var_sums(sum_z.sum(axis=0), sum_z2.sum(axis=0), n_mc)),
+            float(np.std(vals, ddof=1) / np.sqrt(n_batches)))
 
 
 class TestComputeCm:
@@ -278,6 +302,15 @@ class TestComputeCm:
             assert (est.value, est.stderr) == pytest.approx(want, rel=1e-11, abs=0.0)
         else:
             assert (est.value, est.stderr) == want
+
+    def test_histogram_reads_each_draws_own_cell(self):
+        # the 0.3 and 0.7 edges lie off the reference grid, so the nearest
+        # grid point of a draw just below an edge is in the next cell; s_m
+        # must be read on the draw's own cell (two of these draws were not)
+        sig, noise = get_signal("heavisine"), get_noise("l1")
+        model = bases.build_histogram([0.0, 0.3, 0.7, 1.0])
+        est = compute_Cm(sig, noise, model, n_mc=100_000, seed=3)
+        assert (est.value, est.stderr) == reference_cell_cm(sig, noise, model, 100_000, 3)
 
     def test_haar_route_builds_no_n_mc_by_d_matrix(self):
         # the dense route holds about 132 n_mc floats at D = 64

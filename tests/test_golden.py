@@ -44,17 +44,21 @@ def bench_decisions(monkeypatch, config) -> list:
     the chosen dimensions read from the bench's own selector outcomes, and
     the ratios of its raw report."""
     dims = {}  # (signal, noise, n, seed) -> {method: dim}
-    real = bench.select_methods
+    rows = []  # the keys of the rows of the block being selected
+    real_block, real_select = bench._replicate_block, bench.select_methods
 
-    def spy(samples, *args, **kwargs):
-        outcomes = real(samples, *args, **kwargs)
-        for i, sample in enumerate(samples):
-            m = sample.meta
-            dims[(m.signal, m.noise, m.n, m.seed)] = {
-                k: int(o.chosen_dim[i]) for k, o in outcomes.items()}
+    def spy_block(jobs, n, *args):
+        rows[:] = [(sig.name.lower(), noi.name.lower(), n, seed) for sig, noi, seed in jobs]
+        return real_block(jobs, n, *args)
+
+    def spy_select(*args, **kwargs):
+        outcomes = real_select(*args, **kwargs)
+        for i, key in enumerate(rows):
+            dims[key] = {k: int(o.chosen_dim[i]) for k, o in outcomes.items()}
         return outcomes
 
-    monkeypatch.setattr(bench, "select_methods", spy)
+    monkeypatch.setattr(bench, "_replicate_block", spy_block)
+    monkeypatch.setattr(bench, "select_methods", spy_select)
     report = run_bench(config)
     by_cell = {}
     for key, d in dims.items():

@@ -11,13 +11,20 @@ from wavesel.selection import (FoldFit, ModelCollection,
                                fold_fitted, in_sample_losses, oracle_select, penalty_path,
                                select_cp, select_methods, select_penvf, select_sh, select_vfcv,
                                wavelet_collection)
-from wavesel.signals import (NOISE_NAMES, SIGNAL_NAMES, NoiseScenario, TestSignal,
-                             derive_seed, generate, get_noise, get_signal)
+from wavesel.signals import (NOISE_NAMES, SIGNAL_NAMES, NoiseScenario, SampleBlock, TestSignal,
+                             _draw_block, derive_seed, generate, get_noise, get_signal)
 
 ZERO_NOISE = NoiseScenario("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
 CONST_NOISE = NoiseScenario("Custom", lambda x: np.full_like(np.asarray(x, float), 0.05))
 ZERO_SIGNAL = TestSignal("Custom", lambda x: np.zeros_like(np.asarray(x, float)))
 THIRD = TestSignal("Custom", lambda x: np.full_like(np.asarray(x, float), 1 / 3))
+
+
+def draw_rows(cases, n: int) -> SampleBlock:
+    """The block of one row per (signal, noise, seed) case, each row the
+    draw of :func:`generate`, concatenated as the bench does."""
+    return SampleBlock(*map(np.concatenate, zip(*(_draw_block(sig, noi, n, [seed])
+                                                  for sig, noi, seed in cases))))
 
 
 def grid_penalty_path(shapes, risks, dims, alphas):
@@ -225,9 +232,9 @@ class TestPenaltyPath:
     @example(signal=ZERO_SIGNAL, noise=CONST_NOISE, n=1024, seed=0, scale=1.0)
     def test_matches_hull_on_fitted_rows(self, signal, noise, n, seed, scale):
         coll = wavelet_collection(n, transform.DB8)
-        samples = [generate(signal, noise, n, derive_seed(seed, r)) for r in range(4)]
+        block = _draw_block(signal, noise, n, [derive_seed(seed, r) for r in range(4)])
         shapes = scale * coll.dims / n
-        for risks in fit_collection(samples, coll).emp_risks:
+        for risks in fit_collection(block, coll).emp_risks:
             assert (repr(penalty_path(shapes, risks, coll.dims).segments)
                     == repr(hull_penalty_path(shapes, risks, coll.dims).segments))
 
@@ -290,10 +297,10 @@ class TestSelectSh:
     def test_block_rows_are_each_rows_path_and_jump(self):
         n = 1024
         coll = wavelet_collection(n, transform.DB8)
-        samples = [generate(get_signal(sig), get_noise(noise), n, derive_seed(9, r))
-                   for r, (sig, noise) in enumerate([(s, z) for s in SIGNAL_NAMES
-                                                     for z in NOISE_NAMES])]
-        out = select_sh(fit_collection(samples, coll))
+        block = draw_rows([(get_signal(sig), get_noise(noise), derive_seed(9, r))
+                           for r, (sig, noise) in enumerate([(s, z) for s in SIGNAL_NAMES
+                                                             for z in NOISE_NAMES])], n)
+        out = select_sh(fit_collection(block, coll))
         shape = coll.dims / n
         for i, risks in enumerate(out.emp_risks):
             path = penalty_path(shape, risks, coll.dims)
@@ -485,8 +492,9 @@ class TestSelectMethods:
             "vfcv": select_vfcv(fits, fold_fits),
             "cp": select_cp(fits),
         }
-        got = {m: o[0] for m, o in select_methods([sample], coll, tuple(direct),
-                                                  signal_values=[sig(sample.x)]).items()}
+        block = _draw_block(sig, get_noise("l2"), 256, [5])
+        got = {m: o[0] for m, o in select_methods(block, coll, tuple(direct),
+                                                  signal_values=sig(block.x)).items()}
         assert list(got) == list(direct)
         for method, outcome in direct.items():
             assert got[method].trace == outcome.trace
@@ -494,14 +502,14 @@ class TestSelectMethods:
             assert got[method].to_json() == outcome.to_json()
 
     def test_fold_scheme_and_signal_only_when_needed(self):
-        sample = generate(get_signal("wave"), get_noise("h1"), 64, 1)
+        block = _draw_block(get_signal("wave"), get_noise("h1"), 64, [1])
         coll = wavelet_collection(64, transform.DB8)
-        got = {m: o[0] for m, o in select_methods([sample], coll, ("sh", "cp")).items()}
+        got = {m: o[0] for m, o in select_methods(block, coll, ("sh", "cp")).items()}
         assert list(got) == ["sh", "cp"]
         with pytest.raises(ValueError, match="signal values"):
-            select_methods([sample], coll, ("oracle",))
+            select_methods(block, coll, ("oracle",))
         with pytest.raises(ValueError, match="unknown method"):
-            select_methods([sample], coll, ("nope",))
+            select_methods(block, coll, ("nope",))
 
     @pytest.mark.parametrize("n, V, methods", [
         (256, 2, ("oracle", "sh", "cp", "vfcv", "penvf")),
@@ -512,14 +520,14 @@ class TestSelectMethods:
         coll = wavelet_collection(n, transform.DB8)
         cases = [(get_signal(name), get_noise(noise), seed) for name, noise, seed in
                  (("wave", "h1", 1), ("doppler", "l1", 2), ("spikes", "l2", 3))]
-        samples = [generate(sig, noi, n, seed) for sig, noi, seed in cases]
-        truths = [sig(s.x) for (sig, _, _), s in zip(cases, samples)]
-        block = select_methods(samples, coll, methods, signal_values=truths)
-        assert all(o.chosen_index.shape == (len(samples),) for o in block.values())
-        for i, (sample, truth) in enumerate(zip(samples, truths)):
+        samples = draw_rows(cases, n)
+        block = select_methods(samples, coll, methods, signal_values=samples.values)
+        assert all(o.chosen_index.shape == (len(cases),) for o in block.values())
+        for i, (sig, noi, seed) in enumerate(cases):
             got = {m: o[i] for m, o in block.items()}
-            alone = {m: o[0] for m, o in select_methods([sample], coll, methods,
-                                                        signal_values=[truth]).items()}
+            one = _draw_block(sig, noi, n, [seed])
+            alone = {m: o[0] for m, o in select_methods(one, coll, methods,
+                                                        signal_values=one.values).items()}
             assert len(got["vfcv"].diagnostics["per_fold_risks"]) == V
             for method in methods:
                 assert got[method].to_json() == alone[method].to_json()
@@ -530,7 +538,8 @@ class TestSelectMethods:
         coll = wavelet_collection(128, transform.DB8)
         methods = ("oracle", "sh", "cp", "vfcv", "penvf")
         single = select_methods(sample, coll, methods, signal_values=sig(sample.x))
-        block = select_methods([sample], coll, methods, signal_values=[sig(sample.x)])
+        one = _draw_block(sig, get_noise("h1"), 128, [4])
+        block = select_methods(one, coll, methods, signal_values=sig(one.x))
         for method in methods:
             assert single[method].criteria.shape == (len(coll),)
             assert single[method].to_json() == block[method][0].to_json()
@@ -538,12 +547,13 @@ class TestSelectMethods:
     def test_fold_fits_of_another_block_refused(self):
         # folds of one block never broadcast against the fits of another
         coll = wavelet_collection(64, transform.DB8)
-        samples = [generate(get_signal("wave"), get_noise("h1"), 64, seed) for seed in (1, 2, 3)]
-        fits = fit_collection(samples, coll)
-        cases = ((fits, fold_fitted(samples[:1], coll)),   # (1, models) for (3, models)
-                 (fits[0], fold_fitted(samples[:1], coll)),  # a block's folds, one sample's fits
-                 (fits[0], fold_fitted(samples, coll)),
-                 (fit_collection(samples[0], coll), fold_fitted(samples, coll)))
+        wave, h1 = get_signal("wave"), get_noise("h1")
+        block, first = _draw_block(wave, h1, 64, (1, 2, 3)), _draw_block(wave, h1, 64, (1,))
+        fits = fit_collection(block, coll)
+        cases = ((fits, fold_fitted(first, coll)),   # (1, models) for (3, models)
+                 (fits[0], fold_fitted(first, coll)),  # a block's folds, one sample's fits
+                 (fits[0], fold_fitted(block, coll)),
+                 (fit_collection(generate(wave, h1, 64, 1), coll), fold_fitted(block, coll)))
         for target, folds in cases:
             for select in (select_vfcv, select_penvf):
                 with pytest.raises(ValueError, match="fold risks of shape"):
@@ -604,7 +614,8 @@ def test_non_dyadic_sample_refused():
     with pytest.raises(ValueError, match="one pyramid cannot fit the collection on 48 points"):
         fit_collection(sample, coll)
     with pytest.raises(ValueError, match="one pyramid cannot fit the collection on 48 points"):
-        select_methods([sample], coll, ("oracle", "sh", "cp"), signal_values=[sig(sample.x)])
+        block = _draw_block(sig, get_noise("h1"), 48, [9])
+        select_methods(block, coll, ("oracle", "sh", "cp"), signal_values=block.values)
 
 
 def test_wavelet_collection_dimensions():

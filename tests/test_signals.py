@@ -190,17 +190,16 @@ def test_block_draw_sends_only_tied_rows_through_the_stable_sort(monkeypatch):
             return self._rng.standard_normal(n)
 
     monkeypatch.setattr(signals, "_rng", TieOneSeed)
-    samples, _ = signals._draw(zero, unit, 256, [1, 2, 3])
+    x, y, _ = signals._draw_block(zero, unit, 256, [1, 2, 3])
     draw = TieOneSeed(2)
     u, eps = draw.random(256), draw.standard_normal(256)
     order = np.argsort(u, kind="stable")
-    tied = samples[1]
-    assert np.all(np.diff(tied.x) > 0)
-    assert np.array_equal(tied.y, eps[order])
-    assert np.all((tied.x >= u[order]) & (tied.x < u[order] + 1 / 8))
-    assert tied.x.tobytes() == generate(zero, unit, 256, 2).x.tobytes()
-    for got, want in zip(samples[::2], untied):
-        assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+    assert np.all(np.diff(x[1]) > 0)
+    assert np.array_equal(y[1], eps[order])
+    assert np.all((x[1] >= u[order]) & (x[1] < u[order] + 1 / 8))
+    assert x[1].tobytes() == generate(zero, unit, 256, 2).x.tobytes()
+    for row, want in zip((0, 2), untied):
+        assert x[row].tobytes() == want.x.tobytes() and y[row].tobytes() == want.y.tobytes()
 
 
 def test_spikes_sum_the_five_peaks_in_order():

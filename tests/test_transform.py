@@ -30,6 +30,8 @@ def test_filter_validation():
         validate_filter([1.0, 0.5, -0.2, 0.1141])  # fails double-shift orthogonality
     with pytest.raises(InvalidFilterError):
         validate_filter([1.0, 0.2, 0.2])  # odd length
+    with pytest.raises(InvalidFilterError, match="sum of taps"):
+        validate_filter([np.nan, np.nan])  # NaN compares false to every bound
 
 
 def test_invalid_filter_rejected_on_every_call():
