@@ -198,7 +198,7 @@ def _or_null(value: float) -> Optional[float]:
 
 def _block_size(n: int, collection: ModelCollection, methods) -> int:
     # per replication, tracemalloc measures about 11n while the block's
-    # responses and truths are analysed, and about 8n + 5/2 models * n_t
+    # responses and truths are analysed, and at most 8n + 5/2 models * n_t
     # while a fold is fitted: the samples and their pyramids, plus every
     # model's fitted values on the training half and the scratch of their
     # prefix synthesis
