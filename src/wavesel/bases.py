@@ -108,11 +108,11 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
 class Model:
     """A finite-dimensional function space with an explicit orthonormal basis.
 
-    Subclasses provide atom evaluation, sup-norms, support masks on the
-    reference grid and the natural scale assignment used by "auto"
-    certification. A model whose every atom is constant on each of a
-    partition's cells also gives ``cells`` and ``table``, so fits and
-    integrals read per-cell sums instead of an array of atom values.
+    Subclasses provide ``_atoms(x)``, the atoms at points x of [0, 1], and
+    the natural scale assignment used by "auto" certification. A model
+    whose every atom is constant on each of a partition's cells gives
+    ``cells`` and ``table`` instead of ``_atoms``, so evaluation is a gather
+    and fits and integrals read per-cell sums, not arrays of atom values.
     """
 
     dim: int
@@ -121,9 +121,19 @@ class Model:
     table: Optional[np.ndarray] = None
 
     # -- evaluation ----------------------------------------------------
+    def design_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Design matrix of a least-squares fit at the design x."""
+        return self.basis_matrix(x)
+
     def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Atom values at the points ``x``: shape (len(x), dim)."""
-        raise NotImplementedError
+        """Atom values at the points ``x``: shape (len(x), dim). Points
+        outside [0, 1], and NaN, meet no atom: their rows are zero."""
+        x = np.asarray(x, dtype=float)
+        outside = ~((x >= 0.0) & (x <= 1.0))
+        x = np.where(outside, 0.0, x)
+        out = self._atoms(x) if self.table is None else self.table[self.cells(x)]
+        out[outside] = 0.0
+        return out
 
     def cells(self, x: np.ndarray) -> np.ndarray:
         """Index of the cell of ``table`` holding each point of [0, 1]."""
@@ -151,7 +161,8 @@ class Model:
 
     # -- certification inputs -------------------------------------------
     def sup_norms(self) -> np.ndarray:
-        return np.max(np.abs(self.grid_atoms()), axis=1)
+        atoms = self.grid_atoms().T if self.table is None else self.table
+        return np.max(np.abs(atoms), axis=0)
 
     def support_masks(self) -> np.ndarray:
         """Boolean (dim, N_GRID) masks of the recorded atom supports."""
@@ -198,36 +209,39 @@ class WaveletModel(Model):
     def __init__(self, filt, j_max: int):
         if j_max < 0:
             raise ValueError("j_max must be >= 0")
-        if (1 << (j_max + 1)) > N_GRID:
-            raise ValueError("model resolution exceeds the reference grid")
         self.h = transform.validate_filter(filt)
         self.j_max = int(j_max)
         self.dim = 1 << (self.j_max + 1)
 
-    @cached_property
-    def _grid_atoms(self) -> np.ndarray:
-        atoms = transform.synthesize_flat(np.eye(self.dim, N_GRID), self.h)
-        # sqrt(N_GRID) = 128 is a power of two, so the scaling is exact
-        atoms *= float(np.sqrt(N_GRID))
+    def _discrete_atoms(self, n: int) -> np.ndarray:
+        """The (dim, n) discrete pyramid atoms at dyadic n, scaled by sqrt(n)."""
+        atoms = transform.synthesize_flat(np.eye(self.dim, n), self.h)
+        atoms *= float(np.sqrt(n))
         return atoms
 
-    def basis_matrix(self, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _grid_atoms(self) -> np.ndarray:
+        # checked here, not at build: pyramid fits never read the grid
+        if self.dim > N_GRID:
+            raise ValueError("model resolution exceeds the reference grid")
+        return self._discrete_atoms(N_GRID)
+
+    def design_matrix(self, x: np.ndarray) -> np.ndarray:
+        """On an equispaced dyadic design of n >= dim points (midpoints or
+        left points) the discrete atoms, whose empirical Gram is the
+        identity, so the fit is the pyramid's; elsewhere the atom values."""
         x = np.asarray(x, dtype=float)
-        idx = np.clip((x * N_GRID).astype(int), 0, N_GRID - 1)
+        n = len(x)
+        if n >= self.dim and not n & (n - 1) and (
+                np.array_equal(x, (np.arange(n) + 0.5) / n) or np.array_equal(x, np.arange(n) / n)):
+            # C order: BLAS may round the Gram products differently by layout
+            return np.ascontiguousarray(self._discrete_atoms(n).T)
+        return self.basis_matrix(x)
+
+    def _atoms(self, x: np.ndarray) -> np.ndarray:
+        """The atoms at the grid point of x's grid cell."""
+        idx = np.minimum((x * N_GRID).astype(int), N_GRID - 1)
         return self.grid_atoms()[:, idx].T
-
-    def discrete_design_matrix(self, n: int) -> np.ndarray:
-        """Exact orthonormal discrete atoms at length n, scaled by sqrt(n).
-
-        This is the design matrix consistent with the pyramid fit on an
-        equispaced dyadic design: its empirical Gram is the identity.
-        """
-        p = int(n).bit_length() - 1
-        if (1 << p) != n or n < self.dim:
-            raise ValueError("need a dyadic design size >= model dimension")
-        atoms = transform.synthesize_flat(np.eye(self.dim, n), self.h)
-        # C order: BLAS may round the Gram products differently by layout
-        return np.sqrt(n) * np.ascontiguousarray(atoms.T)
 
     def auto_scales(self):
         return _wavelet_scales(self.j_max)
@@ -317,23 +331,10 @@ class HaarWeightedModel(Model):
         out.setflags(write=False)
         return out
 
-    def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        # points outside [0, 1], and NaN, meet no atom: their rows stay zero
-        outside = ~((x >= 0.0) & (x <= 1.0))
-        out = self.table[self.cells(np.where(outside, 0.0, x))]
-        out[outside] = 0.0
-        return out
-
     def density_on_grid(self) -> Optional[np.ndarray]:
         if self.density is None:
             return None
         return np.asarray(self.density(reference_grid()), dtype=float)
-
-    def sup_norms(self) -> np.ndarray:
-        out = np.maximum(np.abs(self._cl), np.abs(self._cr))
-        out[0] = 1.0
-        return out
 
     def auto_scales(self):
         return _wavelet_scales(self.j_max)
@@ -375,8 +376,7 @@ class PiecewisePolyModel(Model):
         out.setflags(write=False)
         return out
 
-    def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def _atoms(self, x: np.ndarray) -> np.ndarray:
         cells = self.cells(x)
         out = np.zeros((len(x), self.dim))
         for c in range(self.n_cells):
@@ -503,8 +503,9 @@ class SlbCertificate:
 
 def overlap_counts(model: Model, labels: np.ndarray, n_scales: int) -> np.ndarray:
     """card of the overlap sets: entry (k, j) counts scale-j atoms meeting atom k."""
-    masks = model.support_masks()
-    inter = (masks.astype(np.int32) @ masks.astype(np.int32).T) > 0
+    # a BLAS product, exact in float32: its sums are counts <= 2^14 < 2^24
+    masks = model.support_masks().astype(np.float32)
+    inter = (masks @ masks.T) > 0
     counts = np.zeros((model.dim, n_scales), dtype=int)
     for j in range(n_scales):
         counts[:, j] = inter[:, labels == j].sum(axis=1)

@@ -287,7 +287,7 @@ def _empirical_terms(sample: RegressionSample, model, signal: TestSignal):
     b_p = grid_atoms @ (s_grid * weights) / N_GRID
     beta_m = np.linalg.solve(gram_p, b_p)  # projection in the grid measure
 
-    phi_x = estimator._design_at(sample.x, model)
+    phi_x = model.design_matrix(sample.x)
     resid = sample.y - phi_x @ beta_m
     s_m_grid = grid_atoms.T @ beta_m
     p_lin = grid_atoms @ ((s_grid - s_m_grid) * weights) / N_GRID
@@ -416,7 +416,7 @@ def functional_rep_check(sample: RegressionSample, model, signal: TestSignal,
     fit = fit_ls(sample, model, method="gram_exact")
     beta_m = project_truth(signal, model)
     delta_hat = fit.beta - beta_m
-    phi_x = estimator._design_at(sample.x, model)
+    phi_x = model.design_matrix(sample.x)
     resid_m = sample.y - phi_x @ beta_m
     gram = phi_x.T @ phi_x / sample.n
     lin = phi_x.T @ resid_m / sample.n

@@ -134,21 +134,6 @@ class NestedPyramid:
         return transform.synthesize_prefixes(self.coeffs, dims, self.h)
 
 
-def _design_at(x: np.ndarray, model) -> np.ndarray:
-    """Design matrix at the points x, in function units.
-
-    For a wavelet model on an exactly equispaced dyadic design this is
-    the discrete pyramid basis (so the Gram is the identity); otherwise
-    atoms are evaluated pointwise.
-    """
-    n = len(x)
-    if pyramid_filter((model,), n) is not None:
-        mid = (np.arange(n) + 0.5) / n
-        if np.array_equal(x, mid) or np.array_equal(x, np.arange(n) / n):
-            return model.discrete_design_matrix(n)
-    return model.basis_matrix(x)
-
-
 def _fit_gram(x: np.ndarray, y: np.ndarray, model) -> tuple:
     """Fits of a cell model to each row of the ``(R, n)`` designs x and
     responses y: the coefficients ``(R, D)``, the empirical risks ``(R,)``
@@ -193,7 +178,7 @@ def fit_ls(sample: RegressionSample, model, method: str = "auto") -> FitResult:
             raise SingularDesignError(
                 f"a cell of the dimension-{model.dim} model holds no point at n={n}")
         return FitResult(model, betas[0], float(risks[0]), "gram_exact")
-    phi = _design_at(sample.x, model)
+    phi = model.design_matrix(sample.x)
     gram = phi.T @ phi / n
     lam = np.linalg.eigvalsh(gram)  # symmetric, so cond = lam[-1] / lam[0]; NaN is singular
     if not lam[0] > 0.0 or lam[-1] / lam[0] > _COND_LIMIT:
@@ -225,7 +210,9 @@ def project_truth(signal: TestSignal, model) -> np.ndarray:
 def _projections(s: np.ndarray, models) -> list:
     """:func:`project_truth` onto each model of the signal's reference-grid
     values s. Where one pyramid serves every model, one analysis gives each
-    model its prefix."""
+    model its prefix. A model finer than the grid is refused up front."""
+    if max(model.dim for model in models) > N_GRID:
+        raise ValueError("model resolution exceeds the reference grid")
     h = pyramid_filter(models, N_GRID)
     if h is not None:
         coeffs = transform.analyze_flat(s, h)
@@ -258,7 +245,7 @@ def _values(model, beta: np.ndarray, x: Optional[np.ndarray] = None,
         return transform.synthesize_flat(flat, model.h)
     if model.table is not None:
         return (model.table @ beta)[model.grid_cells if x is None else model.cells(x)]
-    return model.grid_atoms().T @ beta if x is None else _design_at(x, model) @ beta
+    return model.grid_atoms().T @ beta if x is None else model.design_matrix(x) @ beta
 
 
 def _excess_terms(x: np.ndarray, y: np.ndarray, betas: np.ndarray, risks, model,
@@ -344,8 +331,9 @@ def compute_Cm(signal: TestSignal, noise: NoiseScenario, model,
     eps = rng.standard_normal(n_mc)
     if model.table is None:  # s_m at the nearest grid point
         s_m = _values(model, beta_m)[np.clip((x * N_GRID).astype(int), 0, N_GRID - 1)]
-    else:  # s_m on each draw's own cell
-        s_m = _values(model, beta_m, x)
+    else:  # s_m on each draw's own cell, as _values reads it
+        cells = model.cells(x)
+        s_m = (model.table @ beta_m)[cells]
     resid = eval_signal(signal, x) - s_m + np.asarray(noise.sigma(x), dtype=float) * eps
     n_batches = 50
     batch = n_mc // n_batches
@@ -361,7 +349,7 @@ def compute_Cm(signal: TestSignal, noise: NoiseScenario, model,
         # over (group, cell) each, O(n_mc + 51 D^2). The n_mc % 50 leftover
         # draws form group 50, in the total but in no batch
         dim, table = model.dim, model.table
-        key = np.minimum(np.arange(n_mc) // batch, n_batches) * dim + model.cells(x)
+        key = np.minimum(np.arange(n_mc) // batch, n_batches) * dim + cells
         shape = (n_batches + 1, dim)
         sum_z = np.bincount(key, resid, minlength=shape[0] * dim).reshape(shape) @ table
         sum_z2 = (np.bincount(key, resid * resid, minlength=shape[0] * dim).reshape(shape)

@@ -20,6 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bases import reference_grid
+
 __all__ = [
     "TestSignal",
     "NoiseScenario",
@@ -245,7 +247,7 @@ def benchmark_scale(name: str) -> float:
     ratios; Wave is the reference and keeps scale 1. Ranges are measured
     on the 2^14 midpoint grid.
     """
-    grid = (np.arange(1 << 14) + 0.5) / (1 << 14)
+    grid = reference_grid()
     ref_vals = _SIGNALS["wave"].eval(grid)
     vals = get_signal(name).eval(grid)
     spread = float(vals.max() - vals.min())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,15 @@ class TestHaarWeighted:
         sups = m.sup_norms()
         assert np.all(sups <= np.sqrt(2.0 / 0.5 * a_vals[labels]) + 1e-9)
 
+    @pytest.mark.parametrize("density", [None, lambda x: 0.5 + x,
+                                         lambda x: np.exp(x) / (np.e - 1.0)])
+    def test_sup_norms_read_from_the_table(self, density):
+        # each Haar atom takes its two half-cell values, the father 1
+        m = build_haar_weighted(5, density=density, c_min=None if density is None else 0.5)
+        want = np.maximum(np.abs(m._cl), np.abs(m._cr))
+        want[0] = 1.0
+        assert m.sup_norms().tobytes() == want.tobytes()
+
     def test_density_masses_match_closed_form(self):
         # for f = 0.5 + x the half-cell masses integrate in closed form
         m = build_haar_weighted(2, density=lambda x: 0.5 + x, c_min=0.5)
@@ -260,6 +271,71 @@ class TestPiecewisePoly:
         assert "0.4" in str(err.value)
 
 
+OUTSIDE = np.array([-0.5, 1.5, np.nextafter(1.0, 2.0), np.inf, -np.inf, np.nan])
+
+
+def reference_rows(model, x):
+    """Reference: each family's atoms at points x of [0, 1], from its own formula."""
+    if isinstance(model, bases.WaveletModel):
+        return model.grid_atoms()[:, np.minimum((x * N_GRID).astype(int), N_GRID - 1)].T
+    if isinstance(model, bases.HaarWeightedModel):
+        return per_level_haar_basis_matrix(model, x)
+    out = np.zeros((len(x), model.dim))
+    for i, xi in enumerate(x):
+        c = min(np.searchsorted(model.boundaries, xi, side="right") - 1, model.n_cells - 1)
+        a, b = model.boundaries[c], model.boundaries[c + 1]
+        u = 2.0 * (xi - a) / (b - a) - 1.0
+        for d, p_d in enumerate((1.0, u)[: model.degree + 1]):
+            out[i, c * (model.degree + 1) + d] = np.sqrt((2 * d + 1) / (b - a)) * p_d
+    return out
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("build", [
+        lambda: build_histogram([0, 0.3, 0.7, 1]),
+        lambda: build_piecewise_poly([0, 0.5, 1], 1),
+        lambda: build_periodized_wavelet(transform.DB8, 3),
+        lambda: build_haar_weighted(3),
+    ], ids=["histogram", "poly1", "db8", "haar"])
+    def test_points_outside_unit_interval_meet_no_atom(self, build):
+        # before, a histogram gave 1.826 at x = -0.5 and 1.5, a linear
+        # piece extrapolated, and db8 cast NaN to a grid index with a warning
+        m = build()
+        inside = np.concatenate([[0.0, 0.3, 0.5, 1.0], np.random.default_rng(2).random(50)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = m.basis_matrix(np.concatenate([inside, OUTSIDE]))
+        assert not got[len(inside):].any()
+        np.testing.assert_allclose(got[: len(inside)], reference_rows(m, inside),
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("j_max", [0, 3, 6])
+    @pytest.mark.parametrize("name", ["haar", "db8"])
+    def test_design_on_the_grid_is_the_grid_atoms(self, name, j_max):
+        # the reference grid is an equispaced dyadic design, so the design
+        # matrix there is the discrete pyramid basis: the grid atoms
+        m = build_periodized_wavelet(transform.get_filter(name), j_max)
+        got = m.design_matrix(reference_grid())
+        assert got.tobytes() == np.ascontiguousarray(m.grid_atoms().T).tobytes()
+
+    def test_design_elsewhere_is_the_basis_matrix(self):
+        m = build_periodized_wavelet(transform.DB8, 3)
+        n = 64
+        left = m.design_matrix(np.arange(n) / n)
+        assert np.allclose(left.T @ left / n, np.eye(m.dim), atol=1e-12)
+        jittered = np.sort(np.random.default_rng(0).random(n))
+        assert np.array_equal(m.design_matrix(jittered), m.basis_matrix(jittered))
+        coarse = np.arange(8) / 8  # fewer points than atoms: no pyramid basis
+        assert np.array_equal(m.design_matrix(coarse), m.basis_matrix(coarse))
+
+    def test_grid_read_refused_past_the_reference_grid(self):
+        # the model builds, since pyramid fits never read the grid
+        m = build_periodized_wavelet(transform.DB8, 14)
+        assert m.dim == 2 * N_GRID
+        with pytest.raises(ValueError, match="exceeds the reference grid"):
+            m.grid_atoms()
+
+
 class TestCertification:
     def test_weighted_haar_uniform_paper_constants(self):
         # admissible at r_m = max(sqrt(2)+1, sqrt(2)) and A_c = 1
@@ -312,6 +388,21 @@ class TestCertification:
                 brute = sum(1 for l in range(m.dim)
                             if labels[l] == j and np.any(masks[k] & masks[l]))
                 assert counts[k, j] == brute
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_haar_weighted(2),
+        lambda: build_haar_weighted(4, density=lambda x: 0.5 + x, c_min=0.5),
+        lambda: build_periodized_wavelet(transform.DB8, 5),
+        lambda: build_piecewise_poly(np.linspace(0, 1, 17), 2),
+        lambda: build_histogram([0, 0.3, 0.7, 1]),
+    ], ids=["haar2", "haar4-density", "db8-5", "poly2", "histogram"])
+    def test_overlap_counts_match_integer_product(self, build):
+        m = build()
+        labels, a_vals = m.auto_scales()
+        masks = m.support_masks().astype(np.int32)
+        inter = (masks @ masks.T) > 0
+        want = np.stack([inter[:, labels == j].sum(axis=1) for j in range(len(a_vals))], axis=1)
+        assert np.array_equal(bases.overlap_counts(m, labels, len(a_vals)), want)
 
     def test_certificate_json_is_strict(self):
         # a NaN level gives NaN slacks, which strict JSON cannot hold

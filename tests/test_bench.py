@@ -42,9 +42,10 @@ class TestConfig:
 
     def test_sizes_checked_against_the_collection_at_load(self):
         # every size builds its collection when the config loads, so a size
-        # past the reference grid fails before a smaller size's cells run
-        with pytest.raises(ValueError, match="exceeds the reference grid"):
-            small_config(sizes=(1024, 65536))
+        # that cannot run fails before a smaller size's cells run; a model
+        # finer than the reference grid can run, since pyramid fits and
+        # in-sample losses never read the grid
+        assert small_config(sizes=(1024, 65536)).sizes == (1024, 65536)
         with pytest.raises(ValueError, match="dyadic"):
             small_config(sizes=(2,), methods=("cp",))
         with pytest.raises(KeyError, match="unknown filter"):
@@ -122,6 +123,14 @@ class TestRunBench:
              / lo.cell("wave", "l1", 256, "sh").stderr)
         # quadrupling N halves the standard error, within Monte-Carlo slack
         assert 0.25 <= r <= 0.85
+
+    def test_runs_past_the_reference_grid(self):
+        # the collection at n = 65536 holds a model of 2^15 atoms, twice the
+        # reference grid, and its pyramid fits never read the grid
+        rep = run_bench(small_config(sizes=(65536,), replications=1))
+        for method in ("sh", "cp"):
+            cell = rep.cell("wave", "h1", 65536, method)
+            assert cell.n_ok == 1 and cell.mean >= 1.0
 
     def test_report_json_round_trip(self):
         rep = run_bench(small_config(keep_ratios=True))

@@ -167,7 +167,7 @@ class TestBench:
         assert doc["error"] == "ValueError" and "sample size 8 gives 2 models" in doc["message"]
 
     @pytest.mark.parametrize("key, value, message", [
-        ("sizes", [256, 65536], "exceeds the reference grid"),
+        ("sizes", [256, 96], "dyadic"),
         ("methods", [], "'methods' is empty"),
         ("signals", ["wave", "wave"], "'signals' repeats an entry")])
     def test_config_that_cannot_run_rejected_at_load(self, tmp_path, capsys, key, value,

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavesel import bases, estimator, transform
+from wavesel import bases, estimator, selection, transform
 from wavesel.bases import N_GRID, reference_grid
 from wavesel.estimator import (SingularDesignError, compute_Cm, epsilon_n,
                                excess_risks, fit_ls, project_truth)
@@ -62,7 +62,7 @@ class TestFitLs:
         sample = generate(get_signal("doppler"), get_noise("h1"), 256, 8)
         model = bases.build_haar_weighted(3)
         fit = fit_ls(sample, model, method="gram_exact")
-        phi = estimator._design_at(sample.x, model)
+        phi = model.design_matrix(sample.x)
         rng = np.random.default_rng(11)
         for _ in range(100):
             beta = fit.beta + rng.standard_normal(model.dim) * 0.01
@@ -231,6 +231,18 @@ class TestExcessRisks:
         fit = fit_ls(sample, bases.build_haar_weighted(4))
         with pytest.raises(ValueError, match="dimension-32 model, not of dimension 8"):
             excess_risks(sample, bases.build_haar_weighted(2), sig, fit=fit)
+
+    def test_model_past_the_grid_refused_before_any_grid_atoms(self, monkeypatch):
+        # at n = 65536 the collection ends at 2^15 atoms; the D = 2^14 model
+        # before it would build a 2 GB grid-atom array if the check came late
+        monkeypatch.setattr(bases.WaveletModel, "_grid_atoms",
+                            property(lambda self: pytest.fail("grid atoms built")))
+        sample = generate(get_signal("wave"), get_noise("l1"), 1 << 16, 4)
+        fits = selection.fit_collection(sample, selection.wavelet_collection(1 << 16,
+                                                                            transform.DB8)).fits
+        assert fits[-1].model.dim == 2 * N_GRID
+        with pytest.raises(ValueError, match="exceeds the reference grid"):
+            estimator.nested_fit_risks(sample, fits, get_signal("wave"))
 
     def test_empirical_excess_nonnegative(self):
         for seed in range(5):
