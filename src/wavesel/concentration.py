@@ -10,6 +10,9 @@ trust-region subproblem solved through the secular equation of the
 constrained quadratic, cross-checked against an independent
 random-direction search. The maximum of the profile must equal the
 empirical excess risk exactly, with the true excess risk in the argmax.
+The representation checks import scipy.optimize (``brentq`` for the
+secular equation, ``minimize_scalar`` to refine the profile's optimum)
+when they first run; ``run_concentration`` runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from . import estimator
 from .bases import N_GRID
@@ -201,6 +203,7 @@ def _sphere_max_quadratic(a: np.ndarray, m_mat: np.ndarray, c: float, eig: tuple
         hi = lo + 1.0
         while norm2(hi) > c:
             hi = 2.0 * hi + 1.0
+        import scipy.optimize
         lam = scipy.optimize.brentq(lambda t: norm2(t) - c, lo, hi, xtol=1e-15, rtol=1e-15)
         z = at / (evals + lam)
     else:
@@ -357,6 +360,7 @@ def rep_formula_oracle(sample: RegressionSample, model, signal: TestSignal,
     k = int(np.argmax(gamma))
     lo = c_grid[max(k - 1, 0)]
     up = c_grid[min(k + 1, len(c_grid) - 1)]
+    import scipy.optimize
     refine = scipy.optimize.minimize_scalar(lambda c: -gamma_at(c), bounds=(lo, up),
                                             method="bounded",
                                             options={"xatol": 1e-14})
@@ -461,6 +465,7 @@ def functional_rep_check(sample: RegressionSample, model, signal: TestSignal,
     k = int(np.argmin(vals))
     lo = c_grid[max(k - 1, 0)]
     up = c_grid[min(k + 1, len(c_grid) - 1)]
+    import scipy.optimize
     refine = scipy.optimize.minimize_scalar(inner_min, bounds=(max(lo, 0.0), up),
                                             method="bounded", options={"xatol": 1e-14})
     return FunctionalRepReport(f_hat, float(refine.x), float(up - lo),

@@ -14,7 +14,8 @@ of wavelet models, each model is a dyadic prefix of the same orthonormal
 coefficients, and every fit reads one :class:`NestedPyramid` of the
 response. On an equispaced dyadic design the two routes coincide exactly
 because the discrete pyramid atoms are the orthonormal basis of that
-design.
+design. Only the dense normal equations import scipy, for a Cholesky
+solve, when they first run; every other route runs on numpy alone.
 
 True-measure quantities (bias, excess risk, sup-norm deviation) are
 integrated on the fixed 2^14-point reference grid; the quadrature error
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import bases, transform
 from .bases import N_GRID, reference_grid
@@ -184,9 +184,10 @@ def fit_ls(sample: RegressionSample, model, method: str = "auto") -> FitResult:
     if not lam[0] > 0.0 or lam[-1] / lam[0] > _COND_LIMIT:
         raise SingularDesignError(f"empirical Gram condition number exceeds {_COND_LIMIT:g} "
                                   f"for dimension {model.dim} at n={n}")
+    import scipy.linalg  # deferred: every other route runs on numpy alone
     try:
         beta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), phi.T @ sample.y / n)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
         raise SingularDesignError(str(exc)) from None
     resid = sample.y - phi @ beta
     return FitResult(model, beta, float(np.dot(resid, resid) / n), "gram_exact")

@@ -86,6 +86,20 @@ class TestFitLs:
         with pytest.raises(SingularDesignError, match="condition number"):
             fit_ls(sample, model)
 
+    def test_cholesky_failure_is_a_singular_design(self, monkeypatch):
+        # a Gram that passes the condition check factors, so the failure is
+        # forced: the dense route must report it as a singular design
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+        sample = generate(get_signal("wave"), get_noise("h1"), 256, 4)
+        model = bases.build_periodized_wavelet(transform.DB8, 3)
+        with pytest.raises(SingularDesignError, match="not positive definite"):
+            fit_ls(sample, model, method="gram_exact")
+
     def test_dimension_exceeding_sample(self):
         model = bases.build_haar_weighted(4)
         sample = generate(get_signal("wave"), get_noise("l1"), 16, 0)
